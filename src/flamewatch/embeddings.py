@@ -2,8 +2,23 @@
 
 Both trainers share the same objective; the subword variant represents a
 word as the mean of its own vector and hashed character n-gram vectors,
-which also gives out-of-vocabulary words a usable vector. Training is
-sequential SGD with a fixed seed, so runs are reproducible.
+which also gives out-of-vocabulary words a usable vector.
+
+Training is mini-batch SGD: one step per block of up to `BLOCK_CENTERS`
+consecutive centers of one sentence. A step builds every (center, context)
+pair of its block (contexts stay inside the sentence but may lie outside
+the block), computes all scores and gradients from the parameters as they
+stood at the block's start, and then adds the updates, so that repeated
+words, repeated targets and n-gram hash collisions accumulate. Each center
+keeps its own linearly decaying learning rate.
+
+Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
+draws, in this order: the input vectors (uniform in +-0.5/dim, |V| x dim);
+for the subword variant, the bucket vectors (same law, buckets x dim); then
+per epoch, sentence and block of n centers, the window radii
+`integers(1, window + 1, size=n)` and, if the block has any pair, the
+negatives `random((pairs, negatives))` mapped through the noise CDF with
+`searchsorted`. Pairs are ordered by center, then by context position.
 """
 
 from __future__ import annotations
@@ -16,6 +31,9 @@ import numpy as np
 
 SIDECAR_MAGIC = b"FWSB"
 SIDECAR_VERSION = 1
+# Centers per SGD step; bounds the step's memory and how stale its reads get
+# on long sentences.
+BLOCK_CENTERS = 64
 
 
 @dataclass
@@ -45,6 +63,14 @@ class EmbedConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.negatives < 0:
+            raise ValueError("negatives must be >= 0")
+        if not self.initial_lr > 0:
+            raise ValueError("initial_lr must be > 0")
 
 
 @dataclass
@@ -129,9 +155,10 @@ def ngram_ids(word: str, sub: SubwordConfig | SubwordTable) -> list[int]:
     ]
 
 
-def _sentence_ids(sentences: list[list[str]], vocab: Vocabulary) -> list[list[int]]:
+def _sentence_ids(sentences: list[list[str]], vocab: Vocabulary) -> list[np.ndarray]:
     return [
-        [vocab.token_to_id[t] for t in sent if t in vocab.token_to_id]
+        np.array([vocab.token_to_id[t] for t in sent if t in vocab.token_to_id],
+                 dtype=np.int64)
         for sent in sentences
     ]
 
@@ -139,6 +166,53 @@ def _sentence_ids(sentences: list[list[str]], vocab: Vocabulary) -> list[list[in
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # numerically stable log(sigmoid(x))
     return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
+
+
+def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """table[rows] += values, where repeated rows accumulate.
+
+    np.add.at on the flat view of a C-contiguous table: numpy's 1-D fast
+    path is several times faster than np.add.at on the 2-D table.
+    """
+    dim = table.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(table.reshape(-1), flat, values.ravel())
+
+
+@dataclass
+class _NgramIndex:
+    """Every vocab word's n-gram bucket ids in CSR layout: word i owns
+    ids[starts[i]:starts[i + 1]]."""
+
+    ids: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, words: list[str], sub: SubwordConfig) -> _NgramIndex:
+        per_word = [ngram_ids(w, sub) for w in words]
+        starts = np.zeros(len(per_word) + 1, dtype=np.int64)
+        np.cumsum([len(g) for g in per_word], out=starts[1:])
+        ids = np.fromiter(
+            (i for g in per_word for i in g), dtype=np.int64, count=int(starts[-1])
+        )
+        return cls(ids=ids, starts=starts)
+
+    def gather(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-gram ids of `words` back to back, the position in `words`
+        that each belongs to, and 1 + each word's n-gram count (the number
+        of rows its composition averages)."""
+        counts = self.starts[words + 1] - self.starts[words]
+        owner = np.repeat(np.arange(len(words)), counts)
+        first = np.cumsum(counts) - counts
+        flat = self.ids[self.starts[words][owner] + np.arange(owner.size) - first[owner]]
+        return flat, owner, 1 + counts
+
+
+def _compose(w_in, buckets, words, flat, owner, size) -> np.ndarray:
+    """Mean of each word's raw vector and its n-gram bucket vectors."""
+    total = w_in[words]
+    _scatter_add(total, owner, buckets[flat])
+    return total / size[:, None]
 
 
 def _train(
@@ -156,10 +230,7 @@ def _train(
     sub = config.subword
     if sub is not None:
         buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
-        grams = [ngram_ids(w, sub) for w in vocab.id_to_token]
-    else:
-        buckets = None
-        grams = None
+        grams = _NgramIndex.build(vocab.id_to_token, sub)
 
     noise = negative_sampling_distribution(vocab)
     noise_cdf = np.cumsum(noise)
@@ -169,6 +240,10 @@ def _train(
     total_centers = sum(len(s) for s in ids) * config.epochs
     if total_centers == 0:
         raise ValueError("corpus too small: no training pairs")
+    # context offsets -window..-1, 1..window; a center keeps those within its radius
+    offsets = np.concatenate(
+        (np.arange(-config.window, 0), np.arange(1, config.window + 1))
+    )
     processed = 0
     pair_seen = False
     losses = []
@@ -177,48 +252,58 @@ def _train(
         epoch_loss = 0.0
         epoch_pairs = 0
         for sent in ids:
-            for pos, center in enumerate(sent):
-                lr = config.initial_lr * max(
-                    1e-4, 1.0 - processed / (total_centers + 1)
+            for first in range(0, len(sent), BLOCK_CENTERS):
+                pos = np.arange(first, min(first + BLOCK_CENTERS, len(sent)))
+                lr = config.initial_lr * np.maximum(
+                    1e-4, 1.0 - (processed + np.arange(len(pos))) / (total_centers + 1)
                 )
-                processed += 1
-                b = int(rng.integers(1, config.window + 1))
-                lo = max(0, pos - b)
-                hi = min(len(sent), pos + b + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    if sub is None:
-                        v = w_in[center].copy()
-                    else:
-                        v = np.vstack(
-                            [w_in[center][None, :], buckets[grams[center]]]
-                        ).mean(axis=0)
-                    target = sent[ctx_pos]
-                    negs = np.searchsorted(
-                        noise_cdf, rng.random(config.negatives)
-                    )
-                    targets = np.concatenate(([target], negs))
-                    labels = np.zeros(len(targets))
-                    labels[0] = 1.0
-                    u = w_out[targets]
-                    scores = u @ v
-                    p = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
-                    epoch_loss += float(
-                        -_log_sigmoid(scores[0])
-                        - _log_sigmoid(-scores[1:]).sum()
-                    )
-                    epoch_pairs += 1
-                    pair_seen = True
-                    g = (p - labels) * lr
-                    grad_v = g @ u
-                    w_out[targets] -= np.outer(g, v)
-                    if sub is None:
-                        w_in[center] -= grad_v
-                    else:
-                        share = grad_v / (1 + len(grams[center]))
-                        w_in[center] -= share
-                        np.add.at(buckets, grams[center], -share)
+                processed += len(pos)
+                radius = rng.integers(1, config.window + 1, size=len(pos))
+                ctx = pos[:, None] + offsets
+                keep = (
+                    (np.abs(offsets) <= radius[:, None]) & (ctx >= 0) & (ctx < len(sent))
+                )
+                # pairs in center-major order, contexts by ascending position
+                pair_center, pair_slot = np.nonzero(keep)
+                if not pair_center.size:
+                    continue
+                negs = np.searchsorted(
+                    noise_cdf, rng.random((pair_center.size, config.negatives))
+                )
+                targets = np.concatenate(
+                    (sent[ctx[pair_center, pair_slot]][:, None], negs), axis=1
+                )
+                # each distinct center word is read (and composed) once
+                words, word_of_center = np.unique(sent[pos], return_inverse=True)
+                pair_word = word_of_center[pair_center]
+                if sub is None:
+                    v_words = w_in[words]
+                else:
+                    flat, owner, size = grams.gather(words)
+                    v_words = _compose(w_in, buckets, words, flat, owner, size)
+                v = v_words[pair_word]
+                u = w_out[targets]
+                scores = np.einsum("pkd,pd->pk", u, v)
+                epoch_loss += float(
+                    -_log_sigmoid(scores[:, 0]).sum() - _log_sigmoid(-scores[:, 1:]).sum()
+                )
+                epoch_pairs += pair_center.size
+                pair_seen = True
+                g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+                g[:, 0] -= 1.0
+                g *= lr[pair_center][:, None]
+                grad_v = np.einsum("pk,pkd->pd", g, u)
+                _scatter_add(
+                    w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
+                )
+                grad_words = np.zeros_like(v_words)
+                _scatter_add(grad_words, pair_word, grad_v)
+                if sub is None:
+                    w_in[words] -= grad_words
+                else:
+                    share = grad_words / size[:, None]
+                    w_in[words] -= share
+                    _scatter_add(buckets, flat, -share[owner])
         if epoch_pairs:
             losses.append(epoch_loss / epoch_pairs)
         else:
@@ -229,10 +314,11 @@ def _train(
 
     if sub is None:
         return EmbeddingMatrix(dim=dim, vocab=vocab, vectors=w_in, epoch_losses=losses)
-    composed = np.vstack([
-        np.vstack([w_in[i][None, :], buckets[grams[i]]]).mean(axis=0)
-        for i in range(vocab_size)
-    ])
+    # composed in chunks, so the gathered bucket rows stay small
+    composed = np.empty_like(w_in)
+    for first in range(0, vocab_size, BLOCK_CENTERS):
+        words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
+        composed[words] = _compose(w_in, buckets, words, *grams.gather(words))
     table = SubwordTable(
         min_n=sub.min_n,
         max_n=sub.max_n,
@@ -284,11 +370,12 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Text format "word v1 ... vdim" with a "count dim" header; subword
     constituents go to a versioned binary sidecar at path + ".subword"."""
+    # one %-template per row writes the same bytes as f"{v:.8e}" per value
+    row_format = " ".join(["%.8e"] * matrix.dim)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
-        for i, word in enumerate(matrix.vocab.id_to_token):
-            vals = " ".join(f"{v:.8e}" for v in matrix.vectors[i])
-            fh.write(f"{word} {vals}\n")
+        for word, row in zip(matrix.vocab.id_to_token, matrix.vectors):
+            fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
     sub = matrix.subword
     sidecar = str(path) + ".subword"
     if sub is None:
@@ -309,12 +396,28 @@ class EmbeddingFormatError(ValueError):
     pass
 
 
+def _read_exact(fh, size: int, section: str) -> bytes:
+    """Read the `size` bytes of one sidecar section, or raise if the file ends first."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(min(size, left))
+    if len(data) != size:
+        raise EmbeddingFormatError(
+            f"sidecar: truncated {section}: expected {size} bytes, read {len(data)}"
+        )
+    return data
+
+
 def load_embeddings(path) -> EmbeddingMatrix:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise EmbeddingFormatError("line 1: header must be 'count dim'")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"line 1: header must be 'count dim': {exc}") from exc
+        if count < 0 or dim < 1:
+            raise EmbeddingFormatError(f"line 1: bad count {count} or dim {dim}")
         words = []
         rows = np.zeros((count, dim))
         for i in range(count):
@@ -329,7 +432,10 @@ def load_embeddings(path) -> EmbeddingMatrix:
                     f"line {i + 2}: expected {dim} components, got {len(parts) - 1}"
                 )
             words.append(parts[0])
-            rows[i] = [float(x) for x in parts[1:]]
+            try:
+                rows[i] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"line {i + 2}: {exc}") from exc
         if fh.readline().strip():
             raise EmbeddingFormatError(f"line {count + 2}: trailing data after body")
 
@@ -344,25 +450,29 @@ def load_embeddings(path) -> EmbeddingMatrix:
     sidecar = str(path) + ".subword"
     if os.path.exists(sidecar):
         with open(sidecar, "rb") as fh:
-            if fh.read(4) != SIDECAR_MAGIC:
+            if _read_exact(fh, 4, "magic") != SIDECAR_MAGIC:
                 raise EmbeddingFormatError("sidecar: bad magic bytes")
-            version, min_n, max_n, buckets, sdim = struct.unpack("<5i", fh.read(20))
+            version, min_n, max_n, buckets, sdim = struct.unpack(
+                "<5i", _read_exact(fh, 20, "header")
+            )
             if version != SIDECAR_VERSION:
                 raise EmbeddingFormatError(f"sidecar: unsupported version {version}")
             if sdim != dim:
                 raise EmbeddingFormatError(
                     f"sidecar: dim {sdim} does not match text file dim {dim}"
                 )
-            (vcount,) = struct.unpack("<i", fh.read(4))
+            if buckets < 1:
+                raise EmbeddingFormatError(f"sidecar: bucket count {buckets} is not positive")
+            (vcount,) = struct.unpack("<i", _read_exact(fh, 4, "vocab size"))
             if vcount != count:
                 raise EmbeddingFormatError(
                     f"sidecar: vocab size {vcount} does not match text file {count}"
                 )
             raw = np.frombuffer(
-                fh.read(vcount * dim * 4), dtype="<f4"
+                _read_exact(fh, vcount * dim * 4, "word vectors"), dtype="<f4"
             ).reshape(vcount, dim).astype(np.float64)
             bvec = np.frombuffer(
-                fh.read(buckets * dim * 4), dtype="<f4"
+                _read_exact(fh, buckets * dim * 4, "bucket vectors"), dtype="<f4"
             ).reshape(buckets, dim).astype(np.float64)
         matrix.subword = SubwordTable(
             min_n=min_n, max_n=max_n, buckets=buckets,

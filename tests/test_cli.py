@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from flamewatch import data_path
+from flamewatch.cli import main
 from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
 
 
@@ -171,6 +172,27 @@ class TestTrainingCommands:
             "train-clf", labeled_corpus, tmp_path / "m.ckpt", "--embeddings", bad,
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("keep, section", [(14, "header"), (-5, "bucket vectors")],
+                             ids=["in-header", "in-body"])
+    def test_truncated_sidecar_exit_2(self, labeled_corpus, truncated_fasttext_vectors,
+                                      tmp_path, capsys, keep, section):
+        vectors = truncated_fasttext_vectors(keep)
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(vectors)])
+        assert code == 2
+        assert f"error: sidecar: truncated {section}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--window", 0, "window"), ("--epochs", 0, "epochs"),
+        ("--negatives", -1, "negatives"), ("--lr", 0, "initial_lr"),
+    ])
+    def test_out_of_range_embed_option_exit_2(self, clean_corpus, tmp_path, capsys,
+                                              flag, value, field):
+        code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"),
+                     flag, str(value)])
+        assert code == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,12 +1,18 @@
 """Skip-gram and subword embedding training, lookup and persistence."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
 from flamewatch.embeddings import (
+    BLOCK_CENTERS,
     EmbedConfig,
     EmbeddingFormatError,
+    EmbeddingMatrix,
     SubwordConfig,
+    Vocabulary,
     build_vocab,
     char_ngrams,
     compose_word,
@@ -33,6 +39,123 @@ def toy_corpus(seed=0, sentences=200, length=8):
     return [
         list(rng.choice(vocab, size=length)) for _ in range(sentences)
     ]
+
+
+def reference_train(sentences, config):
+    """Block SGD written out pair by pair in plain Python.
+
+    Draws from the RNG in the documented order, reads every score and
+    gradient from the parameters as they stood at the block's start, and
+    accumulates the updates into the live parameters. Returns the input
+    vectors, the bucket vectors (or None), the stored vectors and the
+    epoch losses.
+    """
+    vocab = build_vocab(sentences, config.min_count)
+    rng = np.random.default_rng(config.seed)
+    bound = 0.5 / config.dim
+    w_in = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
+    w_out = np.zeros((len(vocab), config.dim))
+    sub = config.subword
+    buckets = None
+    if sub is not None:
+        buckets = rng.uniform(-bound, bound, size=(sub.buckets, config.dim))
+        grams = [ngram_ids(w, sub) for w in vocab.id_to_token]
+    cdf = np.cumsum(negative_sampling_distribution(vocab))
+    cdf[-1] = 1.0
+    ids = [[vocab.token_to_id[t] for t in s if t in vocab.token_to_id]
+           for s in sentences]
+    total = sum(len(s) for s in ids) * config.epochs
+
+    def vector(word, w_in, buckets):
+        if sub is None:
+            return w_in[word]
+        rows = [w_in[word]] + [buckets[b] for b in grams[word]]
+        return sum(rows) / len(rows)
+
+    processed = 0
+    losses = []
+    for _ in range(config.epochs):
+        loss, pairs_seen = 0.0, 0
+        for sent in ids:
+            for first in range(0, len(sent), BLOCK_CENTERS):
+                block = range(first, min(first + BLOCK_CENTERS, len(sent)))
+                radii = rng.integers(1, config.window + 1, size=len(block))
+                pairs = []
+                for pos, radius in zip(block, radii):
+                    lr = config.initial_lr * max(1e-4, 1 - processed / (total + 1))
+                    processed += 1
+                    for ctx in range(max(0, pos - radius),
+                                     min(len(sent), pos + radius + 1)):
+                        if ctx != pos:
+                            pairs.append((sent[pos], sent[ctx], lr))
+                if not pairs:
+                    continue
+                negs = np.searchsorted(cdf, rng.random((len(pairs), config.negatives)))
+                start_in, start_out = w_in.copy(), w_out.copy()
+                start_buckets = None if sub is None else buckets.copy()
+                for (center, context, lr), neg in zip(pairs, negs):
+                    v = vector(center, start_in, start_buckets)
+                    for target, label in [(context, 1.0)] + [(n, 0.0) for n in neg]:
+                        score = float(start_out[target] @ v)
+                        loss += math.log1p(math.exp(score if label == 0 else -score))
+                        clipped = max(-30.0, min(30.0, score))
+                        g = lr * (1 / (1 + math.exp(-clipped)) - label)
+                        w_out[target] -= g * v
+                        grad = g * start_out[target]
+                        if sub is None:
+                            w_in[center] -= grad
+                        else:
+                            share = grad / (1 + len(grams[center]))
+                            w_in[center] -= share
+                            for b in grams[center]:
+                                buckets[b] -= share
+                    pairs_seen += 1
+        losses.append(loss / pairs_seen)
+    stored = np.array([vector(i, w_in, buckets) for i in range(len(vocab))])
+    return w_in, buckets, stored, losses
+
+
+def block_corpus():
+    """Short words (so buckets=7 collides n-grams), words repeated inside a
+    sentence, one sentence longer than two blocks, a one-word sentence and a
+    word below min_count=2."""
+    rng = np.random.default_rng(5)
+    words = ["ab", "abc", "bcd", "cab", "dab", "abba", "cd", "dc"]
+    long = [str(w) for w in rng.choice(words, size=2 * BLOCK_CENTERS + 9)]
+    return [
+        long,
+        ["ab", "cd", "ab", "ab", "dc", "ab"],
+        ["abc"],
+        [str(w) for w in rng.choice(words, size=12)],
+        ["rare", "ab", "cd"],
+    ]
+
+
+class TestBlockStep:
+    @pytest.mark.parametrize("subword", [None, SubwordConfig(min_n=2, max_n=3, buckets=7)],
+                             ids=["word2vec", "subword"])
+    def test_train_matches_pairwise_reference(self, subword):
+        sentences = block_corpus()
+        assert max(len(s) for s in sentences) > 2 * BLOCK_CENTERS
+        config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, initial_lr=0.2,
+                             min_count=2, seed=3, subword=subword)
+        train = train_word2vec if subword is None else train_fasttext
+        matrix = train(sentences, config)
+        w_in, buckets, stored, losses = reference_train(sentences, config)
+        assert "rare" not in matrix.vocab.token_to_id
+        assert np.abs(matrix.vectors - stored).max() < 1e-12
+        assert np.abs(np.array(matrix.epoch_losses) - losses).max() < 1e-12
+        if subword is not None:
+            assert np.abs(matrix.subword.word_raw_vectors - w_in).max() < 1e-12
+            assert np.abs(matrix.subword.bucket_vectors - buckets).max() < 1e-12
+
+    @pytest.mark.parametrize("train", [train_word2vec, train_fasttext])
+    def test_bit_identical_given_seed(self, train):
+        config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, min_count=2,
+                             seed=9, subword=SubwordConfig(min_n=2, max_n=3, buckets=7))
+        a, b = train(block_corpus(), config), train(block_corpus(), config)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.epoch_losses == b.epoch_losses
 
 
 class TestVocab:
@@ -88,6 +211,20 @@ class TestSubwordPieces:
     def test_min_n_above_max_n_rejected(self):
         with pytest.raises(ValueError):
             SubwordConfig(min_n=5, max_n=3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 0), ("window", 0), ("epochs", 0), ("negatives", -1),
+    ("initial_lr", 0.0), ("initial_lr", -0.1), ("initial_lr", float("nan")),
+])
+def test_embed_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        EmbedConfig(**{field: value})
+
+
+def test_embed_config_allows_zero_negatives():
+    config = EmbedConfig(dim=4, window=2, negatives=0, epochs=1, min_count=1)
+    assert np.isfinite(train_word2vec(toy_corpus(sentences=10), config).vectors).all()
 
 
 class TestTraining:
@@ -224,6 +361,35 @@ class TestPersistence:
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("header", ["x 3", "2 3.5", "-1 3", "1 0"])
+    def test_header_values_checked_line_numbered(self, tmp_path, header):
+        path = tmp_path / "vectors.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(EmbeddingFormatError, match="line 1"):
+            load_embeddings(path)
+
+    def test_non_numeric_component_line_numbered(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 2\nword 0.1 0.2\nother 0.3 abc\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: .*'abc'"):
+            load_embeddings(path)
+
+    def test_save_bytes_match_per_value_formatter(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = 10.0 ** rng.uniform(-12, 4, size=(50, 7))
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[0, :3] = [0.0, -0.0, 5e-324]
+        words = [f"w{i}" for i in range(len(values))]
+        vocab = Vocabulary({w: i for i, w in enumerate(words)}, words,
+                           np.ones(len(words), dtype=np.int64), 1)
+        path = tmp_path / "vectors.txt"
+        save_embeddings(EmbeddingMatrix(dim=7, vocab=vocab, vectors=values), path)
+        expected = f"{len(words)} 7\n" + "".join(
+            f"{w} " + " ".join(f"{v:.8e}" for v in row) + "\n"
+            for w, row in zip(words, values)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_wrong_component_count_line_numbered(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("1 3\nword 0.1 0.2\n")
@@ -242,9 +408,29 @@ class TestPersistence:
         with pytest.raises(EmbeddingFormatError, match="trailing"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("keep, section, expected, read", [
+        (14, "header", 20, 10),
+        (-5, "bucket vectors", 4096 * 8 * 4, 4096 * 8 * 4 - 5),
+    ], ids=["in-header", "in-body"])
+    def test_truncated_sidecar_reported(self, truncated_fasttext_vectors, keep, section,
+                                        expected, read):
+        path = truncated_fasttext_vectors(keep)
+        message = f"sidecar: truncated {section}: expected {expected} bytes, read {read}"
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_embeddings(path)
+
+    def test_sidecar_bucket_count_must_be_positive(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("1 2\nword 0.1 0.2\n")
+        header = struct.pack("<5ii", 1, 3, 4, 0, 2, 1)
+        (tmp_path / "vectors.txt.subword").write_bytes(b"FWSB" + header + b"\0" * 8)
+        with pytest.raises(EmbeddingFormatError, match="bucket count 0"):
+            load_embeddings(path)
+
     def test_bad_sidecar_magic(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("1 2\nword 0.1 0.2\n")
         (tmp_path / "vectors.txt.subword").write_bytes(b"XXXX" + b"\0" * 24)
         with pytest.raises(EmbeddingFormatError, match="magic"):
             load_embeddings(path)
+

@@ -11,6 +11,8 @@ Submodules:
     cli         command-line pipeline
 """
 
+import os
+import tempfile
 from importlib import resources
 
 
@@ -19,5 +21,23 @@ def data_path(name: str):
     return resources.files("flamewatch") / "data" / name
 
 
-__all__ = ["data_path"]
+def atomic_write(path, write) -> None:
+    """Run write(tmp_path) on a temp file beside path, then rename it over path.
+
+    If write raises, path is left as it was and the temp file is removed.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+__all__ = ["atomic_write", "data_path"]
 __version__ = "0.1.0"

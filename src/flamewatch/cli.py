@@ -2,10 +2,10 @@
 predict, evaluate, detect.
 
 Every command prints a one-line JSON summary on stdout and uses exit
-codes 0 (ok), 1 (internal error), 2 (input error). Defaults can come
-from an INI-style config file (key=value under [paths], [embedding],
-[model], [detect]); explicit flags win over the config file. Output
-files are written to a temp file and atomically renamed.
+codes 0 (ok), 1 (internal error), 2 (input error). The lexicon and
+emoji-table paths can come from an INI-style config file (lexicon=... and
+emoji_table=... under [paths]); explicit flags win over the config file.
+Output files are written to a temp file and atomically renamed.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import configparser
 import json
 import os
 import sys
-import tempfile
 
-import numpy as np
-
-from . import data_path, embeddings, fixtures, flaming, lexicon, metrics, network, preprocess
+from . import atomic_write, data_path
+from . import embeddings, fixtures, flaming, lexicon, metrics, network, preprocess
 
 
 class InputError(Exception):
@@ -30,24 +28,6 @@ def _require_file(path) -> str:
     if not os.path.isfile(path):
         raise InputError(f"input file not found: {path}")
     return path
-
-
-def _atomic(path, writer) -> None:
-    """Run writer(tmp_path) then rename tmp_path (and a .subword sidecar) over path."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-        if os.path.exists(tmp + ".subword"):
-            os.replace(tmp + ".subword", str(path) + ".subword")
-    except BaseException:
-        for leftover in (tmp, tmp + ".subword"):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
-        raise
 
 
 def _emit(summary: dict) -> None:
@@ -62,20 +42,13 @@ def _load_config(path) -> configparser.ConfigParser:
     return cfg
 
 
-def _cfg_get(cfg, section, key, fallback=None):
-    try:
-        return cfg.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        return fallback
-
-
 # ----- subcommands ----------------------------------------------------------
 
 
 def cmd_preprocess(args, cfg) -> int:
     raws, errors = preprocess.load_jsonl(_require_file(args.input))
-    corpus = preprocess.build_corpus(raws, source_path=args.input)
-    _atomic(args.output, lambda p: preprocess.save_clean_jsonl(corpus.comments, p))
+    corpus = preprocess.build_corpus(raws)
+    atomic_write(args.output, lambda p: preprocess.save_clean_jsonl(corpus.comments, p))
     print(f"kept={corpus.kept} dropped={corpus.dropped}", file=sys.stderr)
     _emit({
         "command": "preprocess",
@@ -87,10 +60,10 @@ def cmd_preprocess(args, cfg) -> int:
 
 
 def _load_lexicon_args(args, cfg):
-    lex_path = args.lexicon or _cfg_get(cfg, "paths", "lexicon") or str(
+    lex_path = args.lexicon or cfg.get("paths", "lexicon", fallback=None) or str(
         data_path("mini_lexicon.tsv")
     )
-    emoji_path = args.emoji_table or _cfg_get(cfg, "paths", "emoji_table") or str(
+    emoji_path = args.emoji_table or cfg.get("paths", "emoji_table", fallback=None) or str(
         data_path("emoji_polarity.tsv")
     )
     lex, rejects = lexicon.load_lexicon(_require_file(lex_path), max_n=args.max_n)
@@ -104,7 +77,7 @@ def cmd_label(args, cfg) -> int:
     labeled, dist = lexicon.label_corpus(
         comments, lex, table, strict=args.strict_eq1
     )
-    _atomic(args.output, lambda p: lexicon.save_labeled_jsonl(labeled, p))
+    atomic_write(args.output, lambda p: lexicon.save_labeled_jsonl(labeled, p))
     _emit({
         "command": "label",
         "labeled": len(labeled),
@@ -131,7 +104,7 @@ def cmd_train_embed(args, cfg) -> int:
         matrix = embeddings.train_word2vec(sentences, config)
     else:
         matrix = embeddings.train_fasttext(sentences, config)
-    _atomic(args.output, lambda p: embeddings.save_embeddings(matrix, p))
+    embeddings.save_embeddings(matrix, args.output)
     _emit({
         "command": "train-embed",
         "method": args.method,
@@ -161,7 +134,7 @@ def cmd_train_clf(args, cfg) -> int:
     model = network.SentimentNet(config, matrix)
     data = [(lc.comment.tokens, int(lc.label)) for lc in labeled]
     report = model.train(data, epochs=args.epochs, val_split=args.val_split)
-    _atomic(args.output, model.save)
+    atomic_write(args.output, model.save)
     _emit({
         "command": "train-clf",
         "examples": len(data),
@@ -178,18 +151,17 @@ def cmd_predict(args, cfg) -> int:
     model = network.SentimentNet.load(_require_file(args.model))
     comments = preprocess.load_clean_jsonl(_require_file(args.input))
 
-    def write(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for c in comments:
-                label, probs = model.predict_tokens(c.tokens)
-                fh.write(json.dumps({
-                    "post_id": c.post_id,
-                    "comment_id": c.comment_id,
-                    "label": int(label),
-                    "probabilities": [float(p) for p in probs],
-                }, ensure_ascii=False) + "\n")
+    def records():
+        for c in comments:
+            label, probs = model.predict_tokens(c.tokens)
+            yield {
+                "post_id": c.post_id,
+                "comment_id": c.comment_id,
+                "label": int(label),
+                "probabilities": [float(p) for p in probs],
+            }
 
-    _atomic(args.output, write)
+    atomic_write(args.output, lambda p: preprocess.write_jsonl(records(), p))
     _emit({"command": "predict", "predicted": len(comments)})
     return 0
 
@@ -199,11 +171,13 @@ def cmd_evaluate(args, cfg) -> int:
         with open(_require_file(args.matrix_json), encoding="utf-8") as fh:
             obj = json.load(fh)
         if args.key:
+            if not isinstance(obj, dict) or args.key not in obj:
+                keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
+                raise InputError(
+                    f"{args.matrix_json}: no key {args.key!r}; available keys: {keys}"
+                )
             obj = obj[args.key]
-        cm = metrics.ConfusionMatrix(
-            counts=np.array(obj["counts"]),
-            class_names=list(obj["class_names"]),
-        )
+        cm = metrics.ConfusionMatrix.from_dict(obj)
         accuracy = float(cm.counts.trace() / cm.counts.sum())
     else:
         if not args.model or not args.input:
@@ -260,7 +234,7 @@ def cmd_make_fixture(args, cfg) -> int:
     else:
         records, planted = fixtures.flaming_comments(seed=args.seed)
         print(f"planted={','.join(planted)}", file=sys.stderr)
-    _atomic(args.output, lambda p: fixtures.write_raw_jsonl(records, p))
+    atomic_write(args.output, lambda p: fixtures.write_raw_jsonl(records, p))
     _emit({"command": "make-fixture", "kind": args.kind, "records": len(records)})
     return 0
 
@@ -275,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file with defaults")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; all bundled stages run single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="clean a raw comment JSONL file")

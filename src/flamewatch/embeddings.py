@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import atomic_write
 
 SIDECAR_MAGIC = b"FWSB"
 SIDECAR_VERSION = 1
@@ -369,27 +372,37 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Text format "word v1 ... vdim" with a "count dim" header; subword
-    constituents go to a versioned binary sidecar at path + ".subword"."""
+    constituents go to a versioned binary sidecar at path + ".subword".
+
+    Both files are written atomically, so a failed save leaves both as they
+    were; saving a matrix without subwords removes a stale sidecar.
+    """
     # one %-template per row writes the same bytes as f"{v:.8e}" per value
     row_format = " ".join(["%.8e"] * matrix.dim)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
-        for word, row in zip(matrix.vocab.id_to_token, matrix.vectors):
-            fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
     sub = matrix.subword
     sidecar = str(path) + ".subword"
-    if sub is None:
-        if os.path.exists(sidecar):
+
+    def write_sidecar(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(SIDECAR_MAGIC)
+            fh.write(struct.pack(
+                "<5i", SIDECAR_VERSION, sub.min_n, sub.max_n, sub.buckets, matrix.dim
+            ))
+            fh.write(struct.pack("<i", len(matrix.vocab)))
+            fh.write(sub.word_raw_vectors.astype("<f4").tobytes())
+            fh.write(sub.bucket_vectors.astype("<f4").tobytes())
+
+    def write_text(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
+            for word, row in zip(matrix.vocab.id_to_token, matrix.vectors):
+                fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
+        if sub is not None:
+            atomic_write(sidecar, write_sidecar)
+        elif os.path.exists(sidecar):
             os.unlink(sidecar)
-        return
-    with open(sidecar, "wb") as fh:
-        fh.write(SIDECAR_MAGIC)
-        fh.write(struct.pack(
-            "<5i", SIDECAR_VERSION, sub.min_n, sub.max_n, sub.buckets, matrix.dim
-        ))
-        fh.write(struct.pack("<i", len(matrix.vocab)))
-        fh.write(sub.word_raw_vectors.astype("<f4").tobytes())
-        fh.write(sub.bucket_vectors.astype("<f4").tobytes())
+
+    atomic_write(path, write_text)
 
 
 class EmbeddingFormatError(ValueError):
@@ -418,8 +431,9 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise EmbeddingFormatError(f"line 1: header must be 'count dim': {exc}") from exc
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"line 1: bad count {count} or dim {dim}")
+        # values grow with the lines actually read, never from the header's count
         words = []
-        rows = np.zeros((count, dim))
+        values = array("d")
         for i in range(count):
             line = fh.readline()
             if not line:
@@ -433,7 +447,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 )
             words.append(parts[0])
             try:
-                rows[i] = [float(x) for x in parts[1:]]
+                values.extend([float(x) for x in parts[1:]])
             except ValueError as exc:
                 raise EmbeddingFormatError(f"line {i + 2}: {exc}") from exc
         if fh.readline().strip():
@@ -445,7 +459,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
         counts=np.zeros(len(words), dtype=np.int64),
         min_count=0,
     )
-    matrix = EmbeddingMatrix(dim=dim, vocab=vocab, vectors=rows)
+    vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
+    matrix = EmbeddingMatrix(dim=dim, vocab=vocab, vectors=vectors)
 
     sidecar = str(path) + ".subword"
     if os.path.exists(sidecar):

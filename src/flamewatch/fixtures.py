@@ -7,10 +7,11 @@ offline with predictable label distributions.
 
 from __future__ import annotations
 
-import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from .preprocess import format_timestamp, write_jsonl
 
 VERY_NEGATIVE_POOL = [
     "absolutely disgusting and horrible",
@@ -65,11 +66,7 @@ _EPOCH = datetime(2018, 2, 1, tzinfo=timezone.utc)
 
 
 def _timestamp(minutes: float) -> str:
-    return (
-        (_EPOCH + timedelta(minutes=float(minutes)))
-        .isoformat()
-        .replace("+00:00", "Z")
-    )
+    return format_timestamp(_EPOCH + timedelta(minutes=float(minutes)))
 
 
 def synthetic_comments(
@@ -149,7 +146,4 @@ def flaming_comments(
     return records, planted_ids
 
 
-def write_raw_jsonl(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+write_raw_jsonl = write_jsonl  # raw comment dicts, the input of preprocess

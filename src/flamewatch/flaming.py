@@ -13,12 +13,13 @@ import csv
 import io
 import json
 import math
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
+from . import atomic_write
 from .lexicon import LabeledComment, SentimentLabel
+from .preprocess import format_timestamp, parse_timestamp
 
 VERY_NEGATIVE = SentimentLabel.VERY_NEGATIVE
 NEGATIVE = SentimentLabel.NEGATIVE
@@ -205,19 +206,6 @@ def detect(
     return events
 
 
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def event_to_dict(e: FlamingEvent) -> dict:
     d = {
         "post_id": e.post_id,
@@ -229,7 +217,7 @@ def event_to_dict(e: FlamingEvent) -> dict:
     }
     if e.burst is not None:
         d["burst"] = {
-            "start": e.burst.start.isoformat().replace("+00:00", "Z"),
+            "start": format_timestamp(e.burst.start),
             "window_hours": e.burst.window_hours,
             "contained": e.burst.contained,
             "fraction": e.burst.fraction,
@@ -240,18 +228,17 @@ def event_to_dict(e: FlamingEvent) -> dict:
 def write_report(
     events: list[FlamingEvent], buckets: list[TimeBucket], json_path, csv_path
 ) -> None:
-    """Events as JSON plus the time series as a plottable CSV, atomically."""
-    _atomic_write(json_path, json.dumps(
-        {"events": [event_to_dict(e) for e in events]}, indent=2
-    ) + "\n")
+    """Events as JSON plus the time series as a plottable CSV, atomically;
+    both texts are built before either file is replaced."""
+    report = json.dumps({"events": [event_to_dict(e) for e in events]}, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["bucket_start", "label0", "label1", "label2", "label3", "label4"])
     for b in buckets:
-        writer.writerow(
-            [b.start.isoformat().replace("+00:00", "Z")] + list(b.counts)
-        )
-    _atomic_write(csv_path, buf.getvalue())
+        writer.writerow([format_timestamp(b.start)] + list(b.counts))
+    table = buf.getvalue()
+    atomic_write(json_path, lambda tmp: Path(tmp).write_text(report, encoding="utf-8"))
+    atomic_write(csv_path, lambda tmp: Path(tmp).write_text(table, encoding="utf-8"))
 
 
 def read_report(json_path) -> list[FlamingEvent]:
@@ -263,7 +250,7 @@ def read_report(json_path) -> list[FlamingEvent]:
         if d.get("burst"):
             b = d["burst"]
             burst = BurstWindow(
-                start=datetime.fromisoformat(b["start"].replace("Z", "+00:00")),
+                start=parse_timestamp(b["start"]),
                 window_hours=b["window_hours"],
                 contained=b["contained"],
                 fraction=b["fraction"],

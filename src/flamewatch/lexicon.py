@@ -13,12 +13,11 @@ zero denominator, which raises.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .preprocess import CleanComment, normalize_text, parse_timestamp, stem, tokenize
+from .preprocess import CleanComment, normalize_text, read_jsonl, stem, tokenize, write_jsonl
 
 
 class SentimentLabel(IntEnum):
@@ -214,6 +213,15 @@ class LabeledComment:
     score: float
     label: SentimentLabel
 
+    def to_dict(self) -> dict:
+        """The clean record plus "score" and "label"."""
+        return {**self.comment.to_dict(), "score": self.score, "label": int(self.label)}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> LabeledComment:
+        label = SentimentLabel(int(obj["label"]))
+        return cls(CleanComment.from_dict(obj), float(obj["score"]), label)
+
 
 def label_corpus(
     comments: list[CleanComment],
@@ -233,42 +241,8 @@ def label_corpus(
 
 
 def save_labeled_jsonl(labeled: list[LabeledComment], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lc in labeled:
-            c = lc.comment
-            fh.write(json.dumps({
-                "post_id": c.post_id,
-                "comment_id": c.comment_id,
-                "created_time": c.created_time.isoformat().replace("+00:00", "Z"),
-                "tokens": c.tokens,
-                "emojis": c.emojis,
-                "caps_flags": c.caps_flags,
-                "exclaim_flags": c.exclaim_flags,
-                "original_text": c.original_text,
-                "score": lc.score,
-                "label": int(lc.label),
-            }, ensure_ascii=False) + "\n")
+    write_jsonl((lc.to_dict() for lc in labeled), path)
 
 
 def load_labeled_jsonl(path) -> list[LabeledComment]:
-    out: list[LabeledComment] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            comment = CleanComment(
-                post_id=obj["post_id"],
-                comment_id=obj["comment_id"],
-                created_time=parse_timestamp(obj["created_time"]),
-                tokens=list(obj["tokens"]),
-                emojis=list(obj.get("emojis", [])),
-                caps_flags=[bool(x) for x in obj.get("caps_flags", [])],
-                exclaim_flags=[bool(x) for x in obj.get("exclaim_flags", [])],
-                original_text=obj.get("original_text", ""),
-            )
-            out.append(LabeledComment(
-                comment, float(obj["score"]), SentimentLabel(int(obj["label"]))
-            ))
-    return out
+    return read_jsonl(path, LabeledComment.from_dict)

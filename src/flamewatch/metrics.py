@@ -39,7 +39,14 @@ class ConfusionMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfusionMatrix":
-        obj = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, obj) -> "ConfusionMatrix":
+        """From the object to_json writes; a missing field raises ValueError."""
+        if not isinstance(obj, dict) or not {"counts", "class_names"} <= obj.keys():
+            keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
+            raise ValueError(f"a matrix needs counts and class_names; available keys: {keys}")
         return cls(np.array(obj["counts"]), list(obj["class_names"]))
 
 
@@ -87,26 +94,21 @@ def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMet
 
     if orientation == "standard":
         precision, recall = col_rates, row_rates
-        f1_den = precision + recall
-        per_f1 = np.where(f1_den > 0, 2 * precision * recall / np.maximum(f1_den, 1e-300), 0.0)
-        macro_p = float(precision.mean())
-        macro_r = float(recall.mean())
-        macro_f1 = float(per_f1.mean())
     elif orientation == "paper":
         # the published tables call row-normalized rates "Precision"
         precision, recall = row_rates, col_rates
-        per_f1 = np.where(
-            precision + recall > 0,
-            2 * precision * recall / np.maximum(precision + recall, 1e-300),
-            0.0,
-        )
-        macro_p = float(precision.mean())
-        macro_r = float(recall.mean())
+    else:
+        raise ValueError(f"unknown orientation {orientation!r}")
+    f1_den = precision + recall
+    per_f1 = np.where(f1_den > 0, 2 * precision * recall / np.maximum(f1_den, 1e-300), 0.0)
+    macro_p = float(precision.mean())
+    macro_r = float(recall.mean())
+    if orientation == "standard":
+        macro_f1 = float(per_f1.mean())
+    else:
         macro_f1 = (
             2 * macro_p * macro_r / (macro_p + macro_r) if macro_p + macro_r > 0 else 0.0
         )
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
 
     return MacroMetrics(
         orientation=orientation,

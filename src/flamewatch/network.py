@@ -387,11 +387,13 @@ class SentimentNet:
             grads[f"conv{li}_w"] = dw
             grads[f"conv{li}_b"] = db
 
-        demb = np.zeros_like(p["embedding"])
-        dx = dx * cache["pad_mask"]
-        np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
-        demb[PAD_ID] = 0.0
-        grads["embedding"] = demb
+        # a frozen embedding gets no gradient: adam_step skips it anyway
+        if cfg.fine_tune_embeddings:
+            demb = np.zeros_like(p["embedding"])
+            dx = dx * cache["pad_mask"]
+            np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
+            demb[PAD_ID] = 0.0
+            grads["embedding"] = demb
 
         for k, g in grads.items():
             _check_finite(g, f"gradient of {k}")

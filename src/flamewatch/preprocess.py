@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from . import porter
+from .porter import stem
 
 # Unicode blocks treated as emoji. Variation selectors and ZWJ are stripped
 # as special characters, so multi-codepoint sequences decompose into their
@@ -68,11 +68,41 @@ class CleanComment:
     exclaim_flags: list[bool]
     original_text: str
 
+    def to_dict(self) -> dict:
+        """The JSONL record; its key order is the file format."""
+        return {
+            "post_id": self.post_id,
+            "comment_id": self.comment_id,
+            "created_time": format_timestamp(self.created_time),
+            "tokens": self.tokens,
+            "emojis": self.emojis,
+            "caps_flags": self.caps_flags,
+            "exclaim_flags": self.exclaim_flags,
+            "original_text": self.original_text,
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> CleanComment:
+        """Inverse of to_dict; every field is required (KeyError names a missing one)."""
+        comment = cls(
+            post_id=obj["post_id"],
+            comment_id=obj["comment_id"],
+            created_time=parse_timestamp(obj["created_time"]),
+            tokens=list(obj["tokens"]),
+            emojis=list(obj["emojis"]),
+            caps_flags=[bool(x) for x in obj["caps_flags"]],
+            exclaim_flags=[bool(x) for x in obj["exclaim_flags"]],
+            original_text=obj["original_text"],
+        )
+        n = len(comment.tokens)
+        if len(comment.caps_flags) != n or len(comment.exclaim_flags) != n:
+            raise ValueError(f"caps_flags and exclaim_flags need {n} entries, one per token")
+        return comment
+
 
 @dataclass
 class Corpus:
     comments: list[CleanComment]
-    source_path: str = ""
     loaded: int = 0
     dropped: int = 0
 
@@ -93,6 +123,11 @@ def parse_timestamp(value: str) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
+
+
+def format_timestamp(dt: datetime) -> str:
+    """Aware UTC datetime -> ISO-8601 with a "Z" suffix (inverse of parse_timestamp)."""
+    return dt.isoformat().replace("+00:00", "Z")
 
 
 def load_jsonl(path) -> tuple[list[RawComment], list[LineError]]:
@@ -177,11 +212,6 @@ def tokenize(text: str) -> list[tuple[str, bool, bool]]:
     return out
 
 
-def stem(token: str) -> str:
-    """Porter stem for plain lowercase words; anything else passes through."""
-    return porter.stem(token)
-
-
 def preprocess(raw: RawComment) -> CleanComment | None:
     """normalize -> tokenize -> stem; returns None when nothing survives."""
     normalized = normalize_text(raw.text)
@@ -201,8 +231,8 @@ def preprocess(raw: RawComment) -> CleanComment | None:
     )
 
 
-def build_corpus(raws: list[RawComment], source_path: str = "") -> Corpus:
-    corpus = Corpus(comments=[], source_path=source_path, loaded=len(raws))
+def build_corpus(raws: list[RawComment]) -> Corpus:
+    corpus = Corpus(comments=[], loaded=len(raws))
     for raw in raws:
         clean = preprocess(raw)
         if clean is None:
@@ -212,37 +242,38 @@ def build_corpus(raws: list[RawComment], source_path: str = "") -> Corpus:
     return corpus
 
 
-def save_clean_jsonl(comments: list[CleanComment], path) -> None:
+def write_jsonl(records, path) -> None:
+    """One dict per line, as UTF-8 JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(json.dumps({
-                "post_id": c.post_id,
-                "comment_id": c.comment_id,
-                "created_time": c.created_time.isoformat().replace("+00:00", "Z"),
-                "tokens": c.tokens,
-                "emojis": c.emojis,
-                "caps_flags": c.caps_flags,
-                "exclaim_flags": c.exclaim_flags,
-                "original_text": c.original_text,
-            }, ensure_ascii=False) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_clean_jsonl(path) -> list[CleanComment]:
-    out: list[CleanComment] = []
+def read_jsonl(path, from_dict) -> list:
+    """from_dict(obj) for each non-blank line; a bad line raises ValueError
+    naming the path and its 1-based line number."""
+    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            out.append(CleanComment(
-                post_id=obj["post_id"],
-                comment_id=obj["comment_id"],
-                created_time=parse_timestamp(obj["created_time"]),
-                tokens=list(obj["tokens"]),
-                emojis=list(obj["emojis"]),
-                caps_flags=[bool(x) for x in obj["caps_flags"]],
-                exclaim_flags=[bool(x) for x in obj["exclaim_flags"]],
-                original_text=obj["original_text"],
-            ))
+            try:
+                out.append(from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: bad JSON: {exc.msg} (column {exc.colno})"
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return out
+
+
+def save_clean_jsonl(comments: list[CleanComment], path) -> None:
+    write_jsonl((c.to_dict() for c in comments), path)
+
+
+def load_clean_jsonl(path) -> list[CleanComment]:
+    return read_jsonl(path, CleanComment.from_dict)

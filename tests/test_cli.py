@@ -1,14 +1,16 @@
 """Exit codes, summaries and small end-to-end runs of the command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from flamewatch import data_path
+from flamewatch import data_path, embeddings
 from flamewatch.cli import main
 from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
+from flamewatch.preprocess import CleanComment
 
 
 def run_cli(*args, **kwargs):
@@ -213,3 +215,137 @@ class TestConfigFile:
             tmp_path / "out.jsonl",
         )
         assert result.returncode == 2
+
+
+def _rewrite_line(src, dst, lineno, edit):
+    """Copy a JSONL file with line `lineno` (1-based) replaced by edit(line)."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _edit_record(change):
+    def edit(line):
+        obj = json.loads(line)
+        change(obj)
+        return json.dumps(obj, ensure_ascii=False)
+    return edit
+
+
+class TestRecordLineErrors:
+    """Clean and labeled JSONL inputs: a bad line exits 2 and names its line."""
+
+    CASES = {
+        "missing-tokens": (5, _edit_record(lambda o: o.pop("tokens")),
+                           "line 5: missing field 'tokens'"),
+        "missing-original-text": (9, _edit_record(lambda o: o.pop("original_text")),
+                                  "line 9: missing field 'original_text'"),
+        "flag-length": (7, _edit_record(lambda o: o["caps_flags"].append(True)),
+                        "line 7: caps_flags and exclaim_flags need"),
+        "bad-json": (21, lambda line: line[:-1], "line 21: bad JSON"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("command, corpus", [
+        ("label", "clean_corpus"), ("detect", "labeled_corpus"),
+    ])
+    def test_bad_line_exit_2_names_line(self, request, tmp_path, capsys, command, corpus,
+                                        case):
+        lineno, edit, message = self.CASES[case]
+        bad = tmp_path / "bad.jsonl"
+        _rewrite_line(request.getfixturevalue(corpus), bad, lineno, edit)
+        assert main([command, str(bad), str(tmp_path / "out")]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+class TestEvaluateMatrixErrors:
+    def test_unknown_key_exit_2_lists_keys(self, capsys):
+        path = data_path("published_eval_matrices.json")
+        code = main(["evaluate", "--matrix-json", str(path), "--key", "b"])
+        assert code == 2
+        assert "no key 'b'; available keys: baseline, lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["counts", "class_names"])
+    def test_matrix_missing_field_exit_2_lists_keys(self, tmp_path, capsys, field):
+        matrix = {"class_names": ["a", "b"], "counts": [[1, 0], [0, 1]], "note": ""}
+        del matrix[field]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"m": matrix}))
+        assert main(["evaluate", "--matrix-json", str(path), "--key", "m"]) == 2
+        keys = ", ".join(sorted(matrix))
+        assert f"available keys: {keys}" in capsys.readouterr().err
+
+
+class TestAtomicOutputs:
+    def test_failed_writer_leaves_previous_output(self, raw_corpus, tmp_path, monkeypatch):
+        out = tmp_path / "clean.jsonl"
+        out.write_text("previous\n")
+
+        def fail(self):
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(CleanComment, "to_dict", fail)
+        assert main(["preprocess", str(raw_corpus), str(out)]) == 1
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["clean.jsonl"]
+
+    def test_failed_sidecar_leaves_previous_vectors(self, clean_corpus, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "vectors.txt"
+        out.write_text("previous\n")
+        sidecar = tmp_path / "vectors.txt.subword"
+        sidecar.write_bytes(b"previous sidecar")
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(embeddings.struct, "pack", fail)
+        code = main(["train-embed", str(clean_corpus), str(out), "--method", "fasttext",
+                     "--dim", "8", "--epochs", "1", "--min-count", "1", "--buckets", "1024"])
+        assert code == 1
+        assert out.read_text() == "previous\n"
+        assert sidecar.read_bytes() == b"previous sidecar"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt",
+                                                              "vectors.txt.subword"]
+
+    def test_word2vec_output_drops_stale_sidecar(self, clean_corpus, tmp_path):
+        out = tmp_path / "vectors.txt"
+        args = [str(clean_corpus), str(out), "--dim", "8", "--epochs", "1", "--min-count", "1"]
+        assert main(["train-embed", *args, "--method", "fasttext", "--buckets", "1024"]) == 0
+        assert (tmp_path / "vectors.txt.subword").exists()
+        assert main(["train-embed", *args]) == 0
+        assert not (tmp_path / "vectors.txt.subword").exists()
+        assert embeddings.load_embeddings(out).subword is None
+
+    def test_huge_embedding_header_exit_2(self, labeled_corpus, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        row = " ".join(["0.5"] * 100)
+        vectors.write_text(f"1000000000000 100\nword {row}\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(vectors)])
+        assert code == 2
+        assert "error: line 3: expected 1000000000000 vector lines" in capsys.readouterr().err
+
+
+# SHA-256 of the checkpoint below as written by the version whose backward
+# pass still built the dense embedding gradient when the embedding is frozen
+# (numpy 64-bit float arithmetic on x86-64 with OpenBLAS).
+FROZEN_CHECKPOINT_SHA256 = "0e0c4194e9bfeb014bba716108d5dad7b4d2d7bf494bcb5205a99a59c5d231fd"
+
+
+def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
+    tokens = sorted({t for line in labeled_corpus.read_text(encoding="utf-8").splitlines()
+                     for t in json.loads(line)["tokens"]})
+    vectors = tmp_path / "vectors.txt"
+    with open(vectors, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(tokens)} 6\n")
+        for i, tok in enumerate(tokens):
+            row = " ".join(f"{((7 * i + 3 * j) % 11 - 5) / 10:.8e}" for j in range(6))
+            fh.write(f"{tok} {row}\n")
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["--seed", "1", "train-clf", str(labeled_corpus), str(ckpt),
+                 "--embeddings", str(vectors), "--epochs", "2", "--filters", "4",
+                 "--lstm-hidden", "4", "--dense", "8", "4", "--val-split", "0.2",
+                 "--max-tokens", "12"])
+    assert code == 0
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == FROZEN_CHECKPOINT_SHA256

@@ -434,3 +434,11 @@ class TestPersistence:
         with pytest.raises(EmbeddingFormatError, match="magic"):
             load_embeddings(path)
 
+
+    def test_header_count_is_not_preallocated(self, tmp_path):
+        # a count of 10^12 rows at dim 100 would need ~728 TiB up front
+        path = tmp_path / "vectors.txt"
+        row = " ".join(["0.5"] * 100)
+        path.write_text(f"1000000000000 100\nword {row}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 1000000000000"):
+            load_embeddings(path)

@@ -326,3 +326,15 @@ class TestReport:
         assert set(payload["burst"]) == {
             "start", "window_hours", "contained", "fraction",
         }
+
+    def test_failed_write_leaves_previous_report(self, tmp_path):
+        events, buckets = self._events_and_buckets()
+        json_path = tmp_path / "events.json"
+        csv_path = tmp_path / "timeseries.csv"
+        write_report(events, buckets, json_path, csv_path)
+        before = json_path.read_bytes(), csv_path.read_bytes()
+        buckets[-1].counts = None  # the CSV row cannot be built
+        with pytest.raises(TypeError):
+            write_report([], buckets, json_path, csv_path)
+        assert (json_path.read_bytes(), csv_path.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.json", "timeseries.csv"]

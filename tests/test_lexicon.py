@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flamewatch import data_path
 from flamewatch.lexicon import (
+    LabeledComment,
     Lexicon,
     LexiconEntry,
     ScoreBreakdown,
@@ -26,6 +27,8 @@ from flamewatch.lexicon import (
     score_comment,
     senti_score,
 )
+
+from flamewatch.preprocess import save_clean_jsonl
 
 from conftest import make_clean, make_lexicon
 
@@ -346,3 +349,25 @@ class TestLabelCorpus:
         path = tmp_path / "labeled.jsonl"
         save_labeled_jsonl(labeled, path)
         assert load_labeled_jsonl(path) == labeled
+
+
+class TestRecordFormat:
+    CLEAN_LINE = (
+        '{"post_id": "p1", "comment_id": "c7", "created_time": "2018-02-01T12:30:05Z", '
+        '"tokens": ["great", "day", "🙂"], "emojis": ["🙂"], '
+        '"caps_flags": [true, false, false], "exclaim_flags": [false, true, false], '
+        '"original_text": "GREAT day! 🙂 \\"ok\\""'
+    )
+
+    def test_clean_and_labeled_lines_byte_exact(self, tmp_path):
+        comment = make_clean(["great", "day", "🙂"], caps=[True, False, False],
+                             excl=[False, True, False], emojis=["🙂"], comment_id="c7",
+                             minutes=12 * 60 + 30 + 5 / 60, text='GREAT day! 🙂 "ok"')
+        clean, labeled = tmp_path / "clean.jsonl", tmp_path / "labeled.jsonl"
+        save_clean_jsonl([comment], clean)
+        save_labeled_jsonl([LabeledComment(comment, 0.75, SentimentLabel.VERY_POSITIVE)],
+                           labeled)
+        assert clean.read_bytes() == (self.CLEAN_LINE + "}\n").encode("utf-8")
+        assert labeled.read_bytes() == (
+            self.CLEAN_LINE + ', "score": 0.75, "label": 4}\n'
+        ).encode("utf-8")

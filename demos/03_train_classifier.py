@@ -5,7 +5,7 @@ on it, then fits the convolutional + bidirectional-LSTM network (pure
 numpy, manual backpropagation) to predict the 5-class labels, and shows
 chunked prediction on an over-length comment.
 
-Run:  python3 demos/03_train_classifier.py   (about a minute)
+Run:  python3 demos/03_train_classifier.py   (a few seconds)
 """
 
 from flamewatch import data_path

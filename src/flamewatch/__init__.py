@@ -39,5 +39,16 @@ def atomic_write(path, write) -> None:
         raise
 
 
-__all__ = ["atomic_write", "data_path"]
+def read_exact(fh, size: int, section: str) -> bytes:
+    """Read the `size` bytes of one section of a binary file, or raise
+    ValueError naming the section if `size` is negative or the file ends first."""
+    if size < 0:
+        raise ValueError(f"{section} size {size} is negative")
+    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
+    if len(data) != size:
+        raise ValueError(f"truncated {section}: expected {size} bytes, read {len(data)}")
+    return data
+
+
+__all__ = ["atomic_write", "data_path", "read_exact"]
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from . import atomic_write, data_path
 from . import embeddings, fixtures, flaming, lexicon, metrics, network, preprocess
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """User-facing problem with inputs; maps to exit code 2."""
 
 
@@ -340,13 +340,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: input file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, embeddings.EmbeddingFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected -> internal error

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import atomic_write
+from . import atomic_write, read_exact
 
 SIDECAR_MAGIC = b"FWSB"
 SIDECAR_VERSION = 1
@@ -82,6 +82,12 @@ class Vocabulary:
     id_to_token: list[str]
     counts: np.ndarray
     min_count: int
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str]) -> Vocabulary:
+        """The tokens in id order, with no counts (as read back from a file)."""
+        ids = {t: i for i, t in enumerate(tokens)}
+        return cls(ids, list(tokens), np.zeros(len(tokens), dtype=np.int64), min_count=0)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -409,17 +415,6 @@ class EmbeddingFormatError(ValueError):
     pass
 
 
-def _read_exact(fh, size: int, section: str) -> bytes:
-    """Read the `size` bytes of one sidecar section, or raise if the file ends first."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(min(size, left))
-    if len(data) != size:
-        raise EmbeddingFormatError(
-            f"sidecar: truncated {section}: expected {size} bytes, read {len(data)}"
-        )
-    return data
-
-
 def load_embeddings(path) -> EmbeddingMatrix:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -453,44 +448,42 @@ def load_embeddings(path) -> EmbeddingMatrix:
         if fh.readline().strip():
             raise EmbeddingFormatError(f"line {count + 2}: trailing data after body")
 
-    vocab = Vocabulary(
-        token_to_id={w: i for i, w in enumerate(words)},
-        id_to_token=words,
-        counts=np.zeros(len(words), dtype=np.int64),
-        min_count=0,
-    )
     vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
-    matrix = EmbeddingMatrix(dim=dim, vocab=vocab, vectors=vectors)
+    matrix = EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)
 
     sidecar = str(path) + ".subword"
     if os.path.exists(sidecar):
-        with open(sidecar, "rb") as fh:
-            if _read_exact(fh, 4, "magic") != SIDECAR_MAGIC:
-                raise EmbeddingFormatError("sidecar: bad magic bytes")
-            version, min_n, max_n, buckets, sdim = struct.unpack(
-                "<5i", _read_exact(fh, 20, "header")
-            )
-            if version != SIDECAR_VERSION:
-                raise EmbeddingFormatError(f"sidecar: unsupported version {version}")
-            if sdim != dim:
-                raise EmbeddingFormatError(
-                    f"sidecar: dim {sdim} does not match text file dim {dim}"
-                )
-            if buckets < 1:
-                raise EmbeddingFormatError(f"sidecar: bucket count {buckets} is not positive")
-            (vcount,) = struct.unpack("<i", _read_exact(fh, 4, "vocab size"))
-            if vcount != count:
-                raise EmbeddingFormatError(
-                    f"sidecar: vocab size {vcount} does not match text file {count}"
-                )
-            raw = np.frombuffer(
-                _read_exact(fh, vcount * dim * 4, "word vectors"), dtype="<f4"
-            ).reshape(vcount, dim).astype(np.float64)
-            bvec = np.frombuffer(
-                _read_exact(fh, buckets * dim * 4, "bucket vectors"), dtype="<f4"
-            ).reshape(buckets, dim).astype(np.float64)
-        matrix.subword = SubwordTable(
-            min_n=min_n, max_n=max_n, buckets=buckets,
-            bucket_vectors=bvec, word_raw_vectors=raw,
-        )
+        try:
+            matrix.subword = _load_sidecar(sidecar, count, dim)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"sidecar: {exc}") from exc
     return matrix
+
+
+def _load_sidecar(path, count: int, dim: int) -> SubwordTable:
+    """The subword table of `count` words of `dim` components, or ValueError naming the section."""
+    with open(path, "rb") as fh:
+        if read_exact(fh, 4, "magic") != SIDECAR_MAGIC:
+            raise ValueError("bad magic bytes")
+        version, min_n, max_n, buckets, sdim = struct.unpack(
+            "<5i", read_exact(fh, 20, "header")
+        )
+        if version != SIDECAR_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        if sdim != dim:
+            raise ValueError(f"dim {sdim} does not match text file dim {dim}")
+        if buckets < 1:
+            raise ValueError(f"bucket count {buckets} is not positive")
+        (vcount,) = struct.unpack("<i", read_exact(fh, 4, "vocab size"))
+        if vcount != count:
+            raise ValueError(f"vocab size {vcount} does not match text file {count}")
+        raw = np.frombuffer(
+            read_exact(fh, vcount * dim * 4, "word vectors"), dtype="<f4"
+        ).reshape(vcount, dim).astype(np.float64)
+        bvec = np.frombuffer(
+            read_exact(fh, buckets * dim * 4, "bucket vectors"), dtype="<f4"
+        ).reshape(buckets, dim).astype(np.float64)
+    return SubwordTable(
+        min_n=min_n, max_n=max_n, buckets=buckets,
+        bucket_vectors=bvec, word_raw_vectors=raw,
+    )

@@ -109,17 +109,24 @@ def load_lexicon(path, max_n: int = 4) -> tuple[Lexicon, list[tuple[int, str]]]:
 
 
 def load_emoji_table(path) -> dict[str, int]:
+    """Load "emoji<TAB>+1|-1" lines; a bad line raises ValueError naming the file and line."""
     table: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            emoji, polarity = line.split("\t")
-            polarity = int(polarity)
-            if polarity not in (1, -1):
-                raise ValueError(f"emoji polarity must be +1 or -1, got {polarity}")
-            table[emoji] = polarity
+            try:
+                emoji, polarity = line.split("\t")
+                table[emoji] = int(polarity)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected emoji<TAB>+1|-1, got {line!r}"
+                ) from None
+            if table[emoji] not in (1, -1):
+                raise ValueError(
+                    f"{path}: line {lineno}: emoji polarity must be +1 or -1, got {polarity}"
+                )
     return table
 
 

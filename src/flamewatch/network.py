@@ -4,8 +4,9 @@ Layer stack: embedding lookup, three same-padded 1-D convolutions with
 ReLU and max-pooling, a masked bidirectional LSTM (final forward and
 backward states concatenated), two sigmoid dense layers with dropout,
 and a 5-way softmax. Forward, reverse-mode gradients and the Adam update
-are all hand-written; everything runs in double precision, single
-threaded, and is reproducible from the seed.
+are all hand-written; everything runs in double precision and is
+reproducible from the seed. The only threads are BLAS's, whose number
+follows the environment (e.g. OPENBLAS_NUM_THREADS).
 
 Comments longer than the token budget are chunked and their probability
 vectors averaged.
@@ -13,14 +14,14 @@ vectors averaged.
 
 from __future__ import annotations
 
-import copy
 import json
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from . import read_exact
+from .embeddings import EmbeddingMatrix, Vocabulary
 from .lexicon import SentimentLabel
 from .metrics import ConfusionMatrix, confusion
 
@@ -28,6 +29,8 @@ PAD_ID = 0
 OOV_ID = 1
 CHECKPOINT_MAGIC = b"FWCK"
 CHECKPOINT_VERSION = 1
+# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -72,6 +75,11 @@ class Batch:
     ids: np.ndarray  # (B, max_tokens) int, right-padded with PAD_ID
     lengths: np.ndarray  # (B,)
     labels: np.ndarray | None = None  # (B, 5) one-hot
+
+    def rows(self, index) -> Batch:
+        """The batch of the rows that `index` (a slice or an index array) selects."""
+        labels = None if self.labels is None else self.labels[index]
+        return Batch(ids=self.ids[index], lengths=self.lengths[index], labels=labels)
 
 
 @dataclass
@@ -153,11 +161,8 @@ class SentimentNet:
             keys.append("embedding")
         return sorted(keys)
 
-    def num_parameters(self, include_embedding: bool = True) -> int:
-        return sum(
-            v.size for k, v in self.params.items()
-            if include_embedding or k != "embedding"
-        )
+    def num_parameters(self) -> int:
+        return sum(v.size for v in self.params.values())
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, OOV_ID) for t in tokens]
@@ -261,12 +266,10 @@ class SentimentNet:
             dc = dc_prev
         return dwx, dwh, db
 
-    def forward(self, batch: Batch, train: bool = False, rng=None):
-        """Returns (probabilities, cache); dropout is active only when train."""
+    def forward(self, batch: Batch, rng=None):
+        """Returns (probabilities, cache); dropout draws from `rng` when one is given."""
         cfg = self.config
         p = self.params
-        if train and rng is None:
-            rng = np.random.default_rng(cfg.seed)
         emb = p["embedding"]
         pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(np.float64)
         x = emb[batch.ids] * pad_mask  # pad positions are zero vectors by contract
@@ -307,7 +310,7 @@ class SentimentNet:
         _check_finite(hcat, "bilstm")
 
         def dropout_mask(shape, rate):
-            if not train or rate == 0.0:
+            if rng is None or rate == 0.0:
                 return np.ones(shape)
             return (rng.random(shape) >= rate) / (1.0 - rate)
 
@@ -401,41 +404,35 @@ class SentimentNet:
 
     # ----- optimization ----------------------------------------------------
 
-    def adam_step(self, grads: dict[str, np.ndarray], lr: float | None = None,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def adam_step(self, grads: dict[str, np.ndarray], lr: float | None = None):
         if lr is None:
             lr = self.config.learning_rate
         self.adam_t += 1
         t = self.adam_t
         for k in self.trainable_keys():
             g = grads[k]
-            self.adam_m[k] = beta1 * self.adam_m[k] + (1 - beta1) * g
-            self.adam_v[k] = beta2 * self.adam_v[k] + (1 - beta2) * g * g
-            m_hat = self.adam_m[k] / (1 - beta1 ** t)
-            v_hat = self.adam_v[k] / (1 - beta2 ** t)
-            self.params[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            self.adam_m[k] = ADAM_BETA1 * self.adam_m[k] + (1 - ADAM_BETA1) * g
+            self.adam_v[k] = ADAM_BETA2 * self.adam_v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.adam_m[k] / (1 - ADAM_BETA1 ** t)
+            v_hat = self.adam_v[k] / (1 - ADAM_BETA2 ** t)
+            self.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def train(
         self,
         data: list[tuple[list[str], int]],
         epochs: int,
         val_split: float = 0.1,
-        shuffle_seed: int | None = None,
     ) -> TrainReport:
         """Mini-batch Adam; keeps the parameters of the min-validation-loss epoch."""
         cfg = self.config
-        rng = np.random.default_rng(
-            cfg.seed if shuffle_seed is None else shuffle_seed
-        )
-        data = list(data)
+        rng = np.random.default_rng(cfg.seed)
+        encoded = self.make_batch([toks for toks, _ in data], [lab for _, lab in data])
         order = rng.permutation(len(data))
         n_val = int(round(len(data) * val_split))
-        val_idx = order[:n_val]
+        val_set = encoded.rows(order[:n_val])
         train_idx = order[n_val:]
-        train_set = [data[i] for i in train_idx]
-        val_set = [data[i] for i in val_idx]
 
-        present = {label for _, label in train_set}
+        present = {data[i][1] for i in train_idx}
         missing = set(range(cfg.classes)) - present
         if missing:
             raise ValueError(f"classes missing from training split: {sorted(missing)}")
@@ -443,62 +440,46 @@ class SentimentNet:
         report = TrainReport()
         best_loss = np.inf
         best_params = None
-        best_state = None
         for epoch in range(epochs):
-            perm = rng.permutation(len(train_set))
+            perm = rng.permutation(len(train_idx))
             epoch_loss = 0.0
             correct = 0
-            for start in range(0, len(train_set), cfg.batch_size):
-                chunk = [train_set[i] for i in perm[start:start + cfg.batch_size]]
-                batch = self.make_batch(
-                    [toks for toks, _ in chunk], [lab for _, lab in chunk]
-                )
-                probs, cache = self.forward(batch, train=True, rng=rng)
-                epoch_loss += self.loss(probs, batch.labels) * len(chunk)
-                correct += int(
-                    (probs.argmax(axis=1) == batch.labels.argmax(axis=1)).sum()
-                )
+            for start in range(0, len(train_idx), cfg.batch_size):
+                batch = encoded.rows(train_idx[perm[start:start + cfg.batch_size]])
+                probs, cache = self.forward(batch, rng=rng)
+                epoch_loss += self.loss(probs, batch.labels) * len(batch.ids)
+                correct += int((probs.argmax(1) == batch.labels.argmax(1)).sum())
                 grads = self.backward(cache, batch.labels)
                 self.adam_step(grads)
-            report.train_loss.append(epoch_loss / len(train_set))
-            report.train_accuracy.append(correct / len(train_set))
+            report.train_loss.append(epoch_loss / len(train_idx))
+            report.train_accuracy.append(correct / len(train_idx))
 
-            if val_set:
+            if n_val:
                 vloss, vacc = self._evaluate_loss(val_set)
                 report.val_loss.append(vloss)
                 report.val_accuracy.append(vacc)
                 if vloss < best_loss:
                     best_loss = vloss
-                    best_params = copy.deepcopy(self.params)
-                    best_state = (
-                        copy.deepcopy(self.adam_m),
-                        copy.deepcopy(self.adam_v),
-                        self.adam_t,
-                    )
+                    best_params = {k: v.copy() for k, v in self.params.items()}
                     report.best_epoch = epoch
 
-        if val_set and best_params is not None:
+        if n_val and best_params is not None:
             self.params = best_params
-            self.adam_m, self.adam_v, self.adam_t = best_state
             report.early_stopped = report.best_epoch < epochs - 1
         else:
             report.best_epoch = epochs - 1
         return report
 
-    def _evaluate_loss(self, dataset) -> tuple[float, float]:
+    def _evaluate_loss(self, batch: Batch) -> tuple[float, float]:
+        n = len(batch.ids)
         total = 0.0
         correct = 0
-        for start in range(0, len(dataset), self.config.batch_size):
-            chunk = dataset[start:start + self.config.batch_size]
-            batch = self.make_batch(
-                [toks for toks, _ in chunk], [lab for _, lab in chunk]
-            )
-            probs, _ = self.forward(batch)
-            total += self.loss(probs, batch.labels) * len(chunk)
-            correct += int(
-                (probs.argmax(axis=1) == batch.labels.argmax(axis=1)).sum()
-            )
-        return total / len(dataset), correct / len(dataset)
+        for start in range(0, n, self.config.batch_size):
+            part = batch.rows(slice(start, start + self.config.batch_size))
+            probs, _ = self.forward(part)
+            total += self.loss(probs, part.labels) * len(part.ids)
+            correct += int((probs.argmax(1) == part.labels.argmax(1)).sum())
+        return total / n, correct / n
 
     # ----- inference -------------------------------------------------------
 
@@ -558,36 +539,41 @@ class SentimentNet:
                 fh.write(self.params[n].astype("<f4").tobytes())
 
     @classmethod
-    def load(cls, path) -> "SentimentNet":
-        with open(path, "rb") as fh:
-            if fh.read(4) != CHECKPOINT_MAGIC:
-                raise ValueError("not a checkpoint file (bad magic bytes)")
-            version, blob_len = struct.unpack("<ii", fh.read(8))
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            meta = json.loads(fh.read(blob_len).decode("utf-8"))
+    def load(cls, path) -> SentimentNet:
+        """Any malformed checkpoint raises ValueError naming the file and the section."""
+        try:
+            with open(path, "rb") as fh:
+                return cls._read(fh)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
+
+    @classmethod
+    def _read(cls, fh) -> SentimentNet:
+        if read_exact(fh, 4, "magic") != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint file (bad magic bytes)")
+        version, blob_len = struct.unpack("<ii", read_exact(fh, 8, "header"))
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        blob = read_exact(fh, blob_len, "metadata")
+        try:
+            meta = json.loads(blob.decode("utf-8"))
             config = ModelConfig(**meta["config"])
-            shell = _empty_embeddings(meta["id_to_token"], config.embed_dim)
-            model = cls(config, shell)
-            for name, shape in meta["tensors"]:
-                size = int(np.prod(shape))
-                data = np.frombuffer(fh.read(size * 4), dtype="<f4")
-                if data.size != size:
-                    raise ValueError(f"checkpoint truncated in tensor {name}")
-                model.params[name] = data.astype(np.float64).reshape(shape)
-            model.adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-            model.adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
-            model.adam_t = 0
+            vocab = Vocabulary.from_tokens(meta["id_to_token"])
+            vectors = np.zeros((len(vocab), config.embed_dim))
+            model = cls(config, EmbeddingMatrix(config.embed_dim, vocab, vectors))
+            stored = meta["tensors"]
+        except KeyError as exc:
+            raise ValueError(f"metadata: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"metadata: {exc}") from None
+        names = sorted(model.params)
+        expected = [[n, list(model.params[n].shape)] for n in names]
+        if stored != expected:
+            raise ValueError(f"metadata: tensors {stored} do not match the config's {expected}")
+        for name in names:
+            param = model.params[name]
+            data = np.frombuffer(read_exact(fh, 4 * param.size, f"tensor {name}"), dtype="<f4")
+            model.params[name] = data.astype(np.float64).reshape(param.shape)
+        if fh.read(1):
+            raise ValueError("trailing data after the last tensor")
         return model
-
-
-def _empty_embeddings(tokens: list[str], dim: int) -> EmbeddingMatrix:
-    from .embeddings import Vocabulary
-
-    vocab = Vocabulary(
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        id_to_token=list(tokens),
-        counts=np.zeros(len(tokens), dtype=np.int64),
-        min_count=0,
-    )
-    return EmbeddingMatrix(dim=dim, vocab=vocab, vectors=np.zeros((len(tokens), dim)))

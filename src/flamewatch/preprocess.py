@@ -119,6 +119,8 @@ class LineError:
 
 def parse_timestamp(value: str) -> datetime:
     """ISO-8601 -> aware UTC datetime; naive inputs are assumed UTC."""
+    if not isinstance(value, str):
+        raise TypeError(f"timestamp must be an ISO-8601 string, got {type(value).__name__}")
     dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)

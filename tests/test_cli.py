@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from flamewatch import data_path, embeddings
 from flamewatch.cli import main
+from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
+from flamewatch.network import ModelConfig, SentimentNet
 from flamewatch.preprocess import CleanComment
 
 
@@ -349,3 +353,121 @@ def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
                  "--max-tokens", "12"])
     assert code == 0
     assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == FROZEN_CHECKPOINT_SHA256
+
+
+# SHA-256 of the --fine-tune checkpoint below, with the same arithmetic caveat
+# as FROZEN_CHECKPOINT_SHA256 (numpy 64-bit floats on x86-64 with OpenBLAS).
+FINE_TUNE_CHECKPOINT_SHA256 = "fb2e5af86ad10d1a3204fe26dcc487502d54a1bb1667cf686dcf419252cedf90"
+
+
+def test_fine_tune_checkpoint_unchanged(labeled_corpus, tmp_path):
+    tokens = sorted({t for line in labeled_corpus.read_text(encoding="utf-8").splitlines()
+                     for t in json.loads(line)["tokens"]})
+    vectors = tmp_path / "vectors.txt"
+    with open(vectors, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(tokens)} 6\n")
+        for i, tok in enumerate(tokens):
+            row = " ".join(f"{((7 * i + 3 * j) % 11 - 5) / 10:.8e}" for j in range(6))
+            fh.write(f"{tok} {row}\n")
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["--seed", "1", "train-clf", str(labeled_corpus), str(ckpt),
+                 "--embeddings", str(vectors), "--epochs", "2", "--filters", "4",
+                 "--lstm-hidden", "4", "--dense", "8", "4", "--val-split", "0.2",
+                 "--max-tokens", "12", "--fine-tune"])
+    assert code == 0
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == FINE_TUNE_CHECKPOINT_SHA256
+
+
+def _rewrite_metadata(src, dst, change):
+    """Copy a checkpoint with change(meta) applied to its JSON metadata."""
+    blob = src.read_bytes()
+    (size,) = struct.unpack("<i", blob[8:12])
+    meta = json.loads(blob[12:12 + size])
+    change(meta)
+    text = json.dumps(meta).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<i", len(text)) + text + blob[12 + size:])
+
+
+class TestBadCheckpoint:
+    """predict --model: a truncated or malformed checkpoint exits 2 and names the file."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        vocab = Vocabulary.from_tokens(["good", "bad"])
+        matrix = EmbeddingMatrix(dim=2, vocab=vocab, vectors=np.zeros((2, 2)))
+        config = ModelConfig(embed_dim=2, max_tokens=6, conv_layers=((2, 3),) * 3,
+                             lstm_hidden=2, dense_sizes=(4, 2))
+        path = tmp_path / "model.ckpt"
+        SentimentNet(config, matrix).save(path)
+        return path
+
+    def _predict(self, clean_corpus, model, tmp_path, capsys):
+        code = main(["predict", str(clean_corpus), str(tmp_path / "pred.jsonl"),
+                     "--model", str(model)])
+        return code, capsys.readouterr().err
+
+    def test_intact_checkpoint_predicts(self, clean_corpus, checkpoint, tmp_path, capsys):
+        assert self._predict(clean_corpus, checkpoint, tmp_path, capsys)[0] == 0
+
+    # -10 keeps 30 of the last tensor's 40 bytes: not a whole number of float32s
+    @pytest.mark.parametrize("cut, section", [
+        (6, "truncated header"), (20, "truncated metadata"),
+        (-10, "truncated tensor out_w"),
+    ])
+    def test_truncated_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys, cut,
+                              section):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(checkpoint.read_bytes()[:cut])
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: {section}" in err
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda m: m.pop("tensors"), "missing 'tensors'"),
+        (lambda m: m["config"].update(colour="red"), "'colour'"),
+        (lambda m: m["tensors"][0][1].append(1), "do not match the config's"),
+    ], ids=["no-tensors", "unknown-config-key", "shape-mismatch"])
+    def test_bad_metadata_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys, change,
+                                 detail):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_metadata(checkpoint, bad, change)
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: " in err and detail in err
+
+
+class TestTimestampType:
+    """A created_time that is not a string is a bad line, not an internal error."""
+
+    def test_raw_line_counted_as_line_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+        _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(created_time=5)))
+        assert main(["preprocess", str(raw), str(tmp_path / "clean.jsonl")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["kept"] == 4 and summary["line_errors"] == 1
+
+    @pytest.mark.parametrize("command, corpus", [
+        ("label", "clean_corpus"), ("detect", "labeled_corpus"),
+    ])
+    def test_record_line_exit_2(self, request, tmp_path, capsys, command, corpus):
+        bad = tmp_path / "bad.jsonl"
+        _rewrite_line(request.getfixturevalue(corpus), bad, 3,
+                      _edit_record(lambda o: o.update(created_time=5)))
+        assert main([command, str(bad), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 3: timestamp must be an ISO-8601 string, got int" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("🙂\t1\n😡\t-1\textra\n", "line 2: expected emoji<TAB>+1|-1"),
+    ("# table\n🙂\tone\n", "line 2: expected emoji<TAB>+1|-1"),
+    ("🙂\t1\n\n😡\t2\n", "line 3: emoji polarity must be +1 or -1, got 2"),
+], ids=["field-count", "not-integer", "out-of-range"])
+def test_bad_emoji_table_exit_2(clean_corpus, tmp_path, capsys, text, message):
+    table = tmp_path / "emoji.tsv"
+    table.write_text(text, encoding="utf-8")
+    code = main(["label", str(clean_corpus), str(tmp_path / "out.jsonl"),
+                 "--emoji-table", str(table)])
+    assert code == 2
+    assert f"error: {table}: {message}" in capsys.readouterr().err

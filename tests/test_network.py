@@ -1,6 +1,8 @@
 """Forward/backward correctness, optimization and persistence of the classifier."""
 
 import copy
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -490,3 +492,44 @@ class TestCheckpoint:
         path.write_bytes(blob[:-64])
         with pytest.raises(ValueError, match="truncated"):
             SentimentNet.load(path)
+
+
+class TestCheckpointReader:
+    @pytest.fixture
+    def blob(self, tmp_path):
+        model = SentimentNet(
+            toy_config(embed_dim=2, conv_layers=((1, 3),) * 3, lstm_hidden=1,
+                       dense_sizes=(2, 2)),
+            make_embeddings(dim=2),
+        )
+        path = tmp_path / "full.ckpt"
+        model.save(path)
+        return path.read_bytes()
+
+    def test_every_truncation_names_the_file(self, tmp_path, blob):
+        path = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: "):
+                SentimentNet.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, blob):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match="trailing data"):
+            SentimentNet.load(path)
+
+    def test_negative_metadata_size_rejected(self, tmp_path, blob):
+        path = tmp_path / "neg.ckpt"
+        path.write_bytes(blob[:8] + struct.pack("<i", -1) + blob[12:])
+        with pytest.raises(ValueError, match="metadata size -1 is negative"):
+            SentimentNet.load(path)
+
+    def test_loaded_model_has_fresh_adam_state(self, tmp_path, blob):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(blob)
+        model = SentimentNet.load(path)
+        assert model.adam_t == 0
+        for key, value in model.params.items():
+            assert model.adam_m[key].shape == value.shape
+            assert not model.adam_m[key].any() and not model.adam_v[key].any()

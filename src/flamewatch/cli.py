@@ -151,14 +151,15 @@ def cmd_predict(args, cfg) -> int:
     model = network.SentimentNet.load(_require_file(args.model))
     comments = preprocess.load_clean_jsonl(_require_file(args.input))
 
+    labels, probs = model.predict_many([c.tokens for c in comments])
+
     def records():
-        for c in comments:
-            label, probs = model.predict_tokens(c.tokens)
+        for c, label, row in zip(comments, labels.tolist(), probs.tolist()):
             yield {
                 "post_id": c.post_id,
                 "comment_id": c.comment_id,
-                "label": int(label),
-                "probabilities": [float(p) for p in probs],
+                "label": label,
+                "probabilities": row,
             }
 
     atomic_write(args.output, lambda p: preprocess.write_jsonl(records(), p))

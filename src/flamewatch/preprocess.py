@@ -83,7 +83,8 @@ class CleanComment:
 
     @classmethod
     def from_dict(cls, obj: dict) -> CleanComment:
-        """Inverse of to_dict; every field is required (KeyError names a missing one)."""
+        """Inverse of to_dict; every field is required (KeyError names a missing one),
+        and a comment must have at least one token."""
         comment = cls(
             post_id=obj["post_id"],
             comment_id=obj["comment_id"],
@@ -95,6 +96,8 @@ class CleanComment:
             original_text=obj["original_text"],
         )
         n = len(comment.tokens)
+        if not n:
+            raise ValueError("empty token list")
         if len(comment.caps_flags) != n or len(comment.exclaim_flags) != n:
             raise ValueError(f"caps_flags and exclaim_flags need {n} entries, one per token")
         return comment

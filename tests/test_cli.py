@@ -13,7 +13,7 @@ from flamewatch import data_path, embeddings
 from flamewatch.cli import main
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
-from flamewatch.network import ModelConfig, SentimentNet
+from flamewatch.network import ModelConfig, SentimentNet, param_shapes
 from flamewatch.preprocess import CleanComment
 
 
@@ -434,6 +434,72 @@ class TestBadCheckpoint:
         code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
         assert code == 2
         assert f"error: checkpoint {bad}: metadata: " in err and detail in err
+
+    def _run(self, command, clean_corpus, labeled_corpus, model, tmp_path, capsys):
+        if command == "predict":
+            return self._predict(clean_corpus, model, tmp_path, capsys)
+        code = main(["evaluate", str(labeled_corpus), "--model", str(model)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_huge_config_refused_before_allocation(self, clean_corpus, labeled_corpus,
+                                                   checkpoint, tmp_path, capsys, command):
+        bad = tmp_path / "huge.ckpt"
+        _rewrite_metadata(checkpoint, bad, lambda m: m["config"].update(embed_dim=2 ** 40))
+        code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: tensors " in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_huge_config_and_tensor_list_refused(self, clean_corpus, labeled_corpus,
+                                                 checkpoint, tmp_path, capsys, command):
+        def grow(meta):
+            meta["config"]["embed_dim"] = 2 ** 40
+            shapes = param_shapes(ModelConfig(**meta["config"]), len(meta["id_to_token"]))
+            meta["tensors"] = [[n, list(shapes[n])] for n in sorted(shapes)]
+
+        bad = tmp_path / "huge.ckpt"
+        _rewrite_metadata(checkpoint, bad, grow)
+        code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: truncated tensor conv0_w: expected " in err
+
+    def test_float_size_in_config_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys):
+        # 2.0 == 2, so the stored tensor list still matches the config's
+        bad = tmp_path / "float.ckpt"
+        _rewrite_metadata(checkpoint, bad, lambda m: m["config"].update(dense_sizes=[4, 2.0]))
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: 'float' object cannot be interpreted" in err
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    vocab = Vocabulary.from_tokens(["good", "bad"])
+    matrix = EmbeddingMatrix(dim=2, vocab=vocab, vectors=np.zeros((2, 2)))
+    config = ModelConfig(embed_dim=2, max_tokens=6, conv_layers=((2, 3),) * 3,
+                         lstm_hidden=2, dense_sizes=(4, 2))
+    path = tmp_path / "model.ckpt"
+    SentimentNet(config, matrix).save(path)
+    return path
+
+
+@pytest.mark.parametrize("command, corpus", [
+    ("label", "clean_corpus"), ("predict", "clean_corpus"), ("evaluate", "labeled_corpus"),
+])
+def test_empty_token_list_names_file_and_line(request, tmp_path, capsys, tiny_checkpoint,
+                                              command, corpus):
+    bad = tmp_path / "empty.jsonl"
+    _rewrite_line(request.getfixturevalue(corpus), bad, 4, _edit_record(
+        lambda o: o.update(tokens=[], caps_flags=[], exclaim_flags=[])))
+    argv = {
+        "label": ["label", str(bad), str(tmp_path / "out.jsonl")],
+        "predict": ["predict", str(bad), str(tmp_path / "out.jsonl"),
+                    "--model", str(tiny_checkpoint)],
+        "evaluate": ["evaluate", str(bad), "--model", str(tiny_checkpoint)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {bad}: line 4: empty token list" in capsys.readouterr().err
 
 
 class TestTimestampType:

@@ -12,6 +12,7 @@ from flamewatch.lexicon import SentimentLabel
 from flamewatch.network import (
     OOV_ID,
     PAD_ID,
+    PREDICT_ROWS,
     ModelConfig,
     NonFiniteError,
     SentimentNet,
@@ -454,6 +455,83 @@ class TestPredict:
             hits += int(pred) == label
         assert (cm.counts == manual).all()
         assert accuracy == pytest.approx(hits / len(data))
+
+
+def per_comment_reference(model, tokens):
+    """The mean chunk probabilities of one comment from a B = chunks forward."""
+    t = model.config.max_tokens
+    chunks = [tokens[i:i + t] for i in range(0, len(tokens), t)]
+    probs, _ = model.forward(model.make_batch(chunks))
+    return probs.mean(axis=0)
+
+
+class TestPredictMany:
+    MAX_TOKENS = 12
+
+    @pytest.fixture
+    def model(self):
+        model = toy_model(max_tokens=self.MAX_TOKENS)
+        randomize_params(model, seed=8)
+        return model
+
+    @pytest.fixture
+    def token_lists(self):
+        """A seeded mixed set of 1-100 tokens, with max_tokens and max_tokens + 1."""
+        rng = np.random.default_rng(9)
+        lengths = [int(n) for n in rng.integers(1, 101, size=40)]
+        lengths[3], lengths[17] = self.MAX_TOKENS, self.MAX_TOKENS + 1
+        return [[TOKENS[int(i)] for i in rng.integers(0, len(TOKENS), size=n)]
+                for n in lengths]
+
+    def test_matches_per_comment_reference(self, model, token_lists):
+        labels, means = model.predict_many(token_lists)
+        reference = np.array([per_comment_reference(model, toks) for toks in token_lists])
+        assert means.shape == (len(token_lists), 5)
+        assert np.abs(means - reference).max() <= 1e-12
+        assert (labels == reference.argmax(axis=1)).all()
+
+    def test_chunks_span_blocks_and_one_comment_straddles(self, model, token_lists):
+        owners = [i for i, toks in enumerate(token_lists)
+                  for _ in range(0, len(toks), self.MAX_TOKENS)]
+        assert len(owners) > 2 * PREDICT_ROWS
+        assert owners[PREDICT_ROWS - 1] == owners[PREDICT_ROWS]
+        straddler = owners[PREDICT_ROWS]
+        _, means = model.predict_many(token_lists)
+        reference = per_comment_reference(model, token_lists[straddler])
+        assert np.abs(means[straddler] - reference).max() <= 1e-12
+
+    def test_forward_never_sees_more_than_the_cap(self, model, token_lists):
+        rows = []
+        forward = model.forward
+
+        def wrapped(batch, rng=None):
+            rows.append(batch.ids.shape[0])
+            return forward(batch, rng)
+
+        model.forward = wrapped
+        model.predict_many(token_lists)
+        chunks = sum(-(-len(toks) // self.MAX_TOKENS) for toks in token_lists)
+        assert max(rows) <= PREDICT_ROWS
+        assert sum(rows) == chunks
+        assert len(rows) == -(-chunks // PREDICT_ROWS)
+
+    def test_evaluate_equals_recount(self, model, token_lists):
+        actual = [i % 5 for i in range(len(token_lists))]
+        accuracy, cm = model.evaluate(list(zip(token_lists, actual)))
+        labels, _ = model.predict_many(token_lists)
+        manual = np.zeros((5, 5), dtype=int)
+        for label, pred in zip(actual, labels):
+            manual[label, pred] += 1
+        assert (cm.counts == manual).all()
+        assert accuracy == np.trace(manual) / len(actual)
+
+    def test_empty_token_list_named_by_index(self, model):
+        with pytest.raises(ValueError, match="^comment 2: empty token list$"):
+            model.predict_many([["w1"], ["w2", "w3"], [], ["w4"]])
+
+    def test_no_comments_gives_empty_arrays(self, model):
+        labels, means = model.predict_many([])
+        assert labels.shape == (0,) and means.shape == (0, 5)
 
 
 # ----- persistence ----------------------------------------------------------

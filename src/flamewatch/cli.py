@@ -219,9 +219,13 @@ def cmd_detect(args, cfg) -> int:
     json_path = os.path.join(args.output_dir, "events.json")
     csv_path = os.path.join(args.output_dir, "timeseries.csv")
     flaming.write_report(events, buckets, json_path, csv_path)
+    zs = flaming.zscores(stats, sample_std=args.sample_std,
+                         include_negative=args.include_negative)
     _emit({
         "command": "detect",
         "posts": len(stats),
+        "count_mean": zs.mean,
+        "count_std": zs.std,
         "events": [flaming.event_to_dict(e) for e in events],
         "report_json": json_path,
         "timeseries_csv": csv_path,

@@ -150,17 +150,27 @@ def burst_profile(
 
     Candidate windows are anchored at each comment timestamp, which is
     sufficient: any optimal window can be slid right until its left edge
-    touches a comment.
+    touches a comment. The times are sorted once and swept with two
+    pointers; the right one never moves back, so the sweep is linear. A
+    window is inclusive (t is in it when t - start <= width), and on a tie
+    the earliest start wins. Differences are compared, never start + width,
+    and a width beyond what timedelta can hold is clamped to timedelta.max,
+    so no width overflows datetime.
     """
     if not vn_times:
         raise ValueError("post has no Very Negative comments")
     times = sorted(vn_times)
-    width = timedelta(hours=window_hours)
+    try:
+        width = timedelta(hours=window_hours)
+    except OverflowError:
+        width = timedelta.max
     best_start, best_count = times[0], 1
+    end = 0
     for i, start in enumerate(times):
-        count = sum(1 for t in times[i:] if t <= start + width)
-        if count > best_count:
-            best_start, best_count = start, count
+        while end < len(times) and times[end] - start <= width:
+            end += 1
+        if end - i > best_count:
+            best_start, best_count = start, end - i
     return BurstWindow(
         start=best_start,
         window_hours=window_hours,
@@ -179,6 +189,8 @@ def detect(
     include_negative: bool = False,
 ) -> list[FlamingEvent]:
     """Posts whose standardized VN count exceeds the threshold, z-descending."""
+    if not (math.isfinite(window_hours) and window_hours > 0):
+        raise ValueError(f"window_hours must be finite and above 0, got {window_hours!r}")
     zs = zscores(stats, sample_std=sample_std, include_negative=include_negative)
     vn_times: dict[str, list[datetime]] = {}
     if labeled is not None:

@@ -37,6 +37,10 @@ CHECKPOINT_VERSION = 1
 # rows peaked 10 MB above the process base at 3.7k comments/s, 256 rows 33 MB
 # above it at 4.0k/s, and one row per forward ran at 340/s.
 PREDICT_ROWS = 64
+# Largest max_tokens a config may ask for. Inference holds float64 activations of
+# (PREDICT_ROWS, max_tokens, filters): at 1024 tokens and 64 filters that is 32 MiB
+# per convolution, where an unchecked value from a checkpoint could ask for TiB.
+MAX_TOKENS = 1024
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -66,6 +70,8 @@ class ModelConfig:
             raise ValueError("expected exactly 3 conv layers")
         if len(self.dense_sizes) != 2:
             raise ValueError("expected exactly 2 dense layers")
+        if not (isinstance(self.max_tokens, int) and 1 <= self.max_tokens <= MAX_TOKENS):
+            raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
         for filters, kernel in self.conv_layers:
             if not 1 <= kernel <= self.max_tokens:
                 raise ValueError(

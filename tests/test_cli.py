@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from flamewatch import data_path, embeddings
+from flamewatch import data_path, embeddings, flaming, lexicon
 from flamewatch.cli import main
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
@@ -140,6 +140,42 @@ class TestDetectCommand:
     def test_missing_input_exit_2(self, tmp_path):
         assert run_cli("detect", tmp_path / "nope.jsonl", tmp_path).returncode == 2
 
+    @pytest.fixture(scope="class")
+    def flaming_labeled(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("flaming")
+        assert main(["make-fixture", str(d / "raw.jsonl"), "--kind", "flaming"]) == 0
+        assert main(["preprocess", str(d / "raw.jsonl"), str(d / "clean.jsonl")]) == 0
+        assert main(["label", str(d / "clean.jsonl"), str(d / "labeled.jsonl")]) == 0
+        return d / "labeled.jsonl"
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_window_hours_exit_2(self, flaming_labeled, tmp_path, capsys, value):
+        code = main(["detect", str(flaming_labeled), str(tmp_path / "report"),
+                     "--window-hours", value])
+        assert code == 2
+        assert "error: window_hours must be finite and above 0" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_huge_window_hours_holds_every_vn_comment(self, flaming_labeled, tmp_path,
+                                                      capsys):
+        code = main(["detect", str(flaming_labeled), str(tmp_path / "report"),
+                     "--window-hours", "1e9"])
+        assert code == 0
+        events = json.loads(capsys.readouterr().out)["events"]
+        assert events and all(e["burst"]["contained"] == e["vn_count"] for e in events)
+
+    @pytest.mark.parametrize("flags", [[], ["--include-negative", "--sample-std"]])
+    def test_summary_reports_count_mean_and_std(self, flaming_labeled, tmp_path, capsys,
+                                                flags):
+        code = main(["detect", str(flaming_labeled), str(tmp_path / "report"), *flags])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        stats = flaming.post_stats(lexicon.load_labeled_jsonl(flaming_labeled))
+        zs = flaming.zscores(stats, sample_std=bool(flags), include_negative=bool(flags))
+        assert (summary["count_mean"], summary["count_std"]) == (zs.mean, zs.std)
+        report = json.loads((tmp_path / "report" / "events.json").read_text())
+        assert report == {"events": summary["events"]}
+
 
 class TestTrainingCommands:
     def test_embed_train_and_classify_round(self, labeled_corpus, clean_corpus,
@@ -199,6 +235,15 @@ class TestTrainingCommands:
                      flag, str(value)])
         assert code == 2
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    def test_huge_max_tokens_exit_2(self, labeled_corpus, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\ngood 0.5 -0.5\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(vectors), "--max-tokens", str(2 ** 40)])
+        assert code == 2
+        assert f"error: max_tokens {2 ** 40} outside [1, 1024]" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestConfigFile:
@@ -463,6 +508,16 @@ class TestBadCheckpoint:
         code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
         assert code == 2
         assert f"error: checkpoint {bad}: truncated tensor conv0_w: expected " in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_huge_max_tokens_refused(self, clean_corpus, labeled_corpus, checkpoint,
+                                     tmp_path, capsys, command):
+        # max_tokens sizes no tensor, so the stored tensor list still matches
+        bad = tmp_path / "long.ckpt"
+        _rewrite_metadata(checkpoint, bad, lambda m: m["config"].update(max_tokens=2 ** 40))
+        code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: max_tokens {2 ** 40} outside" in err
 
     def test_float_size_in_config_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys):
         # 2.0 == 2, so the stored tensor list still matches the config's

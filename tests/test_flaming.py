@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flamewatch.flaming import (
+    BurstWindow,
     aggregate,
     burst_profile,
     detect,
@@ -183,9 +185,64 @@ class TestZScores:
             zscores(post_stats([labeled(0)]))
 
 
+def quadratic_burst_profile(vn_times, window_hours=3.0):
+    """The original O(n^2) scan, kept as the reference for burst_profile."""
+    times = sorted(vn_times)
+    width = timedelta(hours=window_hours)
+    best_start, best_count = times[0], 1
+    for i, start in enumerate(times):
+        count = sum(1 for t in times[i:] if t <= start + width)
+        if count > best_count:
+            best_start, best_count = start, count
+    return BurstWindow(best_start, window_hours, best_count, best_count / len(times))
+
+
 class TestBurst:
     def _times(self, hours):
         return [EPOCH + timedelta(hours=h) for h in hours]
+
+    # minutes on a coarse grid, so draws hold duplicates and points exactly
+    # one window width apart; the lists come unsorted
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=60),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1 / 60, 1e-6, 100.0]),
+    )
+    def test_matches_quadratic_reference(self, minutes, window_hours):
+        times = [EPOCH + timedelta(minutes=m) for m in minutes]
+        assert burst_profile(times, window_hours) == quadratic_burst_profile(
+            times, window_hours
+        )
+
+    @pytest.mark.parametrize("hours, window, start, contained", [
+        ([1, 1, 1, 5, 5], 1.0, 1, 3),  # each duplicate is one comment
+        ([0, 2, 4], 2.0, 0, 2),  # exactly width apart is inside
+        ([0, 2, 2, 4, 4], 2.0, 2, 4),  # a later start wins only on more
+        ([0, 1, 3, 4], 1.0, 0, 2),  # tie: the earliest start wins
+        ([9, 0, 5, 0.5, 1], 1.0, 0, 3),  # unsorted input
+        ([7], 1.0, 7, 1),  # n = 1
+        ([0, 1, 2, 3], 1e-6, 0, 1),  # far below the spread
+        ([0, 1, 2, 3], 1e5, 0, 4),  # far above the spread
+    ])
+    def test_hand_cases(self, hours, window, start, contained):
+        times = self._times(hours)
+        burst = burst_profile(times, window)
+        assert burst == quadratic_burst_profile(times, window)
+        assert burst.start == EPOCH + timedelta(hours=start)
+        assert burst.contained == contained
+
+    def test_width_beyond_timedelta_is_clamped(self):
+        times = self._times([0, 50_000, 100_000])
+        burst = burst_profile(times, 1e15)
+        assert burst.contained == 3 and burst.window_hours == 1e15
+
+    def test_hundred_thousand_times_is_fast(self):
+        rng = np.random.default_rng(9)
+        times = self._times(rng.uniform(0, 24 * 365, size=100_000))
+        began = time.perf_counter()
+        burst = burst_profile(times, 3.0)
+        assert time.perf_counter() - began < 10.0  # the quadratic scan needs minutes
+        assert 1 < burst.contained < len(times)
 
     def test_all_within_one_hour(self):
         burst = burst_profile(self._times([0, 0.2, 0.5, 0.9]), window_hours=3.0)
@@ -223,6 +280,19 @@ class TestBurst:
 
 
 class TestDetect:
+    @pytest.mark.parametrize("window_hours", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+    def test_bad_window_refused_before_any_work(self, window_hours):
+        # no posts at all: the window check has to come first to be seen
+        with pytest.raises(ValueError, match="window_hours"):
+            detect([], window_hours=window_hours)
+
+    def test_huge_window_holds_every_vn_comment(self):
+        counts = [1] * 30 + [40]
+        comments = post_with_counts(counts)
+        events = detect(post_stats(comments), labeled=comments, window_hours=1e9)
+        assert [e.post_id for e in events] == ["p030"]
+        assert events[0].burst.contained == 40 and events[0].burst.fraction == 1.0
+
     def test_uniform_counts_no_events(self):
         events = detect(post_stats(post_with_counts([2] * 10)))
         assert events == []

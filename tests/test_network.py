@@ -10,6 +10,7 @@ import pytest
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.lexicon import SentimentLabel
 from flamewatch.network import (
+    MAX_TOKENS,
     OOV_ID,
     PAD_ID,
     PREDICT_ROWS,
@@ -180,6 +181,12 @@ class TestConstruction:
             toy_config(dropout_dense=1.0)
         with pytest.raises(ValueError):
             toy_config(conv_layers=((4, 99), (4, 3), (4, 3)))
+
+    @pytest.mark.parametrize("max_tokens", [0, MAX_TOKENS + 1, 2 ** 40, 12.0, "12"])
+    def test_max_tokens_bounded(self, max_tokens):
+        with pytest.raises(ValueError, match="^max_tokens .* outside"):
+            toy_config(max_tokens=max_tokens)
+        assert toy_config(max_tokens=MAX_TOKENS).max_tokens == MAX_TOKENS
 
     def test_embedding_frozen_by_default(self):
         model = SentimentNet(toy_config(fine_tune_embeddings=False),

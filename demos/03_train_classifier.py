@@ -36,8 +36,8 @@ config = ModelConfig(
     batch_size=32, learning_rate=1e-3, seed=1,
 )
 model = SentimentNet(config, embeddings)
-total_params = sum(p.size for p in model.params.values())
-print(f"model: {total_params} trainable parameters")
+print(f"model: {model.num_parameters()} parameters, {model.grad.size} trainable "
+      f"(the embedding is frozen)")
 
 data = [(item.comment.tokens, int(item.label)) for item in labeled]
 report = model.train(data, epochs=4, val_split=0.2)

@@ -191,6 +191,9 @@ def detect(
     """Posts whose standardized VN count exceeds the threshold, z-descending."""
     if not (math.isfinite(window_hours) and window_hours > 0):
         raise ValueError(f"window_hours must be finite and above 0, got {window_hours!r}")
+    for name, value in (("z_threshold", z_threshold), ("share_threshold", share_threshold)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     zs = zscores(stats, sample_std=sample_std, include_negative=include_negative)
     vn_times: dict[str, list[datetime]] = {}
     if labeled is not None:

@@ -8,6 +8,14 @@ are all hand-written; everything runs in double precision and is
 reproducible from the seed. The only threads are BLAS's, whose number
 follows the environment (e.g. OPENBLAS_NUM_THREADS).
 
+Every parameter lives in one float64 vector, `flat`, laid out in the order
+backward writes the gradients: the output layer first, the embedding last.
+`params` maps each name to its view into `flat`, so an entry must be written
+in place (`params[k][...] = x`); rebinding it cuts it off from training. The
+trainable part is a prefix of `flat`: all of it with fine_tune_embeddings,
+all but the embedding without. The gradient `grad` and the Adam moments
+`adam_m` and `adam_v` are vectors as long as that prefix, with the same layout.
+
 Inference cuts every comment into chunks of at most max_tokens tokens and
 packs the chunks of many comments, in order, into forwards of at most
 PREDICT_ROWS rows; a comment's probability vector is the mean of its chunks'.
@@ -147,6 +155,26 @@ def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, .
     return {name: tuple(map(operator.index, shape)) for name, shape in shapes.items()}
 
 
+def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
+    """`shapes` in the order backward writes the gradients: the layers reversed,
+    each keeping its tensors' order, so the embedding comes last."""
+    layers: dict[str, list[str]] = {}
+    for name in shapes:
+        layers.setdefault(name.rsplit("_", 1)[0], []).append(name)
+    return {name: shapes[name] for layer in reversed(layers.values()) for name in layer}
+
+
+def _flat(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed float64 vector and its consecutive views, one per shape, in order."""
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = buffer[offset:offset + size].reshape(shape)
+        offset += size
+    return buffer, views
+
+
 class SentimentNet:
     """Parameter container plus forward/backward/update for the classifier."""
 
@@ -161,34 +189,30 @@ class SentimentNet:
         }
         self.id_to_token = list(embeddings.vocab.id_to_token)
         rng = np.random.default_rng(config.seed)
-        p: dict[str, np.ndarray] = {}
-        for name, shape in param_shapes(config, len(self.id_to_token)).items():
+        shapes = param_shapes(config, len(self.id_to_token))
+        layout = _layout(shapes)
+        self.flat, views = _flat(layout)
+        self.params = {name: views[name] for name in shapes}  # in the draw order
+        for name, p in self.params.items():
             if name == "embedding":  # rows 0/1 are pad and OOV, kept at zero init
-                p[name] = np.zeros(shape)
-                p[name][2:] = np.asarray(embeddings.vectors, dtype=np.float64)
-            elif len(shape) == 1:
-                p[name] = np.zeros(shape)
-            else:
+                p[2:] = embeddings.vectors
+            elif p.ndim > 1:
                 # conv (filters, kernel, in) sees kernel*in inputs; a matrix sees its rows
-                fan_in = math.prod(shape[1:]) if name.startswith("conv") else shape[0]
+                fan_in = math.prod(p.shape[1:]) if name.startswith("conv") else p.shape[0]
                 bound = 1.0 / np.sqrt(fan_in)
-                p[name] = rng.uniform(-bound, bound, size=shape)
-        self.params = p
+                p[...] = rng.uniform(-bound, bound, size=p.shape)
 
-        self.adam_m = {k: np.zeros_like(v) for k, v in p.items()}
-        self.adam_v = {k: np.zeros_like(v) for k, v in p.items()}
+        if not config.fine_tune_embeddings:
+            del layout["embedding"]
+        self.grad, self._grads = _flat(layout)
+        self.adam_m = np.zeros_like(self.grad)
+        self.adam_v = np.zeros_like(self.grad)
         self.adam_t = 0
 
     # ----- helpers ---------------------------------------------------------
 
-    def trainable_keys(self) -> list[str]:
-        keys = [k for k in self.params if k != "embedding"]
-        if self.config.fine_tune_embeddings:
-            keys.append("embedding")
-        return sorted(keys)
-
     def num_parameters(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.flat.size
 
     def encode_tokens(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, OOV_ID) for t in tokens]
@@ -222,17 +246,18 @@ class SentimentNet:
         z = np.tensordot(win, w, axes=([2, 3], [2, 1])) + b
         return z, (x.shape, win, pl)
 
-    def _conv_backward(self, dz, w, cache):
+    def _conv_backward(self, dz, w, cache, dw, db):
+        """Writes the weight and bias gradients into dw and db; returns dx."""
         x_shape, win, pl = cache
         kernel = w.shape[1]
-        dw = np.tensordot(dz, win, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
-        db = dz.sum(axis=(0, 1))
+        dw[...] = np.tensordot(dz, win, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
+        db[...] = dz.sum(axis=(0, 1))
         dwin = np.tensordot(dz, w, axes=([2], [0]))  # (B,T,K,C)
         b, t, _ = x_shape
         dxp = np.zeros((b, t + kernel - 1, x_shape[2]))
         for k in range(kernel):
             dxp[:, k:k + t, :] += dwin[:, :, k, :]
-        return dxp[:, pl:pl + t, :], dw, db
+        return dxp[:, pl:pl + t, :]
 
     def _lstm_forward(self, seq, mask, direction: str):
         wx = self.params[f"lstm_{direction}_wx"]
@@ -260,11 +285,12 @@ class SentimentNet:
         return h, cache
 
     def _lstm_backward(self, dh_final, cache, direction: str, dseq):
+        """Adds into the direction's gradient views, which start at zero."""
         wx = self.params[f"lstm_{direction}_wx"]
         wh = self.params[f"lstm_{direction}_wh"]
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(self.params[f"lstm_{direction}_b"])
+        dwx = self._grads[f"lstm_{direction}_wx"]
+        dwh = self._grads[f"lstm_{direction}_wh"]
+        db = self._grads[f"lstm_{direction}_b"]
         dh = dh_final
         dc = np.zeros_like(dh_final)
         for ti, x, h_prev, c_prev, gi, gf, gg, go, c_new, tc, m in reversed(cache):
@@ -290,7 +316,6 @@ class SentimentNet:
             dseq[:, ti, :] += dz @ wx.T
             dh = dz @ wh.T + dh_carry
             dc = dc_prev
-        return dwx, dwh, db
 
     def forward(self, batch: Batch, rng=None):
         """Returns (probabilities, cache); dropout draws from `rng` when one is given."""
@@ -367,33 +392,31 @@ class SentimentNet:
         return float(-(labels * np.log(clamped)).sum(axis=1).mean())
 
     def backward(self, cache: dict, labels: np.ndarray) -> dict[str, np.ndarray]:
+        """Writes the gradient into `grad` and returns its views by name."""
         cfg = self.config
         p = self.params
+        g = self._grads
         b = labels.shape[0]
-        grads = {}
+        self.grad.fill(0.0)  # the LSTM and embedding gradients accumulate
 
         dlogits = (cache["probs"] - labels) / b
-        grads["out_w"] = cache["a2"].T @ dlogits
-        grads["out_b"] = dlogits.sum(axis=0)
+        g["out_w"][...] = cache["a2"].T @ dlogits
+        g["out_b"][...] = dlogits.sum(axis=0)
         da2 = dlogits @ p["out_w"].T
         dz2 = da2 * cache["a2"] * (1 - cache["a2"])
-        grads["dense2_w"] = cache["a1d"].T @ dz2
-        grads["dense2_b"] = dz2.sum(axis=0)
+        g["dense2_w"][...] = cache["a1d"].T @ dz2
+        g["dense2_b"][...] = dz2.sum(axis=0)
         da1 = (dz2 @ p["dense2_w"].T) * cache["m1"]
         dz1 = da1 * cache["a1"] * (1 - cache["a1"])
-        grads["dense1_w"] = cache["a0"].T @ dz1
-        grads["dense1_b"] = dz1.sum(axis=0)
+        g["dense1_w"][...] = cache["a0"].T @ dz1
+        g["dense1_b"][...] = dz1.sum(axis=0)
         dhcat = (dz1 @ p["dense1_w"].T) * cache["m0"]
 
         hdim = cfg.lstm_hidden
         dseq = np.zeros_like(cache["seq"])
-        for direction, sl in (("fwd", slice(0, hdim)), ("bwd", slice(hdim, None))):
-            dwx, dwh, db = self._lstm_backward(
-                dhcat[:, sl], cache[f"lstm_{direction}"], direction, dseq
-            )
-            grads[f"lstm_{direction}_wx"] = dwx
-            grads[f"lstm_{direction}_wh"] = dwh
-            grads[f"lstm_{direction}_b"] = db
+        # each dseq cell gets one term per direction, so their order is exact
+        for direction, sl in (("bwd", slice(hdim, None)), ("fwd", slice(0, hdim))):
+            self._lstm_backward(dhcat[:, sl], cache[f"lstm_{direction}"], direction, dseq)
 
         dx = dseq
         for li in range(len(cfg.conv_layers) - 1, -1, -1):
@@ -412,36 +435,36 @@ class SentimentNet:
             else:
                 da = dx
             dz = da * (z > 0)
-            dx, dw, db = self._conv_backward(dz, p[f"conv{li}_w"], conv_cache)
-            grads[f"conv{li}_w"] = dw
-            grads[f"conv{li}_b"] = db
+            dx = self._conv_backward(dz, p[f"conv{li}_w"], conv_cache,
+                                     g[f"conv{li}_w"], g[f"conv{li}_b"])
 
-        # a frozen embedding gets no gradient: adam_step skips it anyway
+        # a frozen embedding is outside grad and gets no gradient
         if cfg.fine_tune_embeddings:
-            demb = np.zeros_like(p["embedding"])
+            demb = g["embedding"]
             dx = dx * cache["pad_mask"]
             np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
             demb[PAD_ID] = 0.0
-            grads["embedding"] = demb
 
-        for k, g in grads.items():
-            _check_finite(g, f"gradient of {k}")
-        return grads
+        if not np.isfinite(self.grad).all():
+            # views are in backward's order: name the first tensor it spoiled
+            name = next(k for k, v in g.items() if not np.isfinite(v).all())
+            raise NonFiniteError(f"gradient of {name}")
+        return g
 
     # ----- optimization ----------------------------------------------------
 
-    def adam_step(self, grads: dict[str, np.ndarray], lr: float | None = None):
+    def adam_step(self, lr: float | None = None):
+        """One Adam update of the trainable prefix of `flat` from `grad`."""
         if lr is None:
             lr = self.config.learning_rate
         self.adam_t += 1
         t = self.adam_t
-        for k in self.trainable_keys():
-            g = grads[k]
-            self.adam_m[k] = ADAM_BETA1 * self.adam_m[k] + (1 - ADAM_BETA1) * g
-            self.adam_v[k] = ADAM_BETA2 * self.adam_v[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.adam_m[k] / (1 - ADAM_BETA1 ** t)
-            v_hat = self.adam_v[k] / (1 - ADAM_BETA2 ** t)
-            self.params[k] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = self.grad
+        self.adam_m = ADAM_BETA1 * self.adam_m + (1 - ADAM_BETA1) * g
+        self.adam_v = ADAM_BETA2 * self.adam_v + (1 - ADAM_BETA2) * g * g
+        m_hat = self.adam_m / (1 - ADAM_BETA1 ** t)
+        v_hat = self.adam_v / (1 - ADAM_BETA2 ** t)
+        self.flat[:g.size] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def train(
         self,
@@ -465,7 +488,8 @@ class SentimentNet:
 
         report = TrainReport()
         best_loss = np.inf
-        best_params = None
+        trainable = self.flat[:self.grad.size]
+        best = None
         for epoch in range(epochs):
             perm = rng.permutation(len(train_idx))
             epoch_loss = 0.0
@@ -475,8 +499,8 @@ class SentimentNet:
                 probs, cache = self.forward(batch, rng=rng)
                 epoch_loss += self.loss(probs, batch.labels) * len(batch.ids)
                 correct += int((probs.argmax(1) == batch.labels.argmax(1)).sum())
-                grads = self.backward(cache, batch.labels)
-                self.adam_step(grads)
+                self.backward(cache, batch.labels)
+                self.adam_step()
             report.train_loss.append(epoch_loss / len(train_idx))
             report.train_accuracy.append(correct / len(train_idx))
 
@@ -486,11 +510,11 @@ class SentimentNet:
                 report.val_accuracy.append(vacc)
                 if vloss < best_loss:
                     best_loss = vloss
-                    best_params = {k: v.copy() for k, v in self.params.items()}
+                    best = trainable.copy()
                     report.best_epoch = epoch
 
-        if n_val and best_params is not None:
-            self.params = best_params
+        if n_val and best is not None:
+            trainable[...] = best
             report.early_stopped = report.best_epoch < epochs - 1
         else:
             report.best_epoch = epochs - 1
@@ -616,8 +640,8 @@ class SentimentNet:
         }
         if fh.read(1):
             raise ValueError("trailing data after the last tensor")
-        vectors = np.zeros((len(vocab), config.embed_dim))
-        model = cls(config, EmbeddingMatrix(config.embed_dim, vocab, vectors))
+        embedding = EmbeddingMatrix(config.embed_dim, vocab, tensors["embedding"][2:])
+        model = cls(config, embedding)
         for name, data in tensors.items():
-            model.params[name] = data.astype(np.float64)
+            model.params[name][...] = data
         return model

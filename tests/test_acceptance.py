@@ -200,7 +200,7 @@ def test_criterion_05_gradient_check_toy_model():
     # move to a generic point so no ReLU or pooling tie sits exactly at a kink
     rng = np.random.default_rng(0)
     for key in model.params:
-        model.params[key] = rng.normal(0, 0.2, model.params[key].shape)
+        model.params[key][...] = rng.normal(0, 0.2, model.params[key].shape)
     model.params["embedding"][PAD_ID] = 0.0
 
     tokens = model.id_to_token
@@ -267,7 +267,7 @@ def test_criterion_06_overfit_separable_toy_set():
         w = np.zeros_like(model.params[f"conv{li}_w"])
         for f in range(w.shape[0]):
             w[f, w.shape[1] // 2, f] = 1.0
-        model.params[f"conv{li}_w"] = w
+        model.params[f"conv{li}_w"][...] = w
 
     data = []
     for i in range(64):
@@ -299,7 +299,7 @@ def test_criterion_07_chunking_identity():
     model = SentimentNet(config, _toy_embeddings())
     rng = np.random.default_rng(1)
     for key in model.params:
-        model.params[key] = rng.normal(0, 0.2, model.params[key].shape)
+        model.params[key][...] = rng.normal(0, 0.2, model.params[key].shape)
     model.params["embedding"][PAD_ID] = 0.0
     names = model.id_to_token
 

@@ -156,6 +156,17 @@ class TestDetectCommand:
         assert "error: window_hours must be finite and above 0" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("flag", ["--z-threshold", "--share-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_2(self, flaming_labeled, tmp_path, capsys, flag,
+                                         value):
+        code = main(["detect", str(flaming_labeled), str(tmp_path / "report"),
+                     f"{flag}={value}"])
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
     def test_huge_window_hours_holds_every_vn_comment(self, flaming_labeled, tmp_path,
                                                       capsys):
         code = main(["detect", str(flaming_labeled), str(tmp_path / "report"),

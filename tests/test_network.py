@@ -64,7 +64,7 @@ def randomize_params(model, seed=0, scale=0.2):
     """Move every parameter to a generic point away from ReLU/pooling ties."""
     rng = np.random.default_rng(seed)
     for k in model.params:
-        model.params[k] = rng.normal(0, scale, model.params[k].shape)
+        model.params[k][...] = rng.normal(0, scale, model.params[k].shape)
     model.params["embedding"][PAD_ID] = 0.0
 
 
@@ -191,7 +191,9 @@ class TestConstruction:
     def test_embedding_frozen_by_default(self):
         model = SentimentNet(toy_config(fine_tune_embeddings=False),
                              make_embeddings())
-        assert "embedding" not in model.trainable_keys()
+        # the embedding is last in flat and outside the trainable prefix
+        assert model.grad.size == model.flat.size - model.params["embedding"].size
+        assert np.shares_memory(model.params["embedding"], model.flat[model.grad.size:])
 
     def test_make_batch_rejects_empty_row(self):
         model = toy_model()
@@ -313,6 +315,17 @@ class TestGradients:
         grads = model.backward(cache, batch.labels)
         assert (grads["embedding"][PAD_ID] == 0).all()
 
+    def test_nonfinite_gradient_names_its_tensor(self):
+        # NaN in one label cell spoils every gradient; the first one backward
+        # writes is the output weight's
+        model = toy_model()
+        batch, _, _ = toy_batch(model)
+        _, cache = model.forward(batch)
+        labels = batch.labels.copy()
+        labels[0, 0] = np.nan
+        with pytest.raises(NonFiniteError, match="^non-finite values in gradient of out_w$"):
+            model.backward(cache, labels)
+
     def test_zero_loss_configuration_small_gradients(self):
         # drive one logit to dominance so the loss is ~0, gradients ~0
         model = toy_model()
@@ -329,34 +342,34 @@ class TestGradients:
 
 class TestAdam:
     def test_first_step_matches_hand_computation(self):
-        model = toy_model()
-        before = copy.deepcopy(model.params)
+        model = toy_model()  # fine-tunes, so all of flat is trainable
+        before = model.flat.copy()
         rng = np.random.default_rng(0)
-        grads = {k: rng.normal(0, 1, v.shape) for k, v in model.params.items()}
+        g = rng.normal(0, 1, model.flat.shape)
+        model.grad[...] = g
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        model.adam_step(grads, lr=lr)
-        for key in model.trainable_keys():
-            g = grads[key]
-            m_hat = ((1 - b1) * g) / (1 - b1)
-            v_hat = ((1 - b2) * g * g) / (1 - b2)
-            expected = before[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert model.params[key] == pytest.approx(expected, abs=1e-12)
+        model.adam_step(lr=lr)
+        m_hat = ((1 - b1) * g) / (1 - b1)
+        v_hat = ((1 - b2) * g * g) / (1 - b2)
+        expected = before - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert model.flat == pytest.approx(expected, abs=1e-12)
 
     def test_zero_gradient_is_noop(self):
         model = toy_model()
         before = copy.deepcopy(model.params)
-        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-        model.adam_step(grads)
+        model.grad[...] = 0.0
+        model.adam_step()
         for key, value in model.params.items():
             assert (value == before[key]).all()
 
     def test_frozen_embedding_not_updated(self):
         model = SentimentNet(toy_config(fine_tune_embeddings=False),
                              make_embeddings())
-        before = model.params["embedding"].copy()
-        grads = {k: np.ones_like(v) for k, v in model.params.items()}
-        model.adam_step(grads)
-        assert (model.params["embedding"] == before).all()
+        before = copy.deepcopy(model.params)
+        model.grad[...] = 1.0
+        model.adam_step()
+        assert (model.params["embedding"] == before["embedding"]).all()
+        assert (model.params["out_w"] != before["out_w"]).all()
 
 
 # ----- training -------------------------------------------------------------
@@ -396,6 +409,25 @@ class TestTraining:
         assert len(report.val_loss) == 3
         assert report.best_epoch == int(np.argmin(report.val_loss))
         assert report.early_stopped == (report.best_epoch < 2)
+
+    def test_restored_best_epoch_keeps_the_views(self):
+        data = separable_dataset(n=50)
+        model = toy_model(fine_tune_embeddings=False, learning_rate=1e-2)
+        embedding = model.params["embedding"].copy()
+        report = model.train(data, epochs=3, val_split=0.2)
+        assert report.early_stopped and report.best_epoch == 0
+        # epoch 0 of that run is a whole one-epoch run of a twin model
+        twin = toy_model(fine_tune_embeddings=False, learning_rate=1e-2)
+        twin.train(data, epochs=1, val_split=0.2)
+        assert (model.flat == twin.flat).all()
+        for value in model.params.values():
+            assert np.shares_memory(value, model.flat)
+        assert model.params["embedding"].tobytes() == embedding.tobytes()
+        before = copy.deepcopy(model.params)
+        model.grad[...] = 1.0
+        model.adam_step()
+        assert (model.params["out_w"] != before["out_w"]).all()
+        assert (model.params["conv0_w"] != before["conv0_w"]).all()
 
     def test_loss_decreases_early(self):
         model = toy_model(batch_size=4)
@@ -615,6 +647,11 @@ class TestCheckpointReader:
         path.write_bytes(blob)
         model = SentimentNet.load(path)
         assert model.adam_t == 0
-        for key, value in model.params.items():
-            assert model.adam_m[key].shape == value.shape
-            assert not model.adam_m[key].any() and not model.adam_v[key].any()
+        # the blob's model fine-tunes, so every parameter is trainable
+        assert model.adam_m.shape == model.adam_v.shape == model.flat.shape
+        assert not model.adam_m.any() and not model.adam_v.any()
+        SentimentNet(toy_config(fine_tune_embeddings=False), make_embeddings()).save(path)
+        frozen = SentimentNet.load(path)
+        prefix = frozen.flat.size - frozen.params["embedding"].size
+        assert frozen.adam_m.shape == frozen.adam_v.shape == (prefix,)
+        assert not frozen.adam_m.any() and not frozen.adam_v.any()

@@ -90,6 +90,10 @@ class ModelConfig:
         for p in (self.dropout_lstm, self.dropout_dense):
             if not 0.0 <= p < 1.0:
                 raise ValueError("dropout must be in [0, 1)")
+        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+            raise ValueError(f"batch_size {self.batch_size!r} must be an integer >= 1")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate {self.learning_rate!r} must be finite and > 0")
 
 
 @dataclass
@@ -473,6 +477,10 @@ class SentimentNet:
         val_split: float = 0.1,
     ) -> TrainReport:
         """Mini-batch Adam; keeps the parameters of the min-validation-loss epoch."""
+        if not (isinstance(epochs, int) and epochs >= 1):
+            raise ValueError(f"epochs {epochs!r} must be an integer >= 1")
+        if not 0.0 <= val_split < 1.0:
+            raise ValueError(f"val_split {val_split!r} must be in [0, 1)")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         encoded = self.make_batch([toks for toks, _ in data], [lab for _, lab in data])

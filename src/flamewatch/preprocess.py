@@ -3,6 +3,16 @@
 The cleaning pipeline mirrors what the rest of the package expects:
 URLs/mentions/hashtags stripped, elongated words squeezed, spaced-out
 letters merged, emoji kept, everything stemmed, stopwords kept.
+
+The per-character work runs inside `re`, through two regexes built from
+`_EMOJI_RANGES`. `_DROP_RE` matches runs of the characters that
+`normalize_text` turns into spaces: not alphanumeric (`[^\\W_]`, which
+is `str.isalnum`), not "!", not whitespace (`\\s`, which is
+`str.isspace`) and not emoji; the apostrophe is deleted before it runs.
+`_TOKEN_RE` splits normalized text into one emoji or one run of other
+non-"!", non-space characters, plus the "!" that may follow it.
+`build_corpus` stems each distinct token once: its memo lives for that
+one call, so it is bounded by the distinct tokens of the corpus it builds.
 """
 
 from __future__ import annotations
@@ -39,14 +49,16 @@ _SPACED_LETTERS_RE = re.compile(
 _LETTER_RUN_RE = re.compile(r"([A-Za-z])\1{2,}")
 _SPACES_RE = re.compile(r"\s+")
 
+_EMOJI_CLASS = "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _EMOJI_RANGES)
+_EMOJI_RE = re.compile(f"[{_EMOJI_CLASS}]")
+# runs of characters that are not alphanumeric, "!", whitespace or emoji
+_DROP_RE = re.compile(f"(?:_|[^\\w!\\s{_EMOJI_CLASS}])+")
+# (one emoji | a run of anything but "!", whitespace and emoji)(an optional "!")
+_TOKEN_RE = re.compile(f"([{_EMOJI_CLASS}]|[^!\\s{_EMOJI_CLASS}]+)(!?)")
+
 
 def is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
-
-
-def _keep_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "!" or ch.isspace() or is_emoji(ch)
+    return _EMOJI_RE.fullmatch(ch) is not None
 
 
 @dataclass
@@ -127,7 +139,10 @@ def parse_timestamp(value: str) -> datetime:
     dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {value!r} is out of range in UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -146,17 +161,17 @@ def load_jsonl(path) -> tuple[list[RawComment], list[LineError]]:
                 continue
             try:
                 obj = json.loads(line)
-                comments.append(
-                    RawComment(
-                        post_id=str(obj["post_id"]),
-                        comment_id=str(obj["comment_id"]),
-                        created_time=parse_timestamp(obj["created_time"]),
-                        text=str(obj["message"]),
-                    )
+                raw = RawComment(
+                    post_id=str(obj["post_id"]),
+                    comment_id=str(obj["comment_id"]),
+                    created_time=parse_timestamp(obj["created_time"]),
+                    text=obj["message"],
                 )
+                if not isinstance(raw.text, str):
+                    raise TypeError(f"message must be a string, got {type(raw.text).__name__}")
                 if not obj["post_id"] or not obj["comment_id"]:
-                    comments.pop()
                     raise ValueError("empty post_id or comment_id")
+                comments.append(raw)
             except (KeyError, ValueError, TypeError) as exc:
                 errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
     return comments, errors
@@ -166,7 +181,7 @@ def normalize_text(text: str) -> str:
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = _HASHTAG_RE.sub(" ", text)
-    text = "".join(ch if _keep_char(ch) else (" " if ch != "'" else "") for ch in text)
+    text = _DROP_RE.sub(" ", text.replace("'", ""))
     # the remaining rules can feed each other (collapsing "RRRT" exposes an
     # "RT" marker, merging "a a a" creates a collapsible "aaa"), so iterate
     # them to a fixed point; each round strictly shrinks the text, and the
@@ -188,42 +203,23 @@ def tokenize(text: str) -> list[tuple[str, bool, bool]]:
     Emoji are emitted as standalone tokens; "!" marks the preceding token
     and is never a token itself.
     """
-    out: list[tuple[str, bool, bool]] = []
-    for chunk in text.split():
-        # segment the chunk into word runs, emoji chars and "!" runs
-        segments: list[str] = []
-
-        def _is_word_segment(seg: str) -> bool:
-            return not seg.endswith("!") and not (len(seg) == 1 and is_emoji(seg))
-
-        for ch in chunk:
-            if is_emoji(ch):
-                segments.append(ch)
-            elif ch == "!":
-                if segments and segments[-1].endswith("!"):
-                    segments[-1] += "!"
-                else:
-                    segments.append("!")
-            elif segments and _is_word_segment(segments[-1]):
-                segments[-1] += ch
-            else:
-                segments.append(ch)
-        for i, seg in enumerate(segments):
-            if seg.startswith("!"):
-                continue
-            caps = len(seg) >= 2 and seg.isalpha() and seg.isupper()
-            excl = i + 1 < len(segments) and segments[i + 1].startswith("!")
-            out.append((seg.lower(), caps, excl))
-    return out
+    return [
+        (tok.lower(), len(tok) >= 2 and tok.isalpha() and tok.isupper(), bool(bang))
+        for tok, bang in _TOKEN_RE.findall(text)
+    ]
 
 
-def preprocess(raw: RawComment) -> CleanComment | None:
-    """normalize -> tokenize -> stem; returns None when nothing survives."""
-    normalized = normalize_text(raw.text)
-    triples = tokenize(normalized)
+def _clean(raw: RawComment, stems: dict[str, str]) -> CleanComment | None:
+    """preprocess(raw), looking stems up in (and adding them to) `stems`."""
+    triples = tokenize(normalize_text(raw.text))
     if not triples:
         return None
-    tokens = [stem(tok) for tok, _, _ in triples]
+    tokens = []
+    for tok, _, _ in triples:
+        stemmed = stems.get(tok)
+        if stemmed is None:
+            stemmed = stems[tok] = stem(tok)
+        tokens.append(stemmed)
     return CleanComment(
         post_id=raw.post_id,
         comment_id=raw.comment_id,
@@ -236,10 +232,17 @@ def preprocess(raw: RawComment) -> CleanComment | None:
     )
 
 
+def preprocess(raw: RawComment) -> CleanComment | None:
+    """normalize -> tokenize -> stem; returns None when nothing survives."""
+    return _clean(raw, {})
+
+
 def build_corpus(raws: list[RawComment]) -> Corpus:
+    """preprocess every comment, stemming each distinct token once."""
     corpus = Corpus(comments=[], loaded=len(raws))
+    stems: dict[str, str] = {}
     for raw in raws:
-        clean = preprocess(raw)
+        clean = _clean(raw, stems)
         if clean is None:
             corpus.dropped += 1
         else:

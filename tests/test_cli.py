@@ -256,6 +256,27 @@ class TestTrainingCommands:
         assert f"error: max_tokens {2 ** 40} outside [1, 1024]" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning_rate nan must be finite and > 0"),
+        ("--lr", "inf", "learning_rate inf must be finite and > 0"),
+        ("--lr", "-1", "learning_rate -1.0 must be finite and > 0"),
+        ("--lr", "0", "learning_rate 0.0 must be finite and > 0"),
+        ("--batch-size", "0", "batch_size 0 must be an integer >= 1"),
+        ("--epochs", "0", "epochs 0 must be an integer >= 1"),
+        ("--val-split", "nan", "val_split nan must be in [0, 1)"),
+        ("--val-split", "1", "val_split 1.0 must be in [0, 1)"),
+        ("--val-split", "-0.1", "val_split -0.1 must be in [0, 1)"),
+    ])
+    def test_bad_train_clf_option_exit_2(self, labeled_corpus, tmp_path, capsys,
+                                         flag, value, message):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\ngood 0.5 -0.5\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(vectors), flag, value])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_lexicon_path(self, clean_corpus, tmp_path):
@@ -589,6 +610,48 @@ class TestTimestampType:
         assert main([command, str(bad), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: {bad}: line 3: timestamp must be an ISO-8601 string, got int" in err
+
+
+class TestTimestampRange:
+    """A created_time that exists only outside UTC's range is a bad line."""
+
+    OUT_OF_RANGE = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE)
+    def test_raw_line_counted_as_line_error(self, tmp_path, capsys, value):
+        raw = tmp_path / "raw.jsonl"
+        write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+        _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(created_time=value)))
+        assert main(["preprocess", str(raw), str(tmp_path / "clean.jsonl")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["kept"] == 4 and summary["line_errors"] == 1
+
+    @pytest.mark.parametrize("value", OUT_OF_RANGE)
+    @pytest.mark.parametrize("command, corpus", [
+        ("label", "clean_corpus"), ("detect", "labeled_corpus"),
+    ])
+    def test_record_line_exit_2(self, request, tmp_path, capsys, command, corpus, value):
+        bad = tmp_path / "bad.jsonl"
+        _rewrite_line(request.getfixturevalue(corpus), bad, 3,
+                      _edit_record(lambda o: o.update(created_time=value)))
+        assert main([command, str(bad), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 3: timestamp '{value}' is out of range in UTC" in err
+
+
+@pytest.mark.parametrize("message, type_name", [
+    (None, "NoneType"), (42, "int"), (["a"], "list"),
+], ids=["null", "number", "list"])
+def test_non_string_message_is_line_error(tmp_path, capsys, message, type_name):
+    raw = tmp_path / "raw.jsonl"
+    write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+    _rewrite_line(raw, raw, 4, _edit_record(lambda o: o.update(message=message)))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["preprocess", str(raw), str(clean)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["kept"] == 4 and summary["line_errors"] == 1
+    texts = [json.loads(line)["original_text"] for line in clean.read_text().splitlines()]
+    assert str(message) not in texts
 
 
 @pytest.mark.parametrize("text, message", [

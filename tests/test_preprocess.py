@@ -1,6 +1,8 @@
 """Text normalization, tokenization, stemming and corpus ingestion."""
 
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,108 @@ PORTER_PAIRS = {
     "troubles": "troubl", "controll": "control", "roll": "roll",
     "electriciti": "electr", "sensitiviti": "sensit", "radicalli": "radic",
 }
+
+
+# The per-character implementations that the regexes in preprocess replaced,
+# kept as references for the exactness tests below.
+
+
+def reference_is_emoji(ch: str) -> bool:
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in preprocess._EMOJI_RANGES)
+
+
+def reference_keep_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "!" or ch.isspace() or reference_is_emoji(ch)
+
+
+def reference_normalize_text(text: str) -> str:
+    text = preprocess._URL_RE.sub(" ", text)
+    text = preprocess._MENTION_RE.sub(" ", text)
+    text = preprocess._HASHTAG_RE.sub(" ", text)
+    text = "".join(
+        ch if reference_keep_char(ch) else (" " if ch != "'" else "") for ch in text
+    )
+    prev = None
+    while text != prev:
+        prev = text
+        text = preprocess._RETWEET_RE.sub(" ", text)
+        text = preprocess._SPACES_RE.sub(" ", text).strip()
+        text = preprocess._SPACED_LETTERS_RE.sub(
+            lambda m: re.sub(r"[ .]+", "", m.group(0)), text
+        )
+        text = preprocess._LETTER_RUN_RE.sub(r"\1", text)
+    return text
+
+
+def reference_tokenize(text: str) -> list[tuple[str, bool, bool]]:
+    out: list[tuple[str, bool, bool]] = []
+    for chunk in text.split():
+        # segment the chunk into word runs, emoji chars and "!" runs
+        segments: list[str] = []
+
+        def _is_word_segment(seg: str) -> bool:
+            return not seg.endswith("!") and not (len(seg) == 1 and reference_is_emoji(seg))
+
+        for ch in chunk:
+            if reference_is_emoji(ch):
+                segments.append(ch)
+            elif ch == "!":
+                if segments and segments[-1].endswith("!"):
+                    segments[-1] += "!"
+                else:
+                    segments.append("!")
+            elif segments and _is_word_segment(segments[-1]):
+                segments[-1] += ch
+            else:
+                segments.append(ch)
+        for i, seg in enumerate(segments):
+            if seg.startswith("!"):
+                continue
+            caps = len(seg) >= 2 and seg.isalpha() and seg.isupper()
+            excl = i + 1 < len(segments) and segments[i + 1].startswith("!")
+            out.append((seg.lower(), caps, excl))
+    return out
+
+
+# CAPS, "!", "_", "'", Unicode spaces, combining marks, ZWJ, variation
+# selector, regional-indicator flags, emoji, other scripts and digits
+MIXED_ALPHABET = (
+    "abzABZ!!_'., \t\n\u00a0\u2003\u3000\u0301\u200d\ufe0f"
+    "\U0001F1FA\U0001F1F8🙂😡🤬☀✂⬛éßΣж٣Ⅻ²1@#RT:/w"
+)
+mixed_text = st.text(
+    alphabet=st.one_of(st.sampled_from(MIXED_ALPHABET), st.characters()), max_size=60
+)
+
+
+class TestAgainstReference:
+    ALL_CODE_POINTS = "".join(map(chr, range(0x110000)))
+
+    def test_drop_class_matches_reference_on_every_code_point(self):
+        text = self.ALL_CODE_POINTS
+        dropped = set()
+        for m in preprocess._DROP_RE.finditer(text):
+            dropped.update(range(m.start(), m.end()))
+        expected = {cp for cp, ch in enumerate(text) if not reference_keep_char(ch)}
+        assert dropped == expected
+
+    def test_emoji_class_matches_reference_on_every_code_point(self):
+        text = self.ALL_CODE_POINTS
+        found = {m.start() for m in preprocess._EMOJI_RE.finditer(text)}
+        expected = {cp for cp, ch in enumerate(text) if reference_is_emoji(ch)}
+        assert found == expected
+        assert all(is_emoji(chr(cp)) for cp in expected)
+
+    @settings(max_examples=400)
+    @given(mixed_text)
+    def test_normalize_text_matches_reference(self, text):
+        assert normalize_text(text) == reference_normalize_text(text)
+
+    @settings(max_examples=400)
+    @given(mixed_text)
+    def test_tokenize_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestNormalize:
@@ -198,6 +302,28 @@ class TestPreprocess:
         raws = [self._raw("hello there"), self._raw("https://x.co"), self._raw("ok")]
         corpus = build_corpus(raws)
         assert corpus.loaded == 3 and corpus.kept == 2 and corpus.dropped == 1
+
+    def test_build_corpus_stems_each_distinct_token_once(self, monkeypatch):
+        texts = ["Running dogs RUNNING!", "the dogs ran 🙂🙂", "https://x.co",
+                 "running again and again"]
+        calls = Counter()
+
+        def counting_stem(word):
+            calls[word] += 1
+            return stem(word)
+
+        monkeypatch.setattr(preprocess, "stem", counting_stem)
+        corpus = build_corpus([self._raw(t) for t in texts])
+        expected = [
+            [stem(tok) for tok, _, _ in reference_tokenize(reference_normalize_text(t))]
+            for t in texts
+        ]
+        assert [c.tokens for c in corpus.comments] == [e for e in expected if e]
+        distinct = {tok for t in texts for tok, _, _ in tokenize(normalize_text(t))}
+        assert set(calls) == distinct and set(calls.values()) == {1}
+        # the memo lives for one call: a second corpus stems its tokens again
+        build_corpus([self._raw(texts[0])])
+        assert calls["running"] == 2
 
     def test_deterministic(self):
         a = preprocess.preprocess(self._raw("Some TEXT here! 🙂"))

@@ -239,7 +239,7 @@ def cmd_make_fixture(args, cfg) -> int:
     else:
         records, planted = fixtures.flaming_comments(seed=args.seed)
         print(f"planted={','.join(planted)}", file=sys.stderr)
-    atomic_write(args.output, lambda p: fixtures.write_raw_jsonl(records, p))
+    atomic_write(args.output, lambda p: preprocess.write_jsonl(records, p))
     _emit({"command": "make-fixture", "kind": args.kind, "records": len(records)})
     return 0
 

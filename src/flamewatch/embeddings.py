@@ -4,10 +4,13 @@ Both trainers share the same objective; the subword variant represents a
 word as the mean of its own vector and hashed character n-gram vectors,
 which also gives out-of-vocabulary words a usable vector.
 
-Training is mini-batch SGD: one step per block of up to `BLOCK_CENTERS`
-consecutive centers of one sentence. A step builds every (center, context)
-pair of its block (contexts stay inside the sentence but may lie outside
-the block), computes all scores and gradients from the parameters as they
+Training is mini-batch SGD over the corpus as one sequence: the sentences'
+in-vocabulary ids back to back, each position knowing its sentence's
+bounds. One step takes a block of up to `BLOCK_CENTERS` consecutive
+centers of that sequence, which may span several sentences or start and
+end inside one. A step builds every (center, context) pair of its block
+(contexts stay inside the center's sentence but may lie outside the
+block), computes all scores and gradients from the parameters as they
 stood at the block's start, and then adds the updates, so that repeated
 words, repeated targets and n-gram hash collisions accumulate. Each center
 keeps its own linearly decaying learning rate.
@@ -15,10 +18,16 @@ keeps its own linearly decaying learning rate.
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 draws, in this order: the input vectors (uniform in +-0.5/dim, |V| x dim);
 for the subword variant, the bucket vectors (same law, buckets x dim); then
-per epoch, sentence and block of n centers, the window radii
+per epoch and block of n centers, the window radii
 `integers(1, window + 1, size=n)` and, if the block has any pair, the
 negatives `random((pairs, negatives))` mapped through the noise CDF with
 `searchsorted`. Pairs are ordered by center, then by context position.
+
+A word's n-grams are those of "<word>" at lengths min_n..max_n, ordered by
+length, then start; an n-gram's id is the 32-bit FNV-1a hash of its UTF-8
+bytes, modulo the bucket count. `_hash_ngrams` computes them for many words
+at once: it runs the hash once per start position, one character per step,
+and emits it at every length in range.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ class SubwordConfig:
     buckets: int = 2 ** 21
 
     def __post_init__(self):
+        if self.min_n < 1:
+            raise ValueError(f"min_n must be >= 1, got {self.min_n}")
         if self.min_n > self.max_n:
             raise ValueError(f"min_n {self.min_n} > max_n {self.max_n}")
         if self.buckets < 1:
@@ -140,36 +151,99 @@ def negative_sampling_distribution(vocab: Vocabulary) -> np.ndarray:
     return weighted / weighted.sum()
 
 
-def fnv1a_hash(data: bytes) -> int:
-    h = 2166136261
-    for byte in data:
-        h ^= byte
-        h = (h * 16777619) & 0xFFFFFFFF
-    return h
+_FNV_OFFSET = np.uint32(2166136261)
+_FNV_PRIME = np.uint32(16777619)
+_UTF8_LEAD = np.array([0, 0, 0xC0, 0xE0, 0xF0], dtype=np.uint32)
 
 
-def char_ngrams(word: str, min_n: int, max_n: int) -> list[str]:
-    padded = f"<{word}>"
-    grams = []
-    for n in range(min_n, max_n + 1):
-        for i in range(len(padded) - n + 1):
-            grams.append(padded[i:i + n])
-    return grams
+def _utf8_bytes(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each character's UTF-8 bytes, as column c of a 4 x len(text) array,
+    and each character's byte count. A lone surrogate raises
+    UnicodeEncodeError, as str.encode("utf-8") does."""
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    width = 1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000)
+    rows = np.empty((4, cp.size), dtype=np.uint32)
+    rows[0] = _UTF8_LEAD[width] | (cp >> 6 * (width - 1))
+    for k in range(1, 4):
+        rows[k] = 0x80 | ((cp >> 6 * np.maximum(width - 1 - k, 0)) & 0x3F)
+    return rows, width
+
+
+def _hash_ngrams(
+    words: list[str], min_n: int, max_n: int, buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's n-gram ids in CSR layout (ids, starts): word i owns
+    ids[starts[i]:starts[i + 1]], ordered by length, then start.
+
+    One FNV-1a hash runs per start position of the padded words that
+    begins an n-gram, one character per step, in uint32 arithmetic (which
+    wraps mod 2**32), and is written out at each length min_n..max_n. The
+    starts are sorted by the characters left in their word, so those still
+    running form a prefix; the steps stop at the longest padded word,
+    whatever max_n is.
+    """
+    padded = [f"<{w}>" for w in words]
+    size = np.array([len(p) for p in padded], dtype=np.int64)
+    # word w has size - n + 1 n-grams at each length n in min_n..longest
+    longest = np.minimum(size, max_n)
+    lengths = np.maximum(longest - min_n + 1, 0)
+    counts = lengths * (size + 1) - lengths * (min_n + longest) // 2
+    starts = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    hashes = np.empty(int(starts[-1]), dtype=np.uint32)
+
+    rows, width = _utf8_bytes("".join(padded))
+    # each start position's word, its index in that padded word and the
+    # characters left from it; only those with min_n left begin an n-gram
+    word = np.repeat(np.arange(len(words)), size)
+    offset = np.arange(word.size) - (np.cumsum(size) - size)[word]
+    left = size[word] - offset
+    at = np.flatnonzero(left >= min_n)
+    at = at[np.argsort(-left[at], kind="stable")]
+    word, offset, left = word[at], offset[at], left[at]
+    h = np.full(at.size, _FNV_OFFSET, dtype=np.uint32)
+    base = starts[:-1].copy()  # where each word's next length begins
+    widest = int(width.max(initial=1))
+    steps = min(max_n, int(left.max(initial=0)))
+    # at step j, the first running[j] starts have more than j characters left
+    running = np.searchsorted(-left, -np.arange(steps))
+    for j, k in enumerate(running):
+        char = at[:k] + j
+        hk = h[:k]
+        hk ^= rows[0][char]
+        hk *= _FNV_PRIME
+        for b in range(1, widest):
+            np.copyto(hk, (hk ^ rows[b][char]) * _FNV_PRIME, where=width[char] > b)
+        n = j + 1
+        if n >= min_n:
+            hashes[base[word[:k]] + offset[:k]] = hk
+            base += np.maximum(size - n + 1, 0)
+    ids = hashes.astype(np.int64)
+    if buckets < 2 ** 32:
+        ids %= buckets
+    return ids, starts
 
 
 def ngram_ids(word: str, sub: SubwordConfig | SubwordTable) -> list[int]:
-    return [
-        fnv1a_hash(g.encode("utf-8")) % sub.buckets
-        for g in char_ngrams(word, sub.min_n, sub.max_n)
-    ]
+    """The bucket ids of `word`'s n-grams, by length, then start."""
+    return _hash_ngrams([word], sub.min_n, sub.max_n, sub.buckets)[0].tolist()
 
 
-def _sentence_ids(sentences: list[list[str]], vocab: Vocabulary) -> list[np.ndarray]:
-    return [
-        np.array([vocab.token_to_id[t] for t in sent if t in vocab.token_to_id],
-                 dtype=np.int64)
-        for sent in sentences
-    ]
+def _corpus_ids(
+    sentences: list[list[str]], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The in-vocabulary ids of all sentences back to back, and for each
+    position the start and end of its sentence in that sequence."""
+    lengths = []
+    ids = []
+    for sent in sentences:
+        kept = [vocab.token_to_id[t] for t in sent if t in vocab.token_to_id]
+        lengths.append(len(kept))
+        ids.extend(kept)
+    lengths = np.array(lengths, dtype=np.int64)
+    end = np.cumsum(lengths)
+    return (np.array(ids, dtype=np.int64),
+            np.repeat(end - lengths, lengths), np.repeat(end, lengths))
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -198,12 +272,7 @@ class _NgramIndex:
 
     @classmethod
     def build(cls, words: list[str], sub: SubwordConfig) -> _NgramIndex:
-        per_word = [ngram_ids(w, sub) for w in words]
-        starts = np.zeros(len(per_word) + 1, dtype=np.int64)
-        np.cumsum([len(g) for g in per_word], out=starts[1:])
-        ids = np.fromiter(
-            (i for g in per_word for i in g), dtype=np.int64, count=int(starts[-1])
-        )
+        ids, starts = _hash_ngrams(words, sub.min_n, sub.max_n, sub.buckets)
         return cls(ids=ids, starts=starts)
 
     def gather(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,14 +314,15 @@ def _train(
     noise_cdf = np.cumsum(noise)
     noise_cdf[-1] = 1.0
 
-    ids = _sentence_ids(sentences, vocab)
-    total_centers = sum(len(s) for s in ids) * config.epochs
+    ids, sent_begin, sent_end = _corpus_ids(sentences, vocab)
+    total_centers = ids.size * config.epochs
     if total_centers == 0:
         raise ValueError("corpus too small: no training pairs")
     # context offsets -window..-1, 1..window; a center keeps those within its radius
     offsets = np.concatenate(
         (np.arange(-config.window, 0), np.arange(1, config.window + 1))
     )
+    reach = np.abs(offsets)
     processed = 0
     pair_seen = False
     losses = []
@@ -260,59 +330,60 @@ def _train(
     for _epoch in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
-        for sent in ids:
-            for first in range(0, len(sent), BLOCK_CENTERS):
-                pos = np.arange(first, min(first + BLOCK_CENTERS, len(sent)))
-                lr = config.initial_lr * np.maximum(
-                    1e-4, 1.0 - (processed + np.arange(len(pos))) / (total_centers + 1)
-                )
-                processed += len(pos)
-                radius = rng.integers(1, config.window + 1, size=len(pos))
-                ctx = pos[:, None] + offsets
-                keep = (
-                    (np.abs(offsets) <= radius[:, None]) & (ctx >= 0) & (ctx < len(sent))
-                )
-                # pairs in center-major order, contexts by ascending position
-                pair_center, pair_slot = np.nonzero(keep)
-                if not pair_center.size:
-                    continue
-                negs = np.searchsorted(
-                    noise_cdf, rng.random((pair_center.size, config.negatives))
-                )
-                targets = np.concatenate(
-                    (sent[ctx[pair_center, pair_slot]][:, None], negs), axis=1
-                )
-                # each distinct center word is read (and composed) once
-                words, word_of_center = np.unique(sent[pos], return_inverse=True)
-                pair_word = word_of_center[pair_center]
-                if sub is None:
-                    v_words = w_in[words]
-                else:
-                    flat, owner, size = grams.gather(words)
-                    v_words = _compose(w_in, buckets, words, flat, owner, size)
-                v = v_words[pair_word]
-                u = w_out[targets]
-                scores = np.einsum("pkd,pd->pk", u, v)
-                epoch_loss += float(
-                    -_log_sigmoid(scores[:, 0]).sum() - _log_sigmoid(-scores[:, 1:]).sum()
-                )
-                epoch_pairs += pair_center.size
-                pair_seen = True
-                g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
-                g[:, 0] -= 1.0
-                g *= lr[pair_center][:, None]
-                grad_v = np.einsum("pk,pkd->pd", g, u)
-                _scatter_add(
-                    w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
-                )
-                grad_words = np.zeros_like(v_words)
-                _scatter_add(grad_words, pair_word, grad_v)
-                if sub is None:
-                    w_in[words] -= grad_words
-                else:
-                    share = grad_words / size[:, None]
-                    w_in[words] -= share
-                    _scatter_add(buckets, flat, -share[owner])
+        for first in range(0, ids.size, BLOCK_CENTERS):
+            last = min(first + BLOCK_CENTERS, ids.size)
+            lr = config.initial_lr * np.maximum(
+                1e-4, 1.0 - np.arange(processed, processed + last - first) / (total_centers + 1)
+            )
+            processed += last - first
+            radius = rng.integers(1, config.window + 1, size=last - first)
+            ctx = np.arange(first, last)[:, None] + offsets
+            keep = (
+                (reach <= radius[:, None])
+                & (ctx >= sent_begin[first:last, None])
+                & (ctx < sent_end[first:last, None])
+            )
+            # pairs in center-major order, contexts by ascending position
+            pair_center, pair_slot = np.nonzero(keep)
+            if not pair_center.size:
+                continue
+            negs = np.searchsorted(
+                noise_cdf, rng.random((pair_center.size, config.negatives))
+            )
+            targets = np.concatenate(
+                (ids[ctx[pair_center, pair_slot]][:, None], negs), axis=1
+            )
+            # each distinct center word is read (and composed) once
+            words, word_of_center = np.unique(ids[first:last], return_inverse=True)
+            pair_word = word_of_center[pair_center]
+            if sub is None:
+                v_words = w_in[words]
+            else:
+                flat, owner, size = grams.gather(words)
+                v_words = _compose(w_in, buckets, words, flat, owner, size)
+            v = v_words[pair_word]
+            u = w_out[targets]
+            scores = np.einsum("pkd,pd->pk", u, v)
+            epoch_loss += float(
+                -_log_sigmoid(scores[:, 0]).sum() - _log_sigmoid(-scores[:, 1:]).sum()
+            )
+            epoch_pairs += pair_center.size
+            pair_seen = True
+            g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+            g[:, 0] -= 1.0
+            g *= lr[pair_center][:, None]
+            grad_v = np.einsum("pk,pkd->pd", g, u)
+            _scatter_add(
+                w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
+            )
+            grad_words = np.zeros_like(v_words)
+            _scatter_add(grad_words, pair_word, grad_v)
+            if sub is None:
+                w_in[words] -= grad_words
+            else:
+                share = grad_words / size[:, None]
+                w_in[words] -= share
+                _scatter_add(buckets, flat, -share[owner])
         if epoch_pairs:
             losses.append(epoch_loss / epoch_pairs)
         else:
@@ -474,6 +545,8 @@ def _load_sidecar(path, count: int, dim: int) -> SubwordTable:
             raise ValueError(f"dim {sdim} does not match text file dim {dim}")
         if buckets < 1:
             raise ValueError(f"bucket count {buckets} is not positive")
+        if min_n < 1:
+            raise ValueError(f"min_n {min_n} is below 1")
         (vcount,) = struct.unpack("<i", read_exact(fh, 4, "vocab size"))
         if vcount != count:
             raise ValueError(f"vocab size {vcount} does not match text file {count}")

@@ -146,4 +146,5 @@ def flaming_comments(
     return records, planted_ids
 
 
-write_raw_jsonl = write_jsonl  # raw comment dicts, the input of preprocess
+# the name perfbench/workloads.py writes its raw corpora with
+write_raw_jsonl = write_jsonl

@@ -96,16 +96,31 @@ class CleanComment:
     @classmethod
     def from_dict(cls, obj: dict) -> CleanComment:
         """Inverse of to_dict; every field is required (KeyError names a missing one),
-        and a comment must have at least one token."""
+        has its documented type (TypeError names it), and a comment must have
+        at least one token. The lists are taken as they are, not copied."""
+        post_id, comment_id = obj["post_id"], obj["comment_id"]
+        created_time = obj["created_time"]
+        tokens, emojis = obj["tokens"], obj["emojis"]
+        caps_flags, exclaim_flags = obj["caps_flags"], obj["exclaim_flags"]
+        original_text = obj["original_text"]
+        # one C-level pass over the item types (map, issuperset), no Python
+        # loop per item; _field_error finds the field only when it fails
+        if not (
+            type(tokens) is type(emojis) is type(caps_flags) is type(exclaim_flags) is list
+            and _STR.issuperset(map(type, [post_id, comment_id, original_text, *tokens, *emojis]))
+            and _BOOL.issuperset(map(type, caps_flags + exclaim_flags))
+            and post_id and comment_id
+        ):
+            raise _field_error(obj)
         comment = cls(
-            post_id=obj["post_id"],
-            comment_id=obj["comment_id"],
-            created_time=parse_timestamp(obj["created_time"]),
-            tokens=list(obj["tokens"]),
-            emojis=list(obj["emojis"]),
-            caps_flags=[bool(x) for x in obj["caps_flags"]],
-            exclaim_flags=[bool(x) for x in obj["exclaim_flags"]],
-            original_text=obj["original_text"],
+            post_id=post_id,
+            comment_id=comment_id,
+            created_time=parse_timestamp(created_time),
+            tokens=tokens,
+            emojis=emojis,
+            caps_flags=caps_flags,
+            exclaim_flags=exclaim_flags,
+            original_text=original_text,
         )
         n = len(comment.tokens)
         if not n:
@@ -113,6 +128,36 @@ class CleanComment:
         if len(comment.caps_flags) != n or len(comment.exclaim_flags) != n:
             raise ValueError(f"caps_flags and exclaim_flags need {n} entries, one per token")
         return comment
+
+
+def _record_id(obj: dict, key: str) -> str:
+    value = obj[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a string, got {type(value).__name__}")
+    if not value:
+        raise ValueError(f"empty {key}")
+    return value
+
+
+_STR = frozenset((str,))
+_BOOL = frozenset((bool,))
+_LIST_FIELDS = (("tokens", str), ("emojis", str), ("caps_flags", bool), ("exclaim_flags", bool))
+
+
+def _field_error(obj: dict) -> Exception:
+    """The error that names the first ill-typed field of a clean record, or
+    its empty id, where CleanComment.from_dict only saw that there is one."""
+    for key in ("post_id", "comment_id"):
+        try:
+            _record_id(obj, key)
+        except (TypeError, ValueError) as exc:
+            return exc
+    for key, kind in _LIST_FIELDS:
+        value = obj[key]
+        if type(value) is not list or any(type(x) is not kind for x in value):
+            return TypeError(f"{key} must be a list of {kind.__name__}")
+    text = obj["original_text"]
+    return TypeError(f"original_text must be a string, got {type(text).__name__}")
 
 
 @dataclass
@@ -162,15 +207,13 @@ def load_jsonl(path) -> tuple[list[RawComment], list[LineError]]:
             try:
                 obj = json.loads(line)
                 raw = RawComment(
-                    post_id=str(obj["post_id"]),
-                    comment_id=str(obj["comment_id"]),
+                    post_id=_record_id(obj, "post_id"),
+                    comment_id=_record_id(obj, "comment_id"),
                     created_time=parse_timestamp(obj["created_time"]),
                     text=obj["message"],
                 )
                 if not isinstance(raw.text, str):
                     raise TypeError(f"message must be a string, got {type(raw.text).__name__}")
-                if not obj["post_id"] or not obj["comment_id"]:
-                    raise ValueError("empty post_id or comment_id")
                 comments.append(raw)
             except (KeyError, ValueError, TypeError) as exc:
                 errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))

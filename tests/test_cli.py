@@ -9,12 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from flamewatch import data_path, embeddings, flaming, lexicon
+from flamewatch import data_path, embeddings, flaming, lexicon, preprocess
 from flamewatch.cli import main
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
-from flamewatch.fixtures import synthetic_comments, write_raw_jsonl
+from flamewatch.fixtures import synthetic_comments
 from flamewatch.network import ModelConfig, SentimentNet, param_shapes
-from flamewatch.preprocess import CleanComment
+from flamewatch.preprocess import CleanComment, write_jsonl
 
 
 def run_cli(*args, **kwargs):
@@ -27,7 +27,7 @@ def run_cli(*args, **kwargs):
 @pytest.fixture(scope="module")
 def raw_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "raw.jsonl"
-    write_raw_jsonl(synthetic_comments(n_comments=80, seed=3), path)
+    write_jsonl(synthetic_comments(n_comments=80, seed=3), path)
     return path
 
 
@@ -324,6 +324,22 @@ class TestRecordLineErrors:
         "flag-length": (7, _edit_record(lambda o: o["caps_flags"].append(True)),
                         "line 7: caps_flags and exclaim_flags need"),
         "bad-json": (21, lambda line: line[:-1], "line 21: bad JSON"),
+        "int-post-id": (3, _edit_record(lambda o: o.update(post_id=7)),
+                        "line 3: post_id must be a string, got int"),
+        "empty-comment-id": (4, _edit_record(lambda o: o.update(comment_id="")),
+                             "line 4: empty comment_id"),
+        "string-tokens": (6, _edit_record(lambda o: o.update(tokens="abc")),
+                          "line 6: tokens must be a list of str"),
+        "number-emoji": (10, _edit_record(lambda o: o.update(emojis=[1])),
+                         "line 10: emojis must be a list of str"),
+        "string-flags": (8, _edit_record(
+            lambda o: o.update(caps_flags=["false"] * len(o["tokens"]))),
+            "line 8: caps_flags must be a list of bool"),
+        "number-flags": (11, _edit_record(
+            lambda o: o.update(exclaim_flags=[0] * len(o["tokens"]))),
+            "line 11: exclaim_flags must be a list of bool"),
+        "null-original-text": (12, _edit_record(lambda o: o.update(original_text=None)),
+                               "line 12: original_text must be a string, got NoneType"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -594,7 +610,7 @@ class TestTimestampType:
 
     def test_raw_line_counted_as_line_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
-        write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+        write_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
         _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(created_time=5)))
         assert main(["preprocess", str(raw), str(tmp_path / "clean.jsonl")]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -620,7 +636,7 @@ class TestTimestampRange:
     @pytest.mark.parametrize("value", OUT_OF_RANGE)
     def test_raw_line_counted_as_line_error(self, tmp_path, capsys, value):
         raw = tmp_path / "raw.jsonl"
-        write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+        write_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
         _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(created_time=value)))
         assert main(["preprocess", str(raw), str(tmp_path / "clean.jsonl")]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -644,7 +660,7 @@ class TestTimestampRange:
 ], ids=["null", "number", "list"])
 def test_non_string_message_is_line_error(tmp_path, capsys, message, type_name):
     raw = tmp_path / "raw.jsonl"
-    write_raw_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+    write_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
     _rewrite_line(raw, raw, 4, _edit_record(lambda o: o.update(message=message)))
     clean = tmp_path / "clean.jsonl"
     assert main(["preprocess", str(raw), str(clean)]) == 0
@@ -652,6 +668,56 @@ def test_non_string_message_is_line_error(tmp_path, capsys, message, type_name):
     assert summary["kept"] == 4 and summary["line_errors"] == 1
     texts = [json.loads(line)["original_text"] for line in clean.read_text().splitlines()]
     assert str(message) not in texts
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"post_id": ["a"]}, "TypeError: post_id must be a string, got list"),
+    ({"post_id": 7}, "TypeError: post_id must be a string, got int"),
+    ({"comment_id": 1.5}, "TypeError: comment_id must be a string, got float"),
+    ({"comment_id": None}, "TypeError: comment_id must be a string, got NoneType"),
+    ({"post_id": ""}, "ValueError: empty post_id"),
+], ids=["list", "int", "float", "null", "empty"])
+def test_non_string_raw_id_is_line_error(tmp_path, capsys, change, message):
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
+    _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(change)))
+    clean = tmp_path / "clean.jsonl"
+    assert main(["preprocess", str(raw), str(clean)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["kept"] == 4 and summary["line_errors"] == 1
+    _, errors = preprocess.load_jsonl(raw)
+    assert [(e.lineno, e.message) for e in errors] == [(2, message)]
+
+
+class TestSubwordLengths:
+    """train-embed --method fasttext with n-gram lengths out of range."""
+
+    ARGS = ["--method", "fasttext", "--dim", "8", "--epochs", "1", "--buckets", "4096",
+            "--min-count", "1"]
+
+    @pytest.mark.parametrize("min_n", [0, -1, -2])
+    def test_min_n_below_one_exit_2(self, clean_corpus, tmp_path, capsys, min_n):
+        code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"), *self.ARGS,
+                     "--subword-min-n", str(min_n)])
+        assert code == 2
+        assert f"error: min_n must be >= 1, got {min_n}" in capsys.readouterr().err
+        assert not (tmp_path / "v.txt").exists()
+
+    def test_huge_max_n_equals_longest_word(self, clean_corpus, tmp_path, capsys):
+        tokens = [t for c in preprocess.load_clean_jsonl(clean_corpus) for t in c.tokens]
+        longest = max(len(t) for t in tokens) + 2  # with the "<" and ">" padding
+        out = {}
+        for max_n in (longest, 10 ** 9):
+            path = tmp_path / f"v{max_n}.txt"
+            assert main(["train-embed", str(clean_corpus), str(path), *self.ARGS,
+                         "--subword-max-n", str(max_n)]) == 0
+            out[max_n] = path
+        assert out[longest].read_bytes() == out[10 ** 9].read_bytes()
+        huge = embeddings.load_embeddings(out[10 ** 9]).subword
+        capped = embeddings.load_embeddings(out[longest]).subword
+        assert (huge.max_n, capped.max_n) == (10 ** 9, longest)
+        assert (huge.bucket_vectors == capped.bucket_vectors).all()
+        assert (huge.word_raw_vectors == capped.word_raw_vectors).all()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flamewatch.embeddings import (
     BLOCK_CENTERS,
@@ -13,10 +15,9 @@ from flamewatch.embeddings import (
     EmbeddingMatrix,
     SubwordConfig,
     Vocabulary,
+    _hash_ngrams,
     build_vocab,
-    char_ngrams,
     compose_word,
-    fnv1a_hash,
     load_embeddings,
     lookup,
     negative_sampling_distribution,
@@ -27,6 +28,8 @@ from flamewatch.embeddings import (
 )
 
 SMALL_SUB = SubwordConfig(min_n=3, max_n=4, buckets=2 ** 12)
+# characters of 1, 2, 3 and 4 UTF-8 bytes, at the edges of each width
+MIXED_WIDTH = "az<\x00\x7f\x80éж\u07ff\u0800€中\uffff\U00010000😀\U0010ffff"
 
 
 def _cos(a, b):
@@ -41,12 +44,37 @@ def toy_corpus(seed=0, sentences=200, length=8):
     ]
 
 
+def fnv1a_hash(data: bytes) -> int:
+    """32-bit FNV-1a, one byte at a time."""
+    h = 2166136261
+    for byte in data:
+        h ^= byte
+        h = (h * 16777619) & 0xFFFFFFFF
+    return h
+
+
+def char_ngrams(word: str, min_n: int, max_n: int) -> list[str]:
+    """The n-grams of "<word>", by length, then start."""
+    padded = f"<{word}>"
+    grams = []
+    for n in range(min_n, min(max_n, len(padded)) + 1):
+        for i in range(len(padded) - n + 1):
+            grams.append(padded[i:i + n])
+    return grams
+
+
+def reference_ngram_ids(word, min_n, max_n, buckets):
+    return [fnv1a_hash(g.encode("utf-8")) % buckets for g in char_ngrams(word, min_n, max_n)]
+
+
 def reference_train(sentences, config):
     """Block SGD written out pair by pair in plain Python.
 
-    Draws from the RNG in the documented order, reads every score and
-    gradient from the parameters as they stood at the block's start, and
-    accumulates the updates into the live parameters. Returns the input
+    Blocks are runs of consecutive centers of the whole corpus, and a
+    center's contexts stay inside its sentence. Draws from the RNG in the
+    documented order, reads every score and gradient from the parameters
+    as they stood at the block's start, and accumulates the updates into
+    the live parameters. Returns the input
     vectors, the bucket vectors (or None), the stored vectors and the
     epoch losses.
     """
@@ -59,12 +87,16 @@ def reference_train(sentences, config):
     buckets = None
     if sub is not None:
         buckets = rng.uniform(-bound, bound, size=(sub.buckets, config.dim))
-        grams = [ngram_ids(w, sub) for w in vocab.id_to_token]
+        grams = [reference_ngram_ids(w, sub.min_n, sub.max_n, sub.buckets)
+                 for w in vocab.id_to_token]
     cdf = np.cumsum(negative_sampling_distribution(vocab))
     cdf[-1] = 1.0
-    ids = [[vocab.token_to_id[t] for t in s if t in vocab.token_to_id]
-           for s in sentences]
-    total = sum(len(s) for s in ids) * config.epochs
+    corpus, bounds = [], []
+    for sent in sentences:
+        kept = [vocab.token_to_id[t] for t in sent if t in vocab.token_to_id]
+        bounds += [(len(corpus), len(corpus) + len(kept))] * len(kept)
+        corpus += kept
+    total = len(corpus) * config.epochs
 
     def vector(word, w_in, buckets):
         if sub is None:
@@ -76,40 +108,39 @@ def reference_train(sentences, config):
     losses = []
     for _ in range(config.epochs):
         loss, pairs_seen = 0.0, 0
-        for sent in ids:
-            for first in range(0, len(sent), BLOCK_CENTERS):
-                block = range(first, min(first + BLOCK_CENTERS, len(sent)))
-                radii = rng.integers(1, config.window + 1, size=len(block))
-                pairs = []
-                for pos, radius in zip(block, radii):
-                    lr = config.initial_lr * max(1e-4, 1 - processed / (total + 1))
-                    processed += 1
-                    for ctx in range(max(0, pos - radius),
-                                     min(len(sent), pos + radius + 1)):
-                        if ctx != pos:
-                            pairs.append((sent[pos], sent[ctx], lr))
-                if not pairs:
-                    continue
-                negs = np.searchsorted(cdf, rng.random((len(pairs), config.negatives)))
-                start_in, start_out = w_in.copy(), w_out.copy()
-                start_buckets = None if sub is None else buckets.copy()
-                for (center, context, lr), neg in zip(pairs, negs):
-                    v = vector(center, start_in, start_buckets)
-                    for target, label in [(context, 1.0)] + [(n, 0.0) for n in neg]:
-                        score = float(start_out[target] @ v)
-                        loss += math.log1p(math.exp(score if label == 0 else -score))
-                        clipped = max(-30.0, min(30.0, score))
-                        g = lr * (1 / (1 + math.exp(-clipped)) - label)
-                        w_out[target] -= g * v
-                        grad = g * start_out[target]
-                        if sub is None:
-                            w_in[center] -= grad
-                        else:
-                            share = grad / (1 + len(grams[center]))
-                            w_in[center] -= share
-                            for b in grams[center]:
-                                buckets[b] -= share
-                    pairs_seen += 1
+        for first in range(0, len(corpus), BLOCK_CENTERS):
+            block = range(first, min(first + BLOCK_CENTERS, len(corpus)))
+            radii = rng.integers(1, config.window + 1, size=len(block))
+            pairs = []
+            for pos, radius in zip(block, radii):
+                lr = config.initial_lr * max(1e-4, 1 - processed / (total + 1))
+                processed += 1
+                begin, end = bounds[pos]
+                for ctx in range(max(begin, pos - radius), min(end, pos + radius + 1)):
+                    if ctx != pos:
+                        pairs.append((corpus[pos], corpus[ctx], lr))
+            if not pairs:
+                continue
+            negs = np.searchsorted(cdf, rng.random((len(pairs), config.negatives)))
+            start_in, start_out = w_in.copy(), w_out.copy()
+            start_buckets = None if sub is None else buckets.copy()
+            for (center, context, lr), neg in zip(pairs, negs):
+                v = vector(center, start_in, start_buckets)
+                for target, label in [(context, 1.0)] + [(n, 0.0) for n in neg]:
+                    score = float(start_out[target] @ v)
+                    loss += math.log1p(math.exp(score if label == 0 else -score))
+                    clipped = max(-30.0, min(30.0, score))
+                    g = lr * (1 / (1 + math.exp(-clipped)) - label)
+                    w_out[target] -= g * v
+                    grad = g * start_out[target]
+                    if sub is None:
+                        w_in[center] -= grad
+                    else:
+                        share = grad / (1 + len(grams[center]))
+                        w_in[center] -= share
+                        for b in grams[center]:
+                            buckets[b] -= share
+                pairs_seen += 1
         losses.append(loss / pairs_seen)
     stored = np.array([vector(i, w_in, buckets) for i in range(len(vocab))])
     return w_in, buckets, stored, losses
@@ -117,8 +148,10 @@ def reference_train(sentences, config):
 
 def block_corpus():
     """Short words (so buckets=7 collides n-grams), words repeated inside a
-    sentence, one sentence longer than two blocks, a one-word sentence and a
-    word below min_count=2."""
+    sentence, one sentence longer than two blocks, a one-word sentence, a
+    word below min_count=2 and a sentence of only such a word. The third
+    block holds the end of the long sentence, four whole ones and the start
+    of the last, so the boundary after it falls inside that sentence."""
     rng = np.random.default_rng(5)
     words = ["ab", "abc", "bcd", "cab", "dab", "abba", "cd", "dc"]
     long = [str(w) for w in rng.choice(words, size=2 * BLOCK_CENTERS + 9)]
@@ -126,9 +159,18 @@ def block_corpus():
         long,
         ["ab", "cd", "ab", "ab", "dc", "ab"],
         ["abc"],
+        ["lone"],
         [str(w) for w in rng.choice(words, size=12)],
         ["rare", "ab", "cd"],
+        [str(w) for w in rng.choice(words, size=40)],
     ]
+
+
+def block_sentences(sentences, vocab):
+    """For each block, the indices of the sentences its centers belong to."""
+    owners = [i for i, s in enumerate(sentences) for t in s if t in vocab.token_to_id]
+    return [sorted(set(owners[first:first + BLOCK_CENTERS]))
+            for first in range(0, len(owners), BLOCK_CENTERS)]
 
 
 class TestBlockStep:
@@ -137,6 +179,10 @@ class TestBlockStep:
     def test_train_matches_pairwise_reference(self, subword):
         sentences = block_corpus()
         assert max(len(s) for s in sentences) > 2 * BLOCK_CENTERS
+        blocks = block_sentences(sentences, build_vocab(sentences, 2))
+        # blocks span sentences, and a boundary cuts a sentence other than the first
+        assert max(len(b) for b in blocks) >= 3
+        assert set(blocks[2]) & set(blocks[3]) == {6}
         config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, initial_lr=0.2,
                              min_count=2, seed=3, subword=subword)
         train = train_word2vec if subword is None else train_fasttext
@@ -156,6 +202,15 @@ class TestBlockStep:
         a, b = train(block_corpus(), config), train(block_corpus(), config)
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.epoch_losses == b.epoch_losses
+
+
+    def test_one_word_sentences_have_no_pair(self):
+        # consecutive centers share a block but never a sentence
+        sentences = [["a"], ["b"], ["c"], ["a"], ["b"], ["c"]] * 30
+        config = EmbedConfig(dim=4, window=5, negatives=2, epochs=2, min_count=1)
+        for train in (train_word2vec, train_fasttext):
+            with pytest.raises(ValueError, match=r"no \(center, context\) pair"):
+                train(sentences, config)
 
 
 class TestVocab:
@@ -204,6 +259,26 @@ class TestSubwordPieces:
         assert fnv1a_hash(b"a") == 0xE40C292C
         assert fnv1a_hash(b"foobar") == 0xBF9CF968
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.text(alphabet=st.sampled_from(MIXED_WIDTH), max_size=9), max_size=6),
+        st.sampled_from([(1, 1, 7), (2, 3, 7), (3, 6, 2 ** 21), (1, 40, 2 ** 33),
+                         (4, 5, 2 ** 32), (3, 10 ** 9, 1009), (12, 14, 7)]),
+    )
+    def test_vectorized_ids_equal_scalar_reference(self, words, ngram_range):
+        min_n, max_n, buckets = ngram_range
+        ids, starts = _hash_ngrams(words, min_n, max_n, buckets)
+        assert starts[0] == 0 and starts[-1] == ids.size
+        for i, word in enumerate(words):
+            expected = reference_ngram_ids(word, min_n, max_n, buckets)
+            assert ids[starts[i]:starts[i + 1]].tolist() == expected
+            sub = SubwordConfig(min_n=min_n, max_n=max_n, buckets=buckets)
+            assert ngram_ids(word, sub) == expected
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            ngram_ids("ab\ud800", SMALL_SUB)
+
     def test_ngram_ids_in_bucket_range(self):
         ids = ngram_ids("hello", SMALL_SUB)
         assert ids and all(0 <= i < SMALL_SUB.buckets for i in ids)
@@ -211,6 +286,11 @@ class TestSubwordPieces:
     def test_min_n_above_max_n_rejected(self):
         with pytest.raises(ValueError):
             SubwordConfig(min_n=5, max_n=3)
+
+    @pytest.mark.parametrize("min_n", [0, -1, -2])
+    def test_min_n_below_one_rejected(self, min_n):
+        with pytest.raises(ValueError, match="min_n"):
+            SubwordConfig(min_n=min_n, max_n=3)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -425,6 +505,14 @@ class TestPersistence:
         header = struct.pack("<5ii", 1, 3, 4, 0, 2, 1)
         (tmp_path / "vectors.txt.subword").write_bytes(b"FWSB" + header + b"\0" * 8)
         with pytest.raises(EmbeddingFormatError, match="bucket count 0"):
+            load_embeddings(path)
+
+    def test_sidecar_min_n_must_be_positive(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("1 2\nword 0.1 0.2\n")
+        header = struct.pack("<5ii", 1, 0, 4, 1, 2, 1)
+        (tmp_path / "vectors.txt.subword").write_bytes(b"FWSB" + header + b"\0" * 16)
+        with pytest.raises(EmbeddingFormatError, match="sidecar: min_n 0 is below 1"):
             load_embeddings(path)
 
     def test_bad_sidecar_magic(self, tmp_path):

@@ -35,7 +35,7 @@ print(f"\n{len(stats)} posts; Very-Negative count mean {zs.mean:.2f}, "
 for s in top:
     print(f"  {s.post_id:8} vn={s.vn_count:4}  z={zs.z[s.post_id]:+7.2f}")
 
-events = detect(stats, labeled=labeled, z_threshold=5.0)
+events = detect(stats, zs, z_threshold=5.0)
 print(f"\ndetected {len(events)} events at z >= 5:")
 for e in events:
     window = e.burst

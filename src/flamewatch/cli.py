@@ -205,22 +205,15 @@ def cmd_evaluate(args, cfg) -> int:
 def cmd_detect(args, cfg) -> int:
     labeled = lexicon.load_labeled_jsonl(_require_file(args.input))
     stats = flaming.post_stats(labeled)
-    events = flaming.detect(
-        stats,
-        labeled=labeled,
-        z_threshold=args.z_threshold,
-        share_threshold=args.share_threshold,
-        window_hours=args.window_hours,
-        sample_std=args.sample_std,
-        include_negative=args.include_negative,
-    )
+    zs = flaming.zscores(stats, sample_std=args.sample_std,
+                         include_negative=args.include_negative)
+    events = flaming.detect(stats, zs, args.z_threshold, args.share_threshold,
+                            args.window_hours)
     buckets = flaming.aggregate(labeled, width=args.width)
     os.makedirs(args.output_dir, exist_ok=True)
     json_path = os.path.join(args.output_dir, "events.json")
     csv_path = os.path.join(args.output_dir, "timeseries.csv")
     flaming.write_report(events, buckets, json_path, csv_path)
-    zs = flaming.zscores(stats, sample_std=args.sample_std,
-                         include_negative=args.include_negative)
     _emit({
         "command": "detect",
         "posts": len(stats),

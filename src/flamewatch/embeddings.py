@@ -57,6 +57,10 @@ class SubwordConfig:
     def __post_init__(self):
         if self.min_n < 1:
             raise ValueError(f"min_n must be >= 1, got {self.min_n}")
+        for name in ("min_n", "max_n", "buckets"):
+            value = getattr(self, name)
+            if value > 2 ** 31 - 1:  # the sidecar header packs these as int32
+                raise ValueError(f"{name} must be <= 2147483647, got {value}")
         if self.min_n > self.max_n:
             raise ValueError(f"min_n {self.min_n} > max_n {self.max_n}")
         if self.buckets < 1:
@@ -487,6 +491,16 @@ class EmbeddingFormatError(ValueError):
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
+    """The vectors of a text file, with its `.subword` sidecar if there is one.
+    A malformed file raises EmbeddingFormatError "<path>: line N: ..." or
+    "<path>: sidecar: ..."."""
+    try:
+        return _read_embeddings(path)
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: {exc}") from exc
+
+
+def _read_embeddings(path) -> EmbeddingMatrix:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:

@@ -1,10 +1,12 @@
 """Flaming-event detection over labeled comment streams.
 
-Pipeline: bucket labeled comments into a daily/hourly time series, compute
-per-post Very-Negative counts, standardize them with a z-score, and flag
-posts above the z threshold. Each flagged post is annotated with its
+Pipeline: one pass over the labeled comments (`post_stats`) keeps, per post,
+the comment total, the five label counts and the Very-Negative times;
+`zscores` standardizes the per-post Very-Negative counts (optionally VN+N);
+`detect` flags the posts above the z threshold and annotates each with its
 Very-Negative share and the densest short time window of its Very-Negative
-comments.
+times. `aggregate` buckets the comments into the daily/hourly time series
+that `write_report` writes beside the events.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from . import atomic_write
 from .lexicon import LabeledComment, SentimentLabel
-from .preprocess import format_timestamp, parse_timestamp
+from .preprocess import format_timestamp
 
 VERY_NEGATIVE = SentimentLabel.VERY_NEGATIVE
 NEGATIVE = SentimentLabel.NEGATIVE
@@ -28,18 +30,23 @@ NEGATIVE = SentimentLabel.NEGATIVE
 @dataclass
 class TimeBucket:
     start: datetime
-    width: str  # "day" or "hour"
     counts: list[int]  # indexed by label code 0..4
 
 
 @dataclass
 class PostStats:
     post_id: str
-    first_comment_time: datetime
     total: int
-    label_counts: list[int]
-    vn_count: int
-    vn_share: float
+    label_counts: list[int]  # indexed by label code 0..4
+    vn_times: list[datetime]  # in input order
+
+    @property
+    def vn_count(self) -> int:
+        return self.label_counts[VERY_NEGATIVE]
+
+    @property
+    def vn_share(self) -> float:
+        return self.vn_count / self.total
 
 
 @dataclass
@@ -90,31 +97,24 @@ def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBuc
     buckets = []
     cur = first
     while cur <= last:
-        buckets.append(TimeBucket(cur, width, by_start.get(cur, [0] * 5)))
+        buckets.append(TimeBucket(cur, by_start.get(cur, [0] * 5)))
         cur += step
     return buckets
 
 
 def post_stats(labeled: list[LabeledComment]) -> list[PostStats]:
-    grouped: dict[str, list[LabeledComment]] = {}
+    """Per-post counters and Very-Negative times from one pass, by post id."""
+    by_post: dict[str, PostStats] = {}
     for lc in labeled:
-        grouped.setdefault(lc.comment.post_id, []).append(lc)
-    stats = []
-    for post_id in sorted(grouped):
-        group = grouped[post_id]
-        counts = [0] * 5
-        for lc in group:
-            counts[int(lc.label)] += 1
-        vn = counts[VERY_NEGATIVE]
-        stats.append(PostStats(
-            post_id=post_id,
-            first_comment_time=min(lc.comment.created_time for lc in group),
-            total=len(group),
-            label_counts=counts,
-            vn_count=vn,
-            vn_share=vn / len(group),
-        ))
-    return stats
+        comment = lc.comment
+        s = by_post.get(comment.post_id)
+        if s is None:
+            s = by_post[comment.post_id] = PostStats(comment.post_id, 0, [0] * 5, [])
+        s.total += 1
+        s.label_counts[lc.label] += 1
+        if lc.label == VERY_NEGATIVE:
+            s.vn_times.append(comment.created_time)
+    return [by_post[post_id] for post_id in sorted(by_post)]
 
 
 def zscores(
@@ -181,34 +181,23 @@ def burst_profile(
 
 def detect(
     stats: list[PostStats],
-    labeled: list[LabeledComment] | None = None,
+    zs: ZScoreStats,
     z_threshold: float = 5.0,
     share_threshold: float = 0.20,
     window_hours: float = 3.0,
-    sample_std: bool = False,
-    include_negative: bool = False,
 ) -> list[FlamingEvent]:
-    """Posts whose standardized VN count exceeds the threshold, z-descending."""
+    """Posts whose z-score in `zs` exceeds the threshold, z-descending, each
+    with the densest burst of its Very-Negative times."""
     if not (math.isfinite(window_hours) and window_hours > 0):
         raise ValueError(f"window_hours must be finite and above 0, got {window_hours!r}")
     for name, value in (("z_threshold", z_threshold), ("share_threshold", share_threshold)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    zs = zscores(stats, sample_std=sample_std, include_negative=include_negative)
-    vn_times: dict[str, list[datetime]] = {}
-    if labeled is not None:
-        for lc in labeled:
-            if lc.label == VERY_NEGATIVE:
-                vn_times.setdefault(lc.comment.post_id, []).append(
-                    lc.comment.created_time
-                )
     events = []
     for s in stats:
         z = zs.z[s.post_id]
         if z > z_threshold:
-            burst = None
-            if vn_times.get(s.post_id):
-                burst = burst_profile(vn_times[s.post_id], window_hours)
+            burst = burst_profile(s.vn_times, window_hours) if s.vn_times else None
             events.append(FlamingEvent(
                 post_id=s.post_id,
                 z=z,
@@ -254,28 +243,3 @@ def write_report(
     table = buf.getvalue()
     atomic_write(json_path, lambda tmp: Path(tmp).write_text(report, encoding="utf-8"))
     atomic_write(csv_path, lambda tmp: Path(tmp).write_text(table, encoding="utf-8"))
-
-
-def read_report(json_path) -> list[FlamingEvent]:
-    with open(json_path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    events = []
-    for d in obj["events"]:
-        burst = None
-        if d.get("burst"):
-            b = d["burst"]
-            burst = BurstWindow(
-                start=parse_timestamp(b["start"]),
-                window_hours=b["window_hours"],
-                contained=b["contained"],
-                fraction=b["fraction"],
-            )
-        events.append(FlamingEvent(
-            post_id=d["post_id"],
-            z=d["z"],
-            vn_count=d["vn_count"],
-            vn_share=d["vn_share"],
-            share_exceeded=d["share_exceeded"],
-            burst=burst,
-        ))
-    return events

@@ -10,8 +10,7 @@ the harmonic mean of the two macro values.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +31,9 @@ class ConfusionMatrix:
         if len(self.class_names) != self.counts.shape[0]:
             raise ValueError("class_names length must match matrix size")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"class_names": self.class_names, "counts": self.counts.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfusionMatrix":
-        return cls.from_dict(json.loads(text))
-
     @classmethod
     def from_dict(cls, obj) -> "ConfusionMatrix":
-        """From the object to_json writes; a missing field raises ValueError."""
+        """From {"counts": rows, "class_names": names}; a missing field raises ValueError."""
         if not isinstance(obj, dict) or not {"counts", "class_names"} <= obj.keys():
             keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
             raise ValueError(f"a matrix needs counts and class_names; available keys: {keys}")
@@ -120,19 +110,6 @@ def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMet
         macro_f1=macro_f1,
         zero_denominator=zero_denominator,
     )
-
-
-def metrics_to_json(mm: MacroMetrics) -> str:
-    return json.dumps({
-        "orientation": mm.orientation,
-        "per_class_precision": mm.per_class_precision.tolist(),
-        "per_class_recall": mm.per_class_recall.tolist(),
-        "per_class_f1": mm.per_class_f1.tolist(),
-        "macro_precision": mm.macro_precision,
-        "macro_recall": mm.macro_recall,
-        "macro_f1": mm.macro_f1,
-        "zero_denominator": mm.zero_denominator,
-    })
 
 
 def format_table(m: ConfusionMatrix, mm: MacroMetrics) -> str:

@@ -225,19 +225,19 @@ def normalize_text(text: str) -> str:
     text = _MENTION_RE.sub(" ", text)
     text = _HASHTAG_RE.sub(" ", text)
     text = _DROP_RE.sub(" ", text.replace("'", ""))
-    # the remaining rules can feed each other (collapsing "RRRT" exposes an
-    # "RT" marker, merging "a a a" creates a collapsible "aaa"), so iterate
-    # them to a fixed point; each round strictly shrinks the text, and the
-    # earlier filters cannot re-trigger on filtered text, so the whole
-    # function is idempotent
-    prev = None
-    while text != prev:
-        prev = text
+    # A round of the remaining rules leaves text that no earlier rule of the
+    # round matches again, unless the letter-run rule fired: only collapsing
+    # a run can expose a new match ("RRRT" becomes an "RT" marker, "a bbb c"
+    # becomes spaced letters). So another round runs only after it fired;
+    # each such round shrinks the text, and the earlier filters cannot
+    # re-trigger on filtered text, so the whole function is idempotent.
+    while True:
         text = _RETWEET_RE.sub(" ", text)
         text = _SPACES_RE.sub(" ", text).strip()
         text = _SPACED_LETTERS_RE.sub(lambda m: re.sub(r"[ .]+", "", m.group(0)), text)
-        text = _LETTER_RUN_RE.sub(r"\1", text)
-    return text
+        text, runs = _LETTER_RUN_RE.subn(r"\1", text)
+        if not runs:
+            return text
 
 
 def tokenize(text: str) -> list[tuple[str, bool, bool]]:

@@ -383,12 +383,12 @@ def test_criterion_09_flaming_plant_and_recover():
     table = load_emoji_table(data_path("emoji_polarity.tsv"))
     labeled, _ = label_corpus(corpus.comments, lex, table)
     stats = post_stats(labeled)
-    events = detect(stats, labeled=labeled, z_threshold=5.0)
+    zs = zscores(stats)
+    events = detect(stats, zs, z_threshold=5.0)
     assert {e.post_id for e in events} == set(planted)
     for e in events:
         assert e.vn_share > 0.20
 
-    zs = zscores(stats)
     counts = [s.vn_count for s in stats]
     mean = sum(counts) / len(counts)
     std = math.sqrt(sum((x - mean) ** 2 for x in counts) / len(counts))

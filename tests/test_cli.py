@@ -187,6 +187,27 @@ class TestDetectCommand:
         report = json.loads((tmp_path / "report" / "events.json").read_text())
         assert report == {"events": summary["events"]}
 
+    def test_one_walk_for_the_events_and_one_zscores(self, flaming_labeled, tmp_path,
+                                                     monkeypatch):
+        calls = {"zscores": 0, "walks": 0}
+
+        class CountedWalks(list):
+            def __iter__(self):
+                calls["walks"] += 1
+                return super().__iter__()
+
+        load, zscores = lexicon.load_labeled_jsonl, flaming.zscores
+        monkeypatch.setattr(lexicon, "load_labeled_jsonl", lambda p: CountedWalks(load(p)))
+
+        def counted_zscores(*args, **kwargs):
+            calls["zscores"] += 1
+            return zscores(*args, **kwargs)
+
+        monkeypatch.setattr(flaming, "zscores", counted_zscores)
+        assert main(["detect", str(flaming_labeled), str(tmp_path / "report")]) == 0
+        # post_stats for the events, aggregate for the time series
+        assert calls == {"zscores": 1, "walks": 2}
+
 
 class TestTrainingCommands:
     def test_embed_train_and_classify_round(self, labeled_corpus, clean_corpus,
@@ -226,6 +247,15 @@ class TestTrainingCommands:
         )
         assert result.returncode == 2
 
+    def test_bad_embeddings_error_names_the_file(self, labeled_corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.vec"
+        bad.write_text("2 3\nword 0.1 0.2 0.3\nother 0.1 0.2\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(bad)])
+        assert code == 2
+        assert f"error: {bad}: line 3: expected 3 components, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("keep, section", [(14, "header"), (-5, "bucket vectors")],
                              ids=["in-header", "in-body"])
     def test_truncated_sidecar_exit_2(self, labeled_corpus, truncated_fasttext_vectors,
@@ -234,7 +264,7 @@ class TestTrainingCommands:
         code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
                      "--embeddings", str(vectors)])
         assert code == 2
-        assert f"error: sidecar: truncated {section}" in capsys.readouterr().err
+        assert f"error: {vectors}: sidecar: truncated {section}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--window", 0, "window"), ("--epochs", 0, "epochs"),
@@ -421,7 +451,8 @@ class TestAtomicOutputs:
         code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
                      "--embeddings", str(vectors)])
         assert code == 2
-        assert "error: line 3: expected 1000000000000 vector lines" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {vectors}: line 3: expected 1000000000000 vector lines" in err
 
 
 # SHA-256 of the checkpoint below as written by the version whose backward
@@ -702,6 +733,20 @@ class TestSubwordLengths:
         assert code == 2
         assert f"error: min_n must be >= 1, got {min_n}" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--subword-max-n", "3000000000"], "max_n"),
+        (["--subword-min-n", "2147483648", "--subword-max-n", "2147483648"], "min_n"),
+        (["--buckets", "2147483648"], "buckets"),
+    ], ids=["max_n", "min_n", "buckets"])
+    def test_beyond_the_sidecar_header_exit_2(self, clean_corpus, tmp_path, capsys, flags,
+                                              field):
+        # refused while the config is checked, before training allocates anything
+        code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"), *self.ARGS,
+                     *flags])
+        assert code == 2
+        assert f"error: {field} must be <= 2147483647, got" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_huge_max_n_equals_longest_word(self, clean_corpus, tmp_path, capsys):
         tokens = [t for c in preprocess.load_clean_jsonl(clean_corpus) for t in c.tokens]

@@ -272,8 +272,9 @@ class TestSubwordPieces:
         for i, word in enumerate(words):
             expected = reference_ngram_ids(word, min_n, max_n, buckets)
             assert ids[starts[i]:starts[i + 1]].tolist() == expected
-            sub = SubwordConfig(min_n=min_n, max_n=max_n, buckets=buckets)
-            assert ngram_ids(word, sub) == expected
+            if buckets <= 2 ** 31 - 1:  # what SubwordConfig accepts
+                sub = SubwordConfig(min_n=min_n, max_n=max_n, buckets=buckets)
+                assert ngram_ids(word, sub) == expected
 
     def test_lone_surrogate_raises(self):
         with pytest.raises(UnicodeEncodeError):
@@ -291,6 +292,16 @@ class TestSubwordPieces:
     def test_min_n_below_one_rejected(self, min_n):
         with pytest.raises(ValueError, match="min_n"):
             SubwordConfig(min_n=min_n, max_n=3)
+
+    @pytest.mark.parametrize("field", ["min_n", "max_n", "buckets"])
+    def test_beyond_int32_rejected(self, field):
+        fields = {"min_n": 3, "max_n": 2 ** 31 - 1, "buckets": 2 ** 31 - 1}
+        SubwordConfig(**fields)  # the largest values the sidecar header holds
+        fields[field] = 2 ** 31
+        if field == "min_n":
+            fields["max_n"] = 2 ** 31
+        with pytest.raises(ValueError, match=f"{field} must be <= 2147483647, got 2147483648"):
+            SubwordConfig(**fields)
 
 
 @pytest.mark.parametrize("field, value", [

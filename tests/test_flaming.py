@@ -1,6 +1,7 @@
 """Time bucketing, z-score outlier detection, bursts and reports."""
 
 import csv
+import inspect
 import json
 import math
 import time
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 
 from flamewatch.flaming import (
     BurstWindow,
+    ZScoreStats,
     aggregate,
     burst_profile,
     detect,
     event_to_dict,
     post_stats,
-    read_report,
     write_report,
     zscores,
 )
@@ -118,7 +119,8 @@ class TestPostStats:
             assert s.vn_count == vn
             assert s.vn_share == pytest.approx(vn / len(group))
             assert sum(s.label_counts) == s.total
-            assert s.first_comment_time == min(c.comment.created_time for c in group)
+            assert s.vn_times == [c.comment.created_time for c in group
+                                  if c.label == SentimentLabel.VERY_NEGATIVE]
 
 
 class TestZScores:
@@ -280,21 +282,32 @@ class TestBurst:
 
 
 class TestDetect:
+    def test_reads_the_callers_zscores(self):
+        assert list(inspect.signature(detect).parameters) == [
+            "stats", "zs", "z_threshold", "share_threshold", "window_hours",
+        ]
+        stats = post_stats(post_with_counts([1] * 20 + [30]))
+        for zs in (zscores(stats), zscores(stats, sample_std=True)):
+            events = detect(stats, zs, z_threshold=3.0)
+            assert [(e.post_id, e.z) for e in events] == [("p020", zs.z["p020"])]
+
     @pytest.mark.parametrize("window_hours", [math.inf, -math.inf, math.nan, -1.0, 0.0])
     def test_bad_window_refused_before_any_work(self, window_hours):
         # no posts at all: the window check has to come first to be seen
         with pytest.raises(ValueError, match="window_hours"):
-            detect([], window_hours=window_hours)
+            detect([], ZScoreStats(0.0, 0.0, {}), window_hours=window_hours)
 
     def test_huge_window_holds_every_vn_comment(self):
         counts = [1] * 30 + [40]
         comments = post_with_counts(counts)
-        events = detect(post_stats(comments), labeled=comments, window_hours=1e9)
+        stats = post_stats(comments)
+        events = detect(stats, zscores(stats), window_hours=1e9)
         assert [e.post_id for e in events] == ["p030"]
         assert events[0].burst.contained == 40 and events[0].burst.fraction == 1.0
 
     def test_uniform_counts_no_events(self):
-        events = detect(post_stats(post_with_counts([2] * 10)))
+        stats = post_stats(post_with_counts([2] * 10))
+        events = detect(stats, zscores(stats))
         assert events == []
 
     def test_plant_and_recover(self):
@@ -302,7 +315,7 @@ class TestDetect:
         counts += [150, 160, 170]
         comments = post_with_counts(counts)
         stats = post_stats(comments)
-        events = detect(stats, labeled=comments, z_threshold=5.0)
+        events = detect(stats, zscores(stats), z_threshold=5.0)
         assert {e.post_id for e in events} == {"p197", "p198", "p199"}
         assert [e.post_id for e in events] == ["p199", "p198", "p197"]  # z desc
         for e in events:
@@ -313,9 +326,10 @@ class TestDetect:
         rng = np.random.default_rng(6)
         counts = list(rng.integers(0, 10, size=50)) + [200, 250]
         stats = post_stats(post_with_counts(counts))
+        zs = zscores(stats)
         previous = None
         for threshold in (0.5, 1.0, 2.0, 5.0, 10.0):
-            flagged = {e.post_id for e in detect(stats, z_threshold=threshold)}
+            flagged = {e.post_id for e in detect(stats, zs, z_threshold=threshold)}
             if previous is not None:
                 assert flagged <= previous
             previous = flagged
@@ -330,7 +344,8 @@ class TestDetect:
         for i in range(450):
             comments.append(labeled(3, "p000", f"x{serial}", minutes=serial))
             serial += 1
-        events = detect(post_stats(comments), labeled=comments)
+        stats = post_stats(comments)
+        events = detect(stats, zscores(stats))
         assert [e.post_id for e in events] == ["p000"]
         assert events[0].vn_share == pytest.approx(50 / 501)
         assert not events[0].share_exceeded
@@ -345,7 +360,8 @@ class TestDetect:
         for i in range(35):
             comments.append(labeled(2, "p000", f"y{serial}", minutes=serial))
             serial += 1
-        events = detect(post_stats(comments), labeled=comments)
+        stats = post_stats(comments)
+        events = detect(stats, zscores(stats))
         flagged = {e.post_id: e for e in events}
         assert "p000" in flagged
         assert flagged["p000"].share_exceeded
@@ -357,16 +373,17 @@ class TestReport:
         counts = [1, 1, 1, 1, 50]
         comments = post_with_counts(counts)
         stats = post_stats(comments)
-        events = detect(stats, labeled=comments, z_threshold=1.0)
+        events = detect(stats, zscores(stats), z_threshold=1.0)
         buckets = aggregate(comments, width="hour")
         return events, buckets
 
-    def test_round_trip(self, tmp_path):
+    def test_json_holds_event_dicts(self, tmp_path):
         events, buckets = self._events_and_buckets()
         json_path = tmp_path / "events.json"
         csv_path = tmp_path / "timeseries.csv"
         write_report(events, buckets, json_path, csv_path)
-        assert read_report(json_path) == events
+        with open(json_path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"events": [event_to_dict(e) for e in events]}
 
     def test_csv_row_count_and_header(self, tmp_path):
         events, buckets = self._events_and_buckets()
@@ -385,7 +402,6 @@ class TestReport:
         write_report([], [], json_path, csv_path)
         with open(json_path, encoding="utf-8") as fh:
             assert json.load(fh) == {"events": []}
-        assert read_report(json_path) == []
 
     def test_event_dict_fields(self):
         events, _ = self._events_and_buckets()

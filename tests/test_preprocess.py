@@ -63,6 +63,8 @@ def reference_normalize_text(text: str) -> str:
     text = "".join(
         ch if reference_keep_char(ch) else (" " if ch != "'" else "") for ch in text
     )
+    # the rule rounds run until one changes nothing; normalize_text stops
+    # after the first round in which no letter run collapsed
     prev = None
     while text != prev:
         prev = text
@@ -137,6 +139,16 @@ class TestAgainstReference:
     @settings(max_examples=400)
     @given(mixed_text)
     def test_normalize_text_matches_reference(self, text):
+        assert normalize_text(text) == reference_normalize_text(text)
+
+    # pieces that feed the rules into each other: runs that collapse into an
+    # "RT" marker or into spaced letters, and spaced letters beside runs
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(
+        ["R", "RR", "RRR", "T", "TTT", "a", "aaa", "b", "bbbb", "A", "AAA",
+         " ", "  ", ".", ". ", "1", "9", "!", "_", "RT", "\t"]
+    ), max_size=30).map("".join))
+    def test_normalize_text_matches_fixed_point_loop(self, text):
         assert normalize_text(text) == reference_normalize_text(text)
 
     @settings(max_examples=400)

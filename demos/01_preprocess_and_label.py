@@ -8,8 +8,6 @@ emoji modifiers into a single score and label per comment.
 Run:  python3 demos/01_preprocess_and_label.py
 """
 
-from collections import Counter
-
 from flamewatch import data_path
 from flamewatch.lexicon import (
     label_corpus,
@@ -24,8 +22,8 @@ raws, errors = load_jsonl(data_path("synthetic_comments.jsonl"))
 print(f"loaded {len(raws)} raw comments ({len(errors)} malformed lines)")
 
 corpus = build_corpus(raws)
-print(f"kept {len(corpus.comments)} after cleaning "
-      f"(dropped {len(raws) - len(corpus.comments)} that normalized to nothing)")
+print(f"kept {corpus.kept} after cleaning "
+      f"(dropped {corpus.dropped} that normalized to nothing)")
 
 # the normalizer strips URLs/mentions/hashtags, merges spaced-out letters
 # and collapses repeated characters -- a few before/after examples:
@@ -46,8 +44,7 @@ print(f"  matches: {[(' '.join(m.entry.phrase), m.entry.score) for m in matches]
 print(f"  N={breakdown.N} C={breakdown.C} S={breakdown.S} E={breakdown.E}"
       f"  ->  score {score:+.3f}")
 
-labeled, skipped = label_corpus(corpus.comments, lexicon, emoji_table)
-distribution = Counter(item.label.name for item in labeled)
+labeled, distribution = label_corpus(corpus.comments, lexicon, emoji_table)
 print(f"\nlabeled {len(labeled)} comments:")
-for name, count in sorted(distribution.items()):
-    print(f"  {name:14} {count:4}  {'#' * (count // 5)}")
+for label, count in sorted(distribution.items()):
+    print(f"  {label.name:14} {count:4}  {'#' * (count // 5)}")

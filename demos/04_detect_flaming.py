@@ -11,18 +11,13 @@ from flamewatch import data_path
 from flamewatch.fixtures import flaming_comments
 from flamewatch.flaming import aggregate, detect, post_stats, zscores
 from flamewatch.lexicon import label_corpus, load_emoji_table, load_lexicon
-from flamewatch.preprocess import RawComment, build_corpus, parse_timestamp
+from flamewatch.preprocess import RawComment, build_corpus
 
 records, planted = flaming_comments(seed=11)
 print(f"synthetic month: {len(records)} comments, "
       f"planted pile-ons on {sorted(planted)}")
 
-raws = [
-    RawComment(r["post_id"], r["comment_id"],
-               parse_timestamp(r["created_time"]), r["message"])
-    for r in records
-]
-corpus = build_corpus(raws)
+corpus = build_corpus(RawComment.from_dict(r) for r in records)
 lexicon, _ = load_lexicon(data_path("mini_lexicon.tsv"))
 emoji_table = load_emoji_table(data_path("emoji_polarity.tsv"))
 labeled, _ = label_corpus(corpus.comments, lexicon, emoji_table)

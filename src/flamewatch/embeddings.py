@@ -96,13 +96,12 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
     counts: np.ndarray
-    min_count: int
 
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> Vocabulary:
         """The tokens in id order, with no counts (as read back from a file)."""
         ids = {t: i for i, t in enumerate(tokens)}
-        return cls(ids, list(tokens), np.zeros(len(tokens), dtype=np.int64), min_count=0)
+        return cls(ids, list(tokens), np.zeros(len(tokens), dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -145,7 +144,6 @@ def build_vocab(sentences: list[list[str]], min_count: int = 2) -> Vocabulary:
         token_to_id={tok: i for i, tok in enumerate(id_to_token)},
         id_to_token=id_to_token,
         counts=np.array([c for _, c in kept], dtype=np.int64),
-        min_count=min_count,
     )
 
 

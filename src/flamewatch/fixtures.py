@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .preprocess import format_timestamp, write_jsonl
+from .preprocess import RawComment, write_jsonl
 
 VERY_NEGATIVE_POOL = [
     "absolutely disgusting and horrible",
@@ -65,8 +65,10 @@ POOLS = [
 _EPOCH = datetime(2018, 2, 1, tzinfo=timezone.utc)
 
 
-def _timestamp(minutes: float) -> str:
-    return format_timestamp(_EPOCH + timedelta(minutes=float(minutes)))
+def _record(post_id: str, comment_id: str, minutes: float, message: str) -> dict:
+    """The raw JSONL record of a comment `minutes` after the fixture epoch."""
+    created_time = _EPOCH + timedelta(minutes=float(minutes))
+    return RawComment(post_id, comment_id, created_time, message).to_dict()
 
 
 def synthetic_comments(
@@ -86,12 +88,8 @@ def synthetic_comments(
             message += " 🙂" if label == 4 else " 😡"
         elif decor < 0.2 and label in (0, 4):
             message += "!"
-        records.append({
-            "post_id": f"p{int(rng.integers(0, n_posts)):03d}",
-            "comment_id": f"c{i:05d}",
-            "created_time": _timestamp(rng.uniform(0, 28 * 24 * 60)),
-            "message": message,
-        })
+        post_id = f"p{int(rng.integers(0, n_posts)):03d}"
+        records.append(_record(post_id, f"c{i:05d}", rng.uniform(0, 28 * 24 * 60), message))
     return records
 
 
@@ -116,12 +114,7 @@ def flaming_comments(
 
     def add(post_id, minutes, message):
         nonlocal serial
-        records.append({
-            "post_id": post_id,
-            "comment_id": f"c{serial:06d}",
-            "created_time": _timestamp(minutes),
-            "message": message,
-        })
+        records.append(_record(post_id, f"c{serial:06d}", minutes, message))
         serial += 1
 
     for p in range(n_posts):

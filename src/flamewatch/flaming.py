@@ -74,32 +74,29 @@ class FlamingEvent:
     burst: BurstWindow | None = None
 
 
-def _bucket_floor(ts: datetime, width: str) -> datetime:
-    ts = ts.astimezone(timezone.utc)
-    if width == "day":
-        return ts.replace(hour=0, minute=0, second=0, microsecond=0)
-    if width == "hour":
-        return ts.replace(minute=0, second=0, microsecond=0)
-    raise ValueError(f"unknown bucket width {width!r}")
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_BUCKET_STEPS = {"day": timedelta(days=1), "hour": timedelta(hours=1)}
 
 
 def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBucket]:
-    """Per-bucket label counts, with empty buckets filled between first and last."""
-    if not labeled:
-        return []
-    step = timedelta(days=1) if width == "day" else timedelta(hours=1)
-    by_start: dict[datetime, list[int]] = {}
+    """Per-bucket label counts, with empty buckets filled between first and last.
+
+    A comment's bucket is the whole number of steps from the Unix epoch to its
+    time, so a bucket starts at a UTC midnight (day) or a UTC hour (hour).
+    """
+    step = _BUCKET_STEPS.get(width)
+    if step is None:
+        raise ValueError(f"unknown bucket width {width!r}")
+    counts: dict[int, list[int]] = {}
     for lc in labeled:
-        start = _bucket_floor(lc.comment.created_time, width)
-        by_start.setdefault(start, [0] * 5)[int(lc.label)] += 1
-    first = min(by_start)
-    last = max(by_start)
-    buckets = []
-    cur = first
-    while cur <= last:
-        buckets.append(TimeBucket(cur, by_start.get(cur, [0] * 5)))
-        cur += step
-    return buckets
+        index = (lc.comment.created_time - _UNIX_EPOCH) // step
+        counts.setdefault(index, [0] * 5)[lc.label] += 1
+    if not counts:
+        return []
+    return [
+        TimeBucket(_UNIX_EPOCH + index * step, counts.get(index, [0] * 5))
+        for index in range(min(counts), max(counts) + 1)
+    ]
 
 
 def post_stats(labeled: list[LabeledComment]) -> list[PostStats]:

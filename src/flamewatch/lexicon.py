@@ -7,12 +7,13 @@ A comment's score is
 where N counts matched phrases, C rewards fully-capitalized matches,
 S rewards matches ending in "!", and E sums emoji polarities. The
 absolute values in the denominator keep the score inside [-1, 1]; a
-strict mode with the raw signed denominator is available but can hit a
-zero denominator, which raises.
+strict mode with the raw signed denominator is available, and raises when
+that denominator is zero or negative, which would flip or lose the sign.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -38,11 +39,10 @@ class LexiconEntry:
 class Lexicon:
     entries: list[LexiconEntry]
     max_n: int = 4
-    index: dict[tuple[str, ...], LexiconEntry] = field(default_factory=dict)
+    index: dict[tuple[str, ...], LexiconEntry] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {e.phrase: e for e in self.entries}
+        self.index = {e.phrase: e for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ class ScoreBreakdown:
         return len(self.matches)
 
 
-class StrictDenominatorError(ZeroDivisionError):
-    """Raised in strict mode when N + C + S + E is zero with matches present."""
+class StrictDenominatorError(ValueError):
+    """Raised in strict mode when N + C + S + E is zero or negative while any
+    of them is not zero."""
 
 
 def preprocess_phrase(raw_phrase: str) -> tuple[str, ...]:
@@ -174,9 +175,9 @@ def compute_E(emojis: list[str], table: dict[str, int]) -> int:
 def senti_score(b: ScoreBreakdown, strict: bool = False) -> float:
     if strict:
         denom = b.N + b.C + b.S + b.E
-        if denom == 0 and (b.N or b.C or b.S or b.E):
+        if denom <= 0 and (b.N or b.C or b.S or b.E):
             raise StrictDenominatorError(
-                f"signed denominator is zero (N={b.N} C={b.C} S={b.S} E={b.E})"
+                f"signed denominator {denom} is not positive (N={b.N} C={b.C} S={b.S} E={b.E})"
             )
     else:
         denom = b.N + abs(b.C) + abs(b.S) + abs(b.E)
@@ -226,8 +227,15 @@ class LabeledComment:
 
     @classmethod
     def from_dict(cls, obj: dict) -> LabeledComment:
-        label = SentimentLabel(int(obj["label"]))
-        return cls(CleanComment.from_dict(obj), float(obj["score"]), label)
+        """Inverse of to_dict: the clean record, "score" a finite JSON number and
+        "label" a JSON integer 0-4 (a bool is neither)."""
+        comment = CleanComment.from_dict(obj)
+        score, label = obj["score"], obj["label"]
+        if type(score) not in (int, float) or not math.isfinite(score):
+            raise ValueError(f"score must be a finite number, got {score!r}")
+        if type(label) is not int or not 0 <= label <= 4:
+            raise ValueError(f"label must be an integer 0-4, got {label!r}")
+        return cls(comment, float(score), SentimentLabel(label))
 
 
 def label_corpus(
@@ -236,11 +244,15 @@ def label_corpus(
     emoji_table: dict[str, int],
     strict: bool = False,
 ) -> tuple[list[LabeledComment], Counter]:
-    """Score every comment; returns the labeled list and a class distribution."""
+    """Score every comment; returns the labeled list and a class distribution.
+    In strict mode a StrictDenominatorError names the comment id."""
     labeled: list[LabeledComment] = []
     distribution: Counter = Counter()
     for comment in comments:
-        _, score = score_comment(comment, lex, emoji_table, strict=strict)
+        try:
+            _, score = score_comment(comment, lex, emoji_table, strict=strict)
+        except StrictDenominatorError as exc:
+            raise StrictDenominatorError(f"comment {comment.comment_id}: {exc}") from None
         label = classify(score)
         labeled.append(LabeledComment(comment, score, label))
         distribution[label] += 1
@@ -252,4 +264,4 @@ def save_labeled_jsonl(labeled: list[LabeledComment], path) -> None:
 
 
 def load_labeled_jsonl(path) -> list[LabeledComment]:
-    return read_jsonl(path, LabeledComment.from_dict)
+    return list(read_jsonl(path, LabeledComment.from_dict))

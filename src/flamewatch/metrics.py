@@ -45,11 +45,9 @@ class MacroMetrics:
     orientation: str
     per_class_precision: np.ndarray
     per_class_recall: np.ndarray
-    per_class_f1: np.ndarray
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    zero_denominator: bool = False
 
 
 def confusion(predicted, actual, num_classes: int, class_names=None) -> ConfusionMatrix:
@@ -67,10 +65,9 @@ def confusion(predicted, actual, num_classes: int, class_names=None) -> Confusio
     return ConfusionMatrix(counts, list(class_names))
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, bool]:
-    hit_zero = bool((den == 0).any())
-    out = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-    return out, hit_zero
+def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with 0 where den is 0."""
+    return np.where(den > 0, num / np.maximum(den, 1), 0.0)
 
 
 def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMetrics:
@@ -78,9 +75,8 @@ def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMet
     if counts.sum() == 0:
         raise ValueError("empty confusion matrix")
     diag = np.diag(counts)
-    row_rates, zr = _safe_div(diag, counts.sum(axis=1))
-    col_rates, zc = _safe_div(diag, counts.sum(axis=0))
-    zero_denominator = zr or zc
+    row_rates = _safe_div(diag, counts.sum(axis=1))
+    col_rates = _safe_div(diag, counts.sum(axis=0))
 
     if orientation == "standard":
         precision, recall = col_rates, row_rates
@@ -89,11 +85,11 @@ def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMet
         precision, recall = row_rates, col_rates
     else:
         raise ValueError(f"unknown orientation {orientation!r}")
-    f1_den = precision + recall
-    per_f1 = np.where(f1_den > 0, 2 * precision * recall / np.maximum(f1_den, 1e-300), 0.0)
     macro_p = float(precision.mean())
     macro_r = float(recall.mean())
     if orientation == "standard":
+        f1_den = precision + recall
+        per_f1 = np.where(f1_den > 0, 2 * precision * recall / np.maximum(f1_den, 1e-300), 0.0)
         macro_f1 = float(per_f1.mean())
     else:
         macro_f1 = (
@@ -104,11 +100,9 @@ def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMet
         orientation=orientation,
         per_class_precision=precision,
         per_class_recall=recall,
-        per_class_f1=per_f1,
         macro_precision=macro_p,
         macro_recall=macro_r,
         macro_f1=macro_f1,
-        zero_denominator=zero_denominator,
     )
 
 

@@ -78,6 +78,8 @@ class ModelConfig:
             raise ValueError("expected exactly 3 conv layers")
         if len(self.dense_sizes) != 2:
             raise ValueError("expected exactly 2 dense layers")
+        if not (isinstance(self.pool, int) and self.pool >= 1):
+            raise ValueError(f"pool {self.pool!r} must be an integer >= 1")
         if not (isinstance(self.max_tokens, int) and 1 <= self.max_tokens <= MAX_TOKENS):
             raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
         for filters, kernel in self.conv_layers:
@@ -337,7 +339,7 @@ class SentimentNet:
             a = np.maximum(z, 0.0)
             cache["convs"].append((conv_cache, z))
             t = a.shape[1]
-            if t >= cfg.pool and t // cfg.pool >= 1:
+            if t >= cfg.pool:
                 tp = t // cfg.pool
                 trimmed = a[:, : tp * cfg.pool, :].reshape(
                     a.shape[0], tp, cfg.pool, a.shape[2]
@@ -432,10 +434,8 @@ class SentimentNet:
                 dtr = da[:, : tp * cfg.pool, :].reshape(
                     dx.shape[0], tp, cfg.pool, dx.shape[2]
                 )
+                # dtr is a view of da: splitting an axis never copies
                 np.put_along_axis(dtr, idx[:, :, None, :], dx[:, :, None, :], axis=2)
-                da[:, : tp * cfg.pool, :] = dtr.reshape(
-                    dx.shape[0], tp * cfg.pool, dx.shape[2]
-                )
             else:
                 da = dx
             dz = da * (z > 0)

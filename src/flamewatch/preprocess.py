@@ -13,6 +13,11 @@ is `str.isalnum`), not "!", not whitespace (`\\s`, which is
 non-"!", non-space characters, plus the "!" that may follow it.
 `build_corpus` stems each distinct token once: its memo lives for that
 one call, so it is bounded by the distinct tokens of the corpus it builds.
+
+`read_jsonl` is the one loop over JSONL lines: it checks each line is UTF-8,
+parses it and applies the record kind's `from_dict` (`RawComment`,
+`CleanComment`, `lexicon.LabeledComment`). `load_jsonl` skips and reports
+bad raw lines; the clean and labeled loaders raise on the first bad line.
 """
 
 from __future__ import annotations
@@ -67,6 +72,29 @@ class RawComment:
     comment_id: str
     created_time: datetime
     text: str
+
+    def to_dict(self) -> dict:
+        """The raw JSONL record; its key order is the file format."""
+        return {
+            "post_id": self.post_id,
+            "comment_id": self.comment_id,
+            "created_time": format_timestamp(self.created_time),
+            "message": self.text,
+        }
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> RawComment:
+        """Inverse of to_dict; the ids must be non-empty strings, created_time
+        an ISO-8601 string and message a string."""
+        raw = cls(
+            post_id=_record_id(obj, "post_id"),
+            comment_id=_record_id(obj, "comment_id"),
+            created_time=parse_timestamp(obj["created_time"]),
+            text=obj["message"],
+        )
+        if not isinstance(raw.text, str):
+            raise TypeError(f"message must be a string, got {type(raw.text).__name__}")
+        return raw
 
 
 @dataclass
@@ -163,7 +191,6 @@ def _field_error(obj: dict) -> Exception:
 @dataclass
 class Corpus:
     comments: list[CleanComment]
-    loaded: int = 0
     dropped: int = 0
 
     @property
@@ -197,27 +224,8 @@ def format_timestamp(dt: datetime) -> str:
 
 def load_jsonl(path) -> tuple[list[RawComment], list[LineError]]:
     """Read one comment per line; malformed lines are skipped and reported."""
-    comments: list[RawComment] = []
     errors: list[LineError] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                raw = RawComment(
-                    post_id=_record_id(obj, "post_id"),
-                    comment_id=_record_id(obj, "comment_id"),
-                    created_time=parse_timestamp(obj["created_time"]),
-                    text=obj["message"],
-                )
-                if not isinstance(raw.text, str):
-                    raise TypeError(f"message must be a string, got {type(raw.text).__name__}")
-                comments.append(raw)
-            except (KeyError, ValueError, TypeError) as exc:
-                errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
-    return comments, errors
+    return list(read_jsonl(path, RawComment.from_dict, errors)), errors
 
 
 def normalize_text(text: str) -> str:
@@ -280,9 +288,9 @@ def preprocess(raw: RawComment) -> CleanComment | None:
     return _clean(raw, {})
 
 
-def build_corpus(raws: list[RawComment]) -> Corpus:
+def build_corpus(raws) -> Corpus:
     """preprocess every comment, stemming each distinct token once."""
-    corpus = Corpus(comments=[], loaded=len(raws))
+    corpus = Corpus(comments=[])
     stems: dict[str, str] = {}
     for raw in raws:
         clean = _clean(raw, stems)
@@ -300,26 +308,41 @@ def write_jsonl(records, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path, from_dict) -> list:
-    """from_dict(obj) for each non-blank line; a bad line raises ValueError
-    naming the path and its 1-based line number."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
+def read_jsonl(path, from_dict, errors: list[LineError] | None = None):
+    """Yield from_dict(obj) for each non-blank line of a UTF-8 JSONL file.
+
+    A line that is not UTF-8, not JSON, or that from_dict refuses is skipped
+    and appended to `errors` as "<ExcType>: <message>"; with no `errors` it
+    raises ValueError naming the path and the 1-based line number. Lines
+    split as in text mode; a byte that is not UTF-8 stays a lone surrogate
+    (surrogateescape) until its line is checked.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(from_dict(json.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: bad JSON: {exc.msg} (column {exc.colno})"
-                ) from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return out
+                if not line.isascii():
+                    # raises UnicodeDecodeError (a ValueError) at the first bad byte
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                record = from_dict(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                if errors is None:
+                    raise _line_error(path, lineno, exc) from None
+                errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
+                continue
+            yield record
+
+
+def _line_error(path, lineno: int, exc: Exception) -> ValueError:
+    if isinstance(exc, KeyError):
+        detail = f"missing field {exc}"
+    elif isinstance(exc, json.JSONDecodeError):
+        detail = f"bad JSON: {exc.msg} (column {exc.colno})"
+    else:
+        detail = str(exc)
+    return ValueError(f"{path}: line {lineno}: {detail}")
 
 
 def save_clean_jsonl(comments: list[CleanComment], path) -> None:
@@ -327,4 +350,4 @@ def save_clean_jsonl(comments: list[CleanComment], path) -> None:
 
 
 def load_clean_jsonl(path) -> list[CleanComment]:
-    return read_jsonl(path, CleanComment.from_dict)
+    return list(read_jsonl(path, CleanComment.from_dict))

@@ -40,7 +40,7 @@ from flamewatch.lexicon import (
 )
 from flamewatch.metrics import ConfusionMatrix, macro_metrics
 from flamewatch.network import PAD_ID, ModelConfig, SentimentNet
-from flamewatch.preprocess import RawComment, build_corpus, parse_timestamp
+from flamewatch.preprocess import RawComment, build_corpus
 
 from conftest import make_clean, make_lexicon
 
@@ -180,7 +180,6 @@ def _toy_embeddings(dim=8, seed=0, scale=0.1):
         token_to_id={t: i for i, t in enumerate(tokens)},
         id_to_token=tokens,
         counts=np.ones(10, dtype=np.int64),
-        min_count=1,
     )
     rng = np.random.default_rng(seed)
     return EmbeddingMatrix(dim=dim, vocab=vocab,
@@ -246,7 +245,6 @@ def test_criterion_06_overfit_separable_toy_set():
         token_to_id={t: i for i, t in enumerate(tokens)},
         id_to_token=tokens,
         counts=np.ones(len(tokens), dtype=np.int64),
-        min_count=1,
     )
     # each class gets a distinct 4-bit activation pattern
     codes = np.array([[2.0 * ((c >> b) & 1) for b in range(4)] for c in range(5)])
@@ -372,12 +370,7 @@ def test_criterion_09_flaming_plant_and_recover():
     those 3; z-scores match the direct two-pass formula to 1e-12."""
     start = time.monotonic()
     records, planted = flaming_comments(seed=11)
-    raws = [
-        RawComment(r["post_id"], r["comment_id"],
-                   parse_timestamp(r["created_time"]), r["message"])
-        for r in records
-    ]
-    corpus = build_corpus(raws)
+    corpus = build_corpus(RawComment.from_dict(r) for r in records)
     lex, rejects = load_lexicon(data_path("mini_lexicon.tsv"))
     assert rejects == []
     table = load_emoji_table(data_path("emoji_polarity.tsv"))

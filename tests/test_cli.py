@@ -73,6 +73,22 @@ class TestPreprocessCommand:
         assert result.returncode == 0
         assert json.loads(result.stdout)["kept"] == 0
 
+    def test_every_non_blank_line_is_kept_dropped_or_an_error(self, tmp_path, capsys):
+        good = [json.dumps(r, ensure_ascii=False) for r in synthetic_comments(10, seed=4)]
+        url_only = _edit_record(lambda o: o.update(message="https://example.com/x"))
+        lines = [
+            *good[:4], "", "{not json", _insert_byte_ff(good[4]), "   ",
+            _edit_record(lambda o: o.update(message=5))(good[5]), url_only(good[6]),
+            *good[7:],
+        ]
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+        assert main(["preprocess", str(raw), str(tmp_path / "clean.jsonl")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["kept"], summary["dropped"], summary["line_errors"]) == (7, 1, 3)
+        non_blank = sum(1 for line in raw.read_bytes().splitlines() if line.strip())
+        assert summary["kept"] + summary["dropped"] + summary["line_errors"] == non_blank
+
 
 class TestLabelCommand:
     def test_labels_with_bundled_lexicon(self, clean_corpus, tmp_path):
@@ -88,6 +104,20 @@ class TestLabelCommand:
         assert run_cli("label", clean_corpus, a).returncode == 0
         assert run_cli("label", clean_corpus, b).returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("message", ["TERRIBLE", "TERRIBLE!"])
+    def test_strict_non_positive_denominator_exit_2(self, tmp_path, capsys, message):
+        # N=1 and C=-1 give a zero signed denominator; the "!" (S=-1) a negative one
+        records = synthetic_comments(3, seed=1)
+        records[1].update(comment_id="c-strict", message=message)
+        raw, clean = tmp_path / "raw.jsonl", tmp_path / "clean.jsonl"
+        write_jsonl(records, raw)
+        assert main(["preprocess", str(raw), str(clean)]) == 0
+        out = tmp_path / "labeled.jsonl"
+        assert main(["label", str(clean), str(out)]) == 0
+        capsys.readouterr()
+        assert main(["label", str(clean), str(tmp_path / "strict.jsonl"), "--strict-eq1"]) == 2
+        assert "error: comment c-strict: signed denominator" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:
@@ -329,10 +359,16 @@ class TestConfigFile:
 
 
 def _rewrite_line(src, dst, lineno, edit):
-    """Copy a JSONL file with line `lineno` (1-based) replaced by edit(line)."""
+    """Copy a JSONL file with line `lineno` (1-based) replaced by edit(line).
+    A lone surrogate "\\udcXX" that edit inserts is written as the byte 0xXX."""
     lines = src.read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = edit(lines[lineno - 1])
-    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
+
+
+def _insert_byte_ff(line):
+    """The line with the byte 0xff, never valid in UTF-8, after its first character."""
+    return line[:1] + "\udcff" + line[1:]
 
 
 def _edit_record(change):
@@ -370,6 +406,29 @@ class TestRecordLineErrors:
             "line 11: exclaim_flags must be a list of bool"),
         "null-original-text": (12, _edit_record(lambda o: o.update(original_text=None)),
                                "line 12: original_text must be a string, got NoneType"),
+        "non-utf8": (13, _insert_byte_ff,
+                     "line 13: 'utf-8' codec can't decode byte 0xff in position 1"),
+    }
+    # fields of a labeled record only
+    LABELED_CASES = {
+        "float-label": (2, _edit_record(lambda o: o.update(label=3.9)),
+                        "line 2: label must be an integer 0-4, got 3.9"),
+        "string-label": (3, _edit_record(lambda o: o.update(label="4")),
+                         "line 3: label must be an integer 0-4, got '4'"),
+        "bool-label": (4, _edit_record(lambda o: o.update(label=True)),
+                       "line 4: label must be an integer 0-4, got True"),
+        "label-5": (5, _edit_record(lambda o: o.update(label=5)),
+                    "line 5: label must be an integer 0-4, got 5"),
+        "missing-label": (6, _edit_record(lambda o: o.pop("label")),
+                          "line 6: missing field 'label'"),
+        "string-score": (7, _edit_record(lambda o: o.update(score="0.5")),
+                         "line 7: score must be a finite number, got '0.5'"),
+        "nan-score": (8, lambda line: line.replace('"score": ', '"score": NaN, "x": '),
+                      "line 8: score must be a finite number, got nan"),
+        "huge-score": (9, lambda line: line.replace('"score": ', '"score": 1e999, "x": '),
+                       "line 9: score must be a finite number, got inf"),
+        "bool-score": (10, _edit_record(lambda o: o.update(score=True)),
+                       "line 10: score must be a finite number, got True"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -382,6 +441,20 @@ class TestRecordLineErrors:
         bad = tmp_path / "bad.jsonl"
         _rewrite_line(request.getfixturevalue(corpus), bad, lineno, edit)
         assert main([command, str(bad), str(tmp_path / "out")]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(LABELED_CASES))
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_bad_labeled_field_exit_2_names_line(self, labeled_corpus, tiny_checkpoint,
+                                                 tmp_path, capsys, command, case):
+        lineno, edit, message = self.LABELED_CASES[case]
+        bad = tmp_path / "bad.jsonl"
+        _rewrite_line(labeled_corpus, bad, lineno, edit)
+        argv = {
+            "detect": ["detect", str(bad), str(tmp_path / "out")],
+            "evaluate": ["evaluate", str(bad), "--model", str(tiny_checkpoint)],
+        }[command]
+        assert main(argv) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
@@ -701,17 +774,22 @@ def test_non_string_message_is_line_error(tmp_path, capsys, message, type_name):
     assert str(message) not in texts
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"post_id": ["a"]}, "TypeError: post_id must be a string, got list"),
-    ({"post_id": 7}, "TypeError: post_id must be a string, got int"),
-    ({"comment_id": 1.5}, "TypeError: comment_id must be a string, got float"),
-    ({"comment_id": None}, "TypeError: comment_id must be a string, got NoneType"),
-    ({"post_id": ""}, "ValueError: empty post_id"),
-], ids=["list", "int", "float", "null", "empty"])
-def test_non_string_raw_id_is_line_error(tmp_path, capsys, change, message):
+@pytest.mark.parametrize("edit, message", [
+    (_edit_record(lambda o: o.update(post_id=["a"])),
+     "TypeError: post_id must be a string, got list"),
+    (_edit_record(lambda o: o.update(post_id=7)), "TypeError: post_id must be a string, got int"),
+    (_edit_record(lambda o: o.update(comment_id=1.5)),
+     "TypeError: comment_id must be a string, got float"),
+    (_edit_record(lambda o: o.update(comment_id=None)),
+     "TypeError: comment_id must be a string, got NoneType"),
+    (_edit_record(lambda o: o.update(post_id="")), "ValueError: empty post_id"),
+    (_insert_byte_ff, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 1:"
+                      " invalid start byte"),
+], ids=["list", "int", "float", "null", "empty", "non-utf8"])
+def test_non_string_raw_id_is_line_error(tmp_path, capsys, edit, message):
     raw = tmp_path / "raw.jsonl"
     write_jsonl(synthetic_comments(n_comments=5, seed=3), raw)
-    _rewrite_line(raw, raw, 2, _edit_record(lambda o: o.update(change)))
+    _rewrite_line(raw, raw, 2, edit)
     clean = tmp_path / "clean.jsonl"
     assert main(["preprocess", str(raw), str(clean)]) == 0
     summary = json.loads(capsys.readouterr().out)

@@ -472,7 +472,7 @@ class TestPersistence:
         values[0, :3] = [0.0, -0.0, 5e-324]
         words = [f"w{i}" for i in range(len(values))]
         vocab = Vocabulary({w: i for i, w in enumerate(words)}, words,
-                           np.ones(len(words), dtype=np.int64), 1)
+                           np.ones(len(words), dtype=np.int64))
         path = tmp_path / "vectors.txt"
         save_embeddings(EmbeddingMatrix(dim=7, vocab=vocab, vectors=values), path)
         expected = f"{len(words)} 7\n" + "".join(

@@ -5,7 +5,7 @@ import inspect
 import json
 import math
 import time
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -87,6 +87,23 @@ class TestAggregate:
 
     def test_empty_list(self):
         assert aggregate([]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+                        timezones=st.just(timezone.utc)),
+           st.sampled_from(["day", "hour"]))
+    def test_bucket_start_is_the_calendar_floor(self, ts, width):
+        comment = labeled(3, minutes=0.0)
+        comment.comment.created_time = ts
+        floor = {"day": dict(hour=0, minute=0, second=0, microsecond=0),
+                 "hour": dict(minute=0, second=0, microsecond=0)}[width]
+        [bucket] = aggregate([comment], width=width)
+        assert bucket.start == ts.replace(**floor) and bucket.start.tzinfo is timezone.utc
+        assert bucket.counts == [0, 0, 0, 1, 0]
+
+    def test_unknown_width_raises(self):
+        with pytest.raises(ValueError, match="unknown bucket width 'week'"):
+            aggregate([labeled(0)], width="week")
 
 
 class TestPostStats:

@@ -238,6 +238,12 @@ class TestSentiScore:
         with pytest.raises(StrictDenominatorError):
             senti_score(_breakdown(1, 0.6, C=-1), strict=True)
 
+    @pytest.mark.parametrize("N, C, S, E", [(1, -1, -1, 0), (0, 0, 0, -1), (1, 0, -1, -2)])
+    def test_strict_mode_negative_denominator_raises(self, N, C, S, E):
+        # the signed sum would flip the score's sign ("TERRIBLE!" scored +2.85)
+        with pytest.raises(StrictDenominatorError, match="not positive"):
+            senti_score(_breakdown(N, -0.85 * N, C=C, S=S, E=E), strict=True)
+
     def test_strict_mode_no_signal_is_zero(self):
         assert senti_score(_breakdown(0, 0.0), strict=True) == 0.0
 

@@ -134,12 +134,11 @@ class TestMacroMetricsProperties:
         assert mm.macro_recall == pytest.approx(mp.macro_recall)
         assert mm.macro_f1 == pytest.approx(mp.macro_f1)
 
-    def test_zero_denominator_flagged_not_fatal(self):
+    def test_zero_denominator_not_fatal(self):
         # class "b" never occurs and is never predicted
         cm = confusion([0, 0], [0, 0], 2, ["a", "b"])
         mm = macro_metrics(cm, "standard")
-        assert mm.zero_denominator
-        assert mm.per_class_precision[1] == 0.0
+        assert mm.per_class_precision[1] == 0.0 and mm.per_class_recall[1] == 0.0
 
     def test_empty_matrix_raises(self):
         with pytest.raises(ValueError):
@@ -153,7 +152,8 @@ class TestMacroMetricsProperties:
         rng = np.random.default_rng(3)
         m = rng.integers(1, 50, size=(5, 5))
         mm = macro_metrics(ConfusionMatrix(m, list("abcde")), "standard")
-        assert mm.macro_f1 == pytest.approx(float(mm.per_class_f1.mean()))
+        p, r = mm.per_class_precision, mm.per_class_recall
+        assert mm.macro_f1 == pytest.approx(float((2 * p * r / (p + r)).mean()))
 
     def test_table_render(self):
         cm = ConfusionMatrix(LEXICON_TABLE, NAMES)

@@ -28,7 +28,6 @@ def make_embeddings(dim=8, seed=0, scale=0.1):
         token_to_id={t: i for i, t in enumerate(TOKENS)},
         id_to_token=list(TOKENS),
         counts=np.ones(len(TOKENS), dtype=np.int64),
-        min_count=1,
     )
     return EmbeddingMatrix(
         dim=dim, vocab=vocab, vectors=rng.normal(0, scale, (len(TOKENS), dim))
@@ -181,6 +180,9 @@ class TestConstruction:
             toy_config(dropout_dense=1.0)
         with pytest.raises(ValueError):
             toy_config(conv_layers=((4, 99), (4, 3), (4, 3)))
+        for pool in (0, -1, 2.0):
+            with pytest.raises(ValueError, match="^pool .* must be an integer >= 1"):
+                toy_config(pool=pool)
 
     @pytest.mark.parametrize("max_tokens", [0, MAX_TOKENS + 1, 2 ** 40, 12.0, "12"])
     def test_max_tokens_bounded(self, max_tokens):

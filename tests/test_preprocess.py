@@ -285,6 +285,25 @@ class TestLoadJsonl(object):
         assert len(comments) == 1
         assert len(errors) == 1 and errors[0].lineno == 2
 
+    def test_raw_codec_round_trip(self):
+        obj = {"post_id": "p1", "comment_id": "c1",
+               "created_time": "2018-02-14T10:00:00Z", "message": "hi 🙂"}
+        raw = RawComment.from_dict(obj)
+        assert raw == RawComment("p1", "c1", parse_timestamp(obj["created_time"]), "hi 🙂")
+        assert raw.to_dict() == obj and list(raw.to_dict()) == list(obj)
+
+    def test_cr_line_endings_and_non_utf8_line(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        good = [json.dumps({"post_id": "p1", "comment_id": f"c{i}",
+                            "created_time": "2018-02-14T10:00:00Z", "message": "é"},
+                           ensure_ascii=False).encode() for i in range(3)]
+        path.write_bytes(good[0] + b"\r" + good[1].replace(b"\xc3\xa9", b"\xe9") + b"\r\n"
+                         + good[2] + b"\n")
+        comments, errors = load_jsonl(path)
+        assert [c.comment_id for c in comments] == ["c0", "c2"]
+        assert [e.lineno for e in errors] == [2]
+        assert errors[0].message.startswith("UnicodeDecodeError: 'utf-8' codec can't decode")
+
     def test_naive_timestamp_assumed_utc(self):
         dt = parse_timestamp("2018-02-14T10:00:00")
         assert dt.utcoffset().total_seconds() == 0
@@ -313,7 +332,7 @@ class TestPreprocess:
     def test_build_corpus_counts(self):
         raws = [self._raw("hello there"), self._raw("https://x.co"), self._raw("ok")]
         corpus = build_corpus(raws)
-        assert corpus.loaded == 3 and corpus.kept == 2 and corpus.dropped == 1
+        assert corpus.kept == 2 and corpus.dropped == 1
 
     def test_build_corpus_stems_each_distinct_token_once(self, monkeypatch):
         texts = ["Running dogs RUNNING!", "the dogs ran 🙂🙂", "https://x.co",

@@ -25,7 +25,10 @@ def atomic_write(path, write) -> None:
     """Run write(tmp_path) on a temp file beside path, then rename it over path.
 
     If write raises, path is left as it was and the temp file is removed.
+    A path that names a directory raises ValueError before anything is written.
     """
+    if os.path.isdir(path) or str(path).endswith(os.sep):
+        raise ValueError(f"output path names a directory: {path}")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -39,16 +42,5 @@ def atomic_write(path, write) -> None:
         raise
 
 
-def read_exact(fh, size: int, section: str) -> bytes:
-    """Read the `size` bytes of one section of a binary file, or raise
-    ValueError naming the section if `size` is negative or the file ends first."""
-    if size < 0:
-        raise ValueError(f"{section} size {size} is negative")
-    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
-    if len(data) != size:
-        raise ValueError(f"truncated {section}: expected {size} bytes, read {len(data)}")
-    return data
-
-
-__all__ = ["atomic_write", "data_path", "read_exact"]
+__all__ = ["atomic_write", "data_path"]
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ Every command prints a one-line JSON summary on stdout and uses exit
 codes 0 (ok), 1 (internal error), 2 (input error). The lexicon and
 emoji-table paths can come from an INI-style config file (lexicon=... and
 emoji_table=... under [paths]); explicit flags win over the config file.
-Output files are written to a temp file and atomically renamed.
+Output files are written to a temp file and atomically renamed; an output
+path that names a directory (or, for detect, an output directory that is a
+file) is an input error.
 """
 
 from __future__ import annotations
@@ -100,10 +102,8 @@ def cmd_train_embed(args, cfg) -> int:
         epochs=args.epochs, initial_lr=args.lr, min_count=args.min_count,
         seed=args.seed, subword=subword,
     )
-    if args.method == "word2vec":
-        matrix = embeddings.train_word2vec(sentences, config)
-    else:
-        matrix = embeddings.train_fasttext(sentences, config)
+    train = embeddings.train_word2vec if subword is None else embeddings.train_fasttext
+    matrix = train(sentences, config)
     embeddings.save_embeddings(matrix, args.output)
     _emit({
         "command": "train-embed",
@@ -169,8 +169,7 @@ def cmd_predict(args, cfg) -> int:
 
 def cmd_evaluate(args, cfg) -> int:
     if args.matrix_json:
-        with open(_require_file(args.matrix_json), encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = preprocess.read_json(_require_file(args.matrix_json))
         if args.key:
             if not isinstance(obj, dict) or args.key not in obj:
                 keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
@@ -203,6 +202,8 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
+    if os.path.exists(args.output_dir) and not os.path.isdir(args.output_dir):
+        raise InputError(f"output directory is not a directory: {args.output_dir}")
     labeled = lexicon.load_labeled_jsonl(_require_file(args.input))
     stats = flaming.post_stats(labeled)
     zs = flaming.zscores(stats, sample_std=args.sample_std,

@@ -28,21 +28,24 @@ length, then start; an n-gram's id is the 32-bit FNV-1a hash of its UTF-8
 bytes, modulo the bucket count. `_hash_ngrams` computes them for many words
 at once: it runs the hash once per start position, one character per step,
 and emits it at every length in range.
+
+Vectors are saved as one text file, a "count dim" header and then one
+"word v1 ... vdim" line per word; the subword variant saves its composed
+vectors, as fastText's .vec output does. The subword table lives only in
+the matrix that `train_fasttext` returns, so composing out-of-vocabulary
+words works there and not on vectors read back from a file.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import atomic_write, read_exact
+from . import atomic_write
+from .preprocess import read_lines
 
-SIDECAR_MAGIC = b"FWSB"
-SIDECAR_VERSION = 1
 # Centers per SGD step; bounds the step's memory and how stale its reads get
 # on long sentences.
 BLOCK_CENTERS = 64
@@ -59,7 +62,7 @@ class SubwordConfig:
             raise ValueError(f"min_n must be >= 1, got {self.min_n}")
         for name in ("min_n", "max_n", "buckets"):
             value = getattr(self, name)
-            if value > 2 ** 31 - 1:  # the sidecar header packs these as int32
+            if value > 2 ** 31 - 1:  # a 32-bit signed int, as in fastText's own options
                 raise ValueError(f"{name} must be <= 2147483647, got {value}")
         if self.min_n > self.max_n:
             raise ValueError(f"min_n {self.min_n} > max_n {self.max_n}")
@@ -264,28 +267,16 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(table.reshape(-1), flat, values.ravel())
 
 
-@dataclass
-class _NgramIndex:
-    """Every vocab word's n-gram bucket ids in CSR layout: word i owns
-    ids[starts[i]:starts[i + 1]]."""
-
-    ids: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def build(cls, words: list[str], sub: SubwordConfig) -> _NgramIndex:
-        ids, starts = _hash_ngrams(words, sub.min_n, sub.max_n, sub.buckets)
-        return cls(ids=ids, starts=starts)
-
-    def gather(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The n-gram ids of `words` back to back, the position in `words`
-        that each belongs to, and 1 + each word's n-gram count (the number
-        of rows its composition averages)."""
-        counts = self.starts[words + 1] - self.starts[words]
-        owner = np.repeat(np.arange(len(words)), counts)
-        first = np.cumsum(counts) - counts
-        flat = self.ids[self.starts[words][owner] + np.arange(owner.size) - first[owner]]
-        return flat, owner, 1 + counts
+def _gather(ids, starts, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From the vocabulary's n-gram ids in CSR layout (`_hash_ngrams`), the
+    n-gram ids of `words` back to back, the position in `words` that each
+    belongs to, and 1 + each word's n-gram count (the number of rows its
+    composition averages)."""
+    counts = starts[words + 1] - starts[words]
+    owner = np.repeat(np.arange(len(words)), counts)
+    first = np.cumsum(counts) - counts
+    flat = ids[starts[words][owner] + np.arange(owner.size) - first[owner]]
+    return flat, owner, 1 + counts
 
 
 def _compose(w_in, buckets, words, flat, owner, size) -> np.ndarray:
@@ -310,7 +301,7 @@ def _train(
     sub = config.subword
     if sub is not None:
         buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
-        grams = _NgramIndex.build(vocab.id_to_token, sub)
+        grams = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
 
     noise = negative_sampling_distribution(vocab)
     noise_cdf = np.cumsum(noise)
@@ -361,7 +352,7 @@ def _train(
             if sub is None:
                 v_words = w_in[words]
             else:
-                flat, owner, size = grams.gather(words)
+                flat, owner, size = _gather(*grams, words)
                 v_words = _compose(w_in, buckets, words, flat, owner, size)
             v = v_words[pair_word]
             u = w_out[targets]
@@ -400,14 +391,9 @@ def _train(
     composed = np.empty_like(w_in)
     for first in range(0, vocab_size, BLOCK_CENTERS):
         words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
-        composed[words] = _compose(w_in, buckets, words, *grams.gather(words))
-    table = SubwordTable(
-        min_n=sub.min_n,
-        max_n=sub.max_n,
-        buckets=sub.buckets,
-        bucket_vectors=buckets,
-        word_raw_vectors=w_in,
-    )
+        composed[words] = _compose(w_in, buckets, words, *_gather(*grams, words))
+    table = SubwordTable(min_n=sub.min_n, max_n=sub.max_n, buckets=sub.buckets,
+                         bucket_vectors=buckets, word_raw_vectors=w_in)
     return EmbeddingMatrix(
         dim=dim, vocab=vocab, vectors=composed, subword=table, epoch_losses=losses
     )
@@ -450,36 +436,20 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
-    """Text format "word v1 ... vdim" with a "count dim" header; subword
-    constituents go to a versioned binary sidecar at path + ".subword".
-
-    Both files are written atomically, so a failed save leaves both as they
-    were; saving a matrix without subwords removes a stale sidecar.
+    """Write the text format: a "count dim" header, then "word v1 ... vdim"
+    per word in id order. For the subword variant the rows are the composed
+    vectors, as fastText's own .vec output has them; the subword table is
+    not saved. The file is written atomically, so a failed save leaves it
+    as it was.
     """
     # one %-template per row writes the same bytes as f"{v:.8e}" per value
     row_format = " ".join(["%.8e"] * matrix.dim)
-    sub = matrix.subword
-    sidecar = str(path) + ".subword"
-
-    def write_sidecar(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(SIDECAR_MAGIC)
-            fh.write(struct.pack(
-                "<5i", SIDECAR_VERSION, sub.min_n, sub.max_n, sub.buckets, matrix.dim
-            ))
-            fh.write(struct.pack("<i", len(matrix.vocab)))
-            fh.write(sub.word_raw_vectors.astype("<f4").tobytes())
-            fh.write(sub.bucket_vectors.astype("<f4").tobytes())
 
     def write_text(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
             for word, row in zip(matrix.vocab.id_to_token, matrix.vectors):
                 fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
-        if sub is not None:
-            atomic_write(sidecar, write_sidecar)
-        elif os.path.exists(sidecar):
-            os.unlink(sidecar)
 
     atomic_write(path, write_text)
 
@@ -489,86 +459,40 @@ class EmbeddingFormatError(ValueError):
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """The vectors of a text file, with its `.subword` sidecar if there is one.
-    A malformed file raises EmbeddingFormatError "<path>: line N: ..." or
-    "<path>: sidecar: ..."."""
+    """The vectors of a text file written by `save_embeddings`, with no
+    subword table: an out-of-vocabulary word looks up as a zero vector.
+    A malformed file raises EmbeddingFormatError "<path>: line N: ...", and
+    a line that is not UTF-8 a ValueError of the same form."""
+    lines = read_lines(path)
+
+    def bad(lineno: int, detail) -> EmbeddingFormatError:
+        return EmbeddingFormatError(f"{path}: line {lineno}: {detail}")
+
+    header = next(lines, (1, ""))[1].split()
+    if len(header) != 2:
+        raise bad(1, "header must be 'count dim'")
     try:
-        return _read_embeddings(path)
+        count, dim = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: {exc}") from exc
-
-
-def _read_embeddings(path) -> EmbeddingMatrix:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingFormatError("line 1: header must be 'count dim'")
+        raise bad(1, f"header must be 'count dim': {exc}") from exc
+    if count < 0 or dim < 1:
+        raise bad(1, f"bad count {count} or dim {dim}")
+    # values grow with the lines actually read, never from the header's count
+    words = []
+    values = array("d")
+    for lineno in range(2, count + 2):
+        line = next(lines, (lineno, None))[1]
+        if line is None:
+            raise bad(lineno, f"expected {count} vector lines, file ended")
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise bad(lineno, f"expected {dim} components, got {len(parts) - 1}")
+        words.append(parts[0])
         try:
-            count, dim = int(header[0]), int(header[1])
+            values.extend([float(x) for x in parts[1:]])
         except ValueError as exc:
-            raise EmbeddingFormatError(f"line 1: header must be 'count dim': {exc}") from exc
-        if count < 0 or dim < 1:
-            raise EmbeddingFormatError(f"line 1: bad count {count} or dim {dim}")
-        # values grow with the lines actually read, never from the header's count
-        words = []
-        values = array("d")
-        for i in range(count):
-            line = fh.readline()
-            if not line:
-                raise EmbeddingFormatError(
-                    f"line {i + 2}: expected {count} vector lines, file ended"
-                )
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"line {i + 2}: expected {dim} components, got {len(parts) - 1}"
-                )
-            words.append(parts[0])
-            try:
-                values.extend([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise EmbeddingFormatError(f"line {i + 2}: {exc}") from exc
-        if fh.readline().strip():
-            raise EmbeddingFormatError(f"line {count + 2}: trailing data after body")
-
+            raise bad(lineno, exc) from exc
+    if next(lines, (0, ""))[1].strip():
+        raise bad(count + 2, "trailing data after body")
     vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
-    matrix = EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)
-
-    sidecar = str(path) + ".subword"
-    if os.path.exists(sidecar):
-        try:
-            matrix.subword = _load_sidecar(sidecar, count, dim)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"sidecar: {exc}") from exc
-    return matrix
-
-
-def _load_sidecar(path, count: int, dim: int) -> SubwordTable:
-    """The subword table of `count` words of `dim` components, or ValueError naming the section."""
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, "magic") != SIDECAR_MAGIC:
-            raise ValueError("bad magic bytes")
-        version, min_n, max_n, buckets, sdim = struct.unpack(
-            "<5i", read_exact(fh, 20, "header")
-        )
-        if version != SIDECAR_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        if sdim != dim:
-            raise ValueError(f"dim {sdim} does not match text file dim {dim}")
-        if buckets < 1:
-            raise ValueError(f"bucket count {buckets} is not positive")
-        if min_n < 1:
-            raise ValueError(f"min_n {min_n} is below 1")
-        (vcount,) = struct.unpack("<i", read_exact(fh, 4, "vocab size"))
-        if vcount != count:
-            raise ValueError(f"vocab size {vcount} does not match text file {count}")
-        raw = np.frombuffer(
-            read_exact(fh, vcount * dim * 4, "word vectors"), dtype="<f4"
-        ).reshape(vcount, dim).astype(np.float64)
-        bvec = np.frombuffer(
-            read_exact(fh, buckets * dim * 4, "bucket vectors"), dtype="<f4"
-        ).reshape(buckets, dim).astype(np.float64)
-    return SubwordTable(
-        min_n=min_n, max_n=max_n, buckets=buckets,
-        bucket_vectors=bvec, word_raw_vectors=raw,
-    )
+    return EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)

@@ -18,7 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .preprocess import CleanComment, normalize_text, read_jsonl, stem, tokenize, write_jsonl
+from .preprocess import (
+    CleanComment, normalize_text, read_jsonl, read_lines, stem, tokenize, write_jsonl,
+)
 
 
 class SentimentLabel(IntEnum):
@@ -80,54 +82,52 @@ def load_lexicon(path, max_n: int = 4) -> tuple[Lexicon, list[tuple[int, str]]]:
     entries: list[LexiconEntry] = []
     seen: dict[tuple[str, ...], int] = {}
     rejects: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                rejects.append((lineno, "expected phrase<TAB>score"))
-                continue
-            try:
-                score = float(parts[1])
-            except ValueError:
-                rejects.append((lineno, f"bad score {parts[1]!r}"))
-                continue
-            if not -1.0 <= score <= 1.0:
-                rejects.append((lineno, f"score {score} outside [-1, 1]"))
-                continue
-            phrase = preprocess_phrase(parts[0])
-            if not 1 <= len(phrase) <= max_n:
-                rejects.append((lineno, f"phrase has {len(phrase)} tokens (limit {max_n})"))
-                continue
-            if phrase in seen:
-                rejects.append((lineno, f"duplicate of line {seen[phrase]}"))
-                continue
-            seen[phrase] = lineno
-            entries.append(LexiconEntry(phrase, score))
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            rejects.append((lineno, "expected phrase<TAB>score"))
+            continue
+        try:
+            score = float(parts[1])
+        except ValueError:
+            rejects.append((lineno, f"bad score {parts[1]!r}"))
+            continue
+        if not -1.0 <= score <= 1.0:
+            rejects.append((lineno, f"score {score} outside [-1, 1]"))
+            continue
+        phrase = preprocess_phrase(parts[0])
+        if not 1 <= len(phrase) <= max_n:
+            rejects.append((lineno, f"phrase has {len(phrase)} tokens (limit {max_n})"))
+            continue
+        if phrase in seen:
+            rejects.append((lineno, f"duplicate of line {seen[phrase]}"))
+            continue
+        seen[phrase] = lineno
+        entries.append(LexiconEntry(phrase, score))
     return Lexicon(entries, max_n=max_n), rejects
 
 
 def load_emoji_table(path) -> dict[str, int]:
     """Load "emoji<TAB>+1|-1" lines; a bad line raises ValueError naming the file and line."""
     table: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                emoji, polarity = line.split("\t")
-                table[emoji] = int(polarity)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected emoji<TAB>+1|-1, got {line!r}"
-                ) from None
-            if table[emoji] not in (1, -1):
-                raise ValueError(
-                    f"{path}: line {lineno}: emoji polarity must be +1 or -1, got {polarity}"
-                )
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            emoji, polarity = line.split("\t")
+            table[emoji] = int(polarity)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: expected emoji<TAB>+1|-1, got {line!r}"
+            ) from None
+        if table[emoji] not in (1, -1):
+            raise ValueError(
+                f"{path}: line {lineno}: emoji polarity must be +1 or -1, got {polarity}"
+            )
     return table
 
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import read_exact
 from .embeddings import EmbeddingMatrix, Vocabulary
 from .lexicon import SentimentLabel
 from .metrics import ConfusionMatrix, confusion
@@ -132,6 +132,17 @@ class NonFiniteError(FloatingPointError):
 def _check_finite(x, where: str):
     if not np.isfinite(x).all():
         raise NonFiniteError(where)
+
+
+def read_exact(fh, size: int, section: str) -> bytes:
+    """Read the `size` bytes of one section of a binary file, or raise
+    ValueError naming the section if `size` is negative or the file ends first."""
+    if size < 0:
+        raise ValueError(f"{section} size {size} is negative")
+    data = fh.read(min(size, os.fstat(fh.fileno()).st_size - fh.tell()))
+    if len(data) != size:
+        raise ValueError(f"truncated {section}: expected {size} bytes, read {len(data)}")
+    return data
 
 
 def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -331,7 +342,7 @@ class SentimentNet:
         pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(np.float64)
         x = emb[batch.ids] * pad_mask  # pad positions are zero vectors by contract
         lengths = np.minimum(batch.lengths, cfg.max_tokens).astype(np.int64)
-        cache: dict = {"ids": batch.ids, "pad_mask": pad_mask, "convs": [], "pools": []}
+        cache: dict = {"ids": batch.ids, "convs": [], "pools": []}
 
         for li in range(len(cfg.conv_layers)):
             z, conv_cache = self._conv_forward(x, p[f"conv{li}_w"], p[f"conv{li}_b"])
@@ -442,10 +453,10 @@ class SentimentNet:
             dx = self._conv_backward(dz, p[f"conv{li}_w"], conv_cache,
                                      g[f"conv{li}_w"], g[f"conv{li}_b"])
 
-        # a frozen embedding is outside grad and gets no gradient
+        # a frozen embedding is outside grad and gets no gradient; PAD
+        # positions scatter into row PAD_ID, which is zeroed after
         if cfg.fine_tune_embeddings:
             demb = g["embedding"]
-            dx = dx * cache["pad_mask"]
             np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
             demb[PAD_ID] = 0.0
 

@@ -14,10 +14,12 @@ non-"!", non-space characters, plus the "!" that may follow it.
 `build_corpus` stems each distinct token once: its memo lives for that
 one call, so it is bounded by the distinct tokens of the corpus it builds.
 
-`read_jsonl` is the one loop over JSONL lines: it checks each line is UTF-8,
-parses it and applies the record kind's `from_dict` (`RawComment`,
-`CleanComment`, `lexicon.LabeledComment`). `load_jsonl` skips and reports
-bad raw lines; the clean and labeled loaders raise on the first bad line.
+`read_lines` is the one loop over the lines of a text input (JSONL, the
+lexicon, the emoji table, JSON and embedding files): it checks each line is
+UTF-8. `read_jsonl` parses its lines with the record kind's `from_dict`
+(`RawComment`, `CleanComment`, `lexicon.LabeledComment`). `load_jsonl`
+skips and reports bad raw lines; every other loader raises on the first bad
+line, naming the file and the line.
 """
 
 from __future__ import annotations
@@ -308,41 +310,60 @@ def write_jsonl(records, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path, from_dict, errors: list[LineError] | None = None):
-    """Yield from_dict(obj) for each non-blank line of a UTF-8 JSONL file.
-
-    A line that is not UTF-8, not JSON, or that from_dict refuses is skipped
-    and appended to `errors` as "<ExcType>: <message>"; with no `errors` it
-    raises ValueError naming the path and the 1-based line number. Lines
-    split as in text mode; a byte that is not UTF-8 stays a lone surrogate
-    (surrogateescape) until its line is checked.
-    """
+def read_lines(path, errors: list[LineError] | None = None):
+    """Yield (lineno, line) for each line of a UTF-8 text file, split as in
+    text mode. A line that is not UTF-8 is skipped and appended to `errors`,
+    or with no `errors` raises ValueError "<path>: line N: ...". Its bytes
+    stay lone surrogates (surrogateescape) until the line is checked."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
                 if not line.isascii():
                     # raises UnicodeDecodeError (a ValueError) at the first bad byte
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
-                record = from_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                if errors is None:
-                    raise _line_error(path, lineno, exc) from None
-                errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
-                continue
+            except ValueError as exc:
+                _bad_line(path, lineno, exc, errors)
+            else:
+                yield lineno, line
+
+
+def read_jsonl(path, from_dict, errors: list[LineError] | None = None):
+    """Yield from_dict(obj) for each non-blank line of a UTF-8 JSONL file.
+    A line that is not UTF-8, not JSON, or that from_dict refuses is handled
+    as `read_lines` handles one that is not UTF-8."""
+    for lineno, line in read_lines(path, errors):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = from_dict(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            _bad_line(path, lineno, exc, errors)
+        else:
             yield record
 
 
-def _line_error(path, lineno: int, exc: Exception) -> ValueError:
+def read_json(path):
+    """The JSON value of a whole UTF-8 file; a bad file raises as `read_lines`."""
+    try:
+        return json.loads("".join(line for _, line in read_lines(path)))
+    except json.JSONDecodeError as exc:
+        _bad_line(path, exc.lineno, exc)
+
+
+def _bad_line(path, lineno: int, exc: Exception, errors: list[LineError] | None = None):
+    """Append the line's LineError "<ExcType>: <message>" to `errors`, or with
+    no `errors` raise ValueError "<path>: line N: <detail>"."""
+    if errors is not None:
+        errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
+        return
     if isinstance(exc, KeyError):
         detail = f"missing field {exc}"
     elif isinstance(exc, json.JSONDecodeError):
         detail = f"bad JSON: {exc.msg} (column {exc.colno})"
     else:
         detail = str(exc)
-    return ValueError(f"{path}: line {lineno}: {detail}")
+    raise ValueError(f"{path}: line {lineno}: {detail}") from None
 
 
 def save_clean_jsonl(comments: list[CleanComment], path) -> None:

@@ -4,7 +4,6 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from flamewatch.embeddings import EmbedConfig, SubwordConfig, save_embeddings, train_fasttext
 from flamewatch.lexicon import Lexicon, LexiconEntry
 from flamewatch.preprocess import CleanComment
 
@@ -57,19 +56,3 @@ def simple_lexicon():
 @pytest.fixture
 def emoji_table():
     return {"🙂": 1, "😡": -1}
-
-
-@pytest.fixture
-def truncated_fasttext_vectors(tmp_path):
-    """Factory: save small fastText vectors (dim 8, 4096 buckets) and cut the
-    sidecar to its first `keep` bytes (negative: drop that many from the end)."""
-    def make(keep):
-        config = EmbedConfig(dim=8, window=2, negatives=2, epochs=1, min_count=1, seed=0,
-                             subword=SubwordConfig(min_n=3, max_n=4, buckets=4096))
-        sentences = [["good", "bad", "day", "good"], ["bad", "day", "again"]]
-        path = tmp_path / "vectors.txt"
-        save_embeddings(train_fasttext(sentences, config), path)
-        sidecar = tmp_path / "vectors.txt.subword"
-        sidecar.write_bytes(sidecar.read_bytes()[:keep])
-        return path
-    return make

@@ -170,6 +170,14 @@ class TestDetectCommand:
     def test_missing_input_exit_2(self, tmp_path):
         assert run_cli("detect", tmp_path / "nope.jsonl", tmp_path).returncode == 2
 
+    def test_output_dir_is_a_file_exit_2(self, labeled_corpus, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("previous\n")
+        assert main(["detect", str(labeled_corpus), str(out)]) == 2
+        assert f"error: output directory is not a directory: {out}" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
     @pytest.fixture(scope="class")
     def flaming_labeled(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("flaming")
@@ -285,16 +293,6 @@ class TestTrainingCommands:
         assert code == 2
         assert f"error: {bad}: line 3: expected 3 components, got 2" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
-
-    @pytest.mark.parametrize("keep, section", [(14, "header"), (-5, "bucket vectors")],
-                             ids=["in-header", "in-body"])
-    def test_truncated_sidecar_exit_2(self, labeled_corpus, truncated_fasttext_vectors,
-                                      tmp_path, capsys, keep, section):
-        vectors = truncated_fasttext_vectors(keep)
-        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
-                     "--embeddings", str(vectors)])
-        assert code == 2
-        assert f"error: {vectors}: sidecar: truncated {section}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--window", 0, "window"), ("--epochs", 0, "epochs"),
@@ -475,6 +473,18 @@ class TestEvaluateMatrixErrors:
         keys = ", ".join(sorted(matrix))
         assert f"available keys: {keys}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"m":\n  {"counts": [[1]],\n   "class_names": ["\udcff"]}}\n',
+         "line 3: 'utf-8' codec can't decode byte 0xff in position 20"),
+        ('{"m":\n  {"counts": [[1]],,\n}}\n', "line 2: bad JSON: Expecting property name"),
+        ("", "line 1: bad JSON: Expecting value (column 1)"),
+    ], ids=["non-utf8", "bad-json", "empty"])
+    def test_bad_matrix_file_exit_2_names_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        assert main(["evaluate", "--matrix-json", str(path), "--key", "m"]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
 
 class TestAtomicOutputs:
     def test_failed_writer_leaves_previous_output(self, raw_corpus, tmp_path, monkeypatch):
@@ -491,31 +501,60 @@ class TestAtomicOutputs:
 
     def test_failed_sidecar_leaves_previous_vectors(self, clean_corpus, tmp_path,
                                                     monkeypatch):
+        # a fastText save that fails after a few rows leaves the previous
+        # vectors file and no temp file
         out = tmp_path / "vectors.txt"
         out.write_text("previous\n")
-        sidecar = tmp_path / "vectors.txt.subword"
-        sidecar.write_bytes(b"previous sidecar")
+        train = embeddings.train_fasttext
 
-        def fail(*args):
-            raise OSError("disk full")
+        def failing(sentences, config):
+            matrix = train(sentences, config)
 
-        monkeypatch.setattr(embeddings.struct, "pack", fail)
+            def rows():
+                yield from matrix.vectors[:3]
+                raise OSError("disk full")
+
+            matrix.vectors = rows()
+            return matrix
+
+        monkeypatch.setattr(embeddings, "train_fasttext", failing)
         code = main(["train-embed", str(clean_corpus), str(out), "--method", "fasttext",
                      "--dim", "8", "--epochs", "1", "--min-count", "1", "--buckets", "1024"])
         assert code == 1
         assert out.read_text() == "previous\n"
-        assert sidecar.read_bytes() == b"previous sidecar"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt",
-                                                              "vectors.txt.subword"]
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
 
-    def test_word2vec_output_drops_stale_sidecar(self, clean_corpus, tmp_path):
-        out = tmp_path / "vectors.txt"
-        args = [str(clean_corpus), str(out), "--dim", "8", "--epochs", "1", "--min-count", "1"]
-        assert main(["train-embed", *args, "--method", "fasttext", "--buckets", "1024"]) == 0
-        assert (tmp_path / "vectors.txt.subword").exists()
-        assert main(["train-embed", *args]) == 0
-        assert not (tmp_path / "vectors.txt.subword").exists()
-        assert embeddings.load_embeddings(out).subword is None
+    def test_word2vec_output_drops_stale_sidecar(self, clean_corpus, labeled_corpus,
+                                                 tmp_path):
+        # fastText vectors are one file, and a corrupt ".subword" file that an
+        # earlier version left beside them changes nothing in train-clf
+        vectors = tmp_path / "vectors.txt"
+        assert main(["train-embed", str(clean_corpus), str(vectors), "--method", "fasttext",
+                     "--dim", "8", "--epochs", "1", "--min-count", "1",
+                     "--buckets", "1024"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
+        clf = ["--embeddings", str(vectors), "--epochs", "1", "--filters", "4",
+               "--lstm-hidden", "4", "--dense", "8", "4", "--max-tokens", "12"]
+        assert main(["train-clf", str(labeled_corpus), str(tmp_path / "a.ckpt"), *clf]) == 0
+        (tmp_path / "vectors.txt.subword").write_bytes(b"XXXX\0\0\0")
+        assert main(["train-clf", str(labeled_corpus), str(tmp_path / "b.ckpt"), *clf]) == 0
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("command, name", [
+        ("preprocess", "out"), ("label", "out/"), ("train-embed", "new/"),
+    ])
+    def test_output_directory_exit_2(self, request, tmp_path, capsys, command, name):
+        source = request.getfixturevalue("raw_corpus" if command == "preprocess"
+                                         else "clean_corpus")
+        (tmp_path / "out").mkdir()
+        argv = [command, str(source), f"{tmp_path}/{name}"]
+        if command == "train-embed":
+            argv += ["--dim", "8", "--epochs", "1", "--min-count", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: output path names a directory: {tmp_path}/{name}\n" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_huge_embedding_header_exit_2(self, labeled_corpus, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -836,8 +875,13 @@ class TestSubwordLengths:
                          "--subword-max-n", str(max_n)]) == 0
             out[max_n] = path
         assert out[longest].read_bytes() == out[10 ** 9].read_bytes()
-        huge = embeddings.load_embeddings(out[10 ** 9]).subword
-        capped = embeddings.load_embeddings(out[longest]).subword
+        sentences = [c.tokens for c in preprocess.load_clean_jsonl(clean_corpus)]
+        huge, capped = [
+            embeddings.train_fasttext(sentences, embeddings.EmbedConfig(
+                dim=8, epochs=1, min_count=1, seed=0,
+                subword=embeddings.SubwordConfig(max_n=max_n, buckets=4096))).subword
+            for max_n in (10 ** 9, longest)
+        ]
         assert (huge.max_n, capped.max_n) == (10 ** 9, longest)
         assert (huge.bucket_vectors == capped.bucket_vectors).all()
         assert (huge.word_raw_vectors == capped.word_raw_vectors).all()
@@ -847,11 +891,23 @@ class TestSubwordLengths:
     ("🙂\t1\n😡\t-1\textra\n", "line 2: expected emoji<TAB>+1|-1"),
     ("# table\n🙂\tone\n", "line 2: expected emoji<TAB>+1|-1"),
     ("🙂\t1\n\n😡\t2\n", "line 3: emoji polarity must be +1 or -1, got 2"),
-], ids=["field-count", "not-integer", "out-of-range"])
+    ("🙂\t1\n\udcff\t-1\n", "line 2: 'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["field-count", "not-integer", "out-of-range", "non-utf8"])
 def test_bad_emoji_table_exit_2(clean_corpus, tmp_path, capsys, text, message):
     table = tmp_path / "emoji.tsv"
-    table.write_text(text, encoding="utf-8")
+    table.write_text(text, encoding="utf-8", errors="surrogateescape")
     code = main(["label", str(clean_corpus), str(tmp_path / "out.jsonl"),
                  "--emoji-table", str(table)])
     assert code == 2
     assert f"error: {table}: {message}" in capsys.readouterr().err
+
+
+def test_non_utf8_lexicon_exit_2(clean_corpus, tmp_path, capsys):
+    lex = tmp_path / "lexicon.tsv"
+    lex.write_text("good\t0.5\nb\udcffd\t-0.5\n", encoding="utf-8", errors="surrogateescape")
+    code = main(["label", str(clean_corpus), str(tmp_path / "out.jsonl"),
+                 "--lexicon", str(lex)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {lex}: line 2: 'utf-8' codec can't decode byte 0xff in position 1" in err
+    assert not (tmp_path / "out.jsonl").exists()

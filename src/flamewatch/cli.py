@@ -2,12 +2,12 @@
 predict, evaluate, detect.
 
 Every command prints a one-line JSON summary on stdout and uses exit
-codes 0 (ok), 1 (internal error), 2 (input error). The lexicon and
-emoji-table paths can come from an INI-style config file (lexicon=... and
-emoji_table=... under [paths]); explicit flags win over the config file.
-Output files are written to a temp file and atomically renamed; an output
-path that names a directory (or, for detect, an output directory that is a
-file) is an input error.
+codes 0 (ok), 1 (internal error), 2 (input error: a ValueError, or an
+OSError that names a file). The lexicon and emoji-table paths can come from
+an INI-style config file (lexicon=... and emoji_table=... under [paths]);
+explicit flags win over the config file. This module keeps no file rules:
+the library's readers open the paths given, and its writers are atomic and
+check where each output goes.
 """
 
 from __future__ import annotations
@@ -18,18 +18,8 @@ import json
 import os
 import sys
 
-from . import atomic_write, data_path
+from . import data_path
 from . import embeddings, fixtures, flaming, lexicon, metrics, network, preprocess
-
-
-class InputError(ValueError):
-    """User-facing problem with inputs; maps to exit code 2."""
-
-
-def _require_file(path) -> str:
-    if not os.path.isfile(path):
-        raise InputError(f"input file not found: {path}")
-    return path
 
 
 def _emit(summary: dict) -> None:
@@ -38,9 +28,9 @@ def _emit(summary: dict) -> None:
 
 def _load_config(path) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
-    if path:
-        _require_file(path)
-        cfg.read(path)
+    # configparser skips a file it cannot open, so an empty result is the check
+    if path and not cfg.read(path):
+        raise ValueError(f"cannot read config file: {path}")
     return cfg
 
 
@@ -48,9 +38,9 @@ def _load_config(path) -> configparser.ConfigParser:
 
 
 def cmd_preprocess(args, cfg) -> int:
-    raws, errors = preprocess.load_jsonl(_require_file(args.input))
+    raws, errors = preprocess.load_jsonl(args.input)
     corpus = preprocess.build_corpus(raws)
-    atomic_write(args.output, lambda p: preprocess.save_clean_jsonl(corpus.comments, p))
+    preprocess.save_clean_jsonl(corpus.comments, args.output)
     print(f"kept={corpus.kept} dropped={corpus.dropped}", file=sys.stderr)
     _emit({
         "command": "preprocess",
@@ -61,25 +51,20 @@ def cmd_preprocess(args, cfg) -> int:
     return 0
 
 
-def _load_lexicon_args(args, cfg):
+def cmd_label(args, cfg) -> int:
     lex_path = args.lexicon or cfg.get("paths", "lexicon", fallback=None) or str(
         data_path("mini_lexicon.tsv")
     )
     emoji_path = args.emoji_table or cfg.get("paths", "emoji_table", fallback=None) or str(
         data_path("emoji_polarity.tsv")
     )
-    lex, rejects = lexicon.load_lexicon(_require_file(lex_path), max_n=args.max_n)
-    table = lexicon.load_emoji_table(_require_file(emoji_path))
-    return lex, table, rejects
-
-
-def cmd_label(args, cfg) -> int:
-    lex, table, rejects = _load_lexicon_args(args, cfg)
-    comments = preprocess.load_clean_jsonl(_require_file(args.input))
+    lex, rejects = lexicon.load_lexicon(lex_path, max_n=args.max_n)
+    table = lexicon.load_emoji_table(emoji_path)
+    comments = preprocess.load_clean_jsonl(args.input)
     labeled, dist = lexicon.label_corpus(
         comments, lex, table, strict=args.strict_eq1
     )
-    atomic_write(args.output, lambda p: lexicon.save_labeled_jsonl(labeled, p))
+    lexicon.save_labeled_jsonl(labeled, args.output)
     _emit({
         "command": "label",
         "labeled": len(labeled),
@@ -90,7 +75,7 @@ def cmd_label(args, cfg) -> int:
 
 
 def cmd_train_embed(args, cfg) -> int:
-    comments = preprocess.load_clean_jsonl(_require_file(args.input))
+    comments = preprocess.load_clean_jsonl(args.input)
     sentences = [c.tokens for c in comments]
     subword = None
     if args.method == "fasttext":
@@ -116,8 +101,8 @@ def cmd_train_embed(args, cfg) -> int:
 
 
 def cmd_train_clf(args, cfg) -> int:
-    labeled = lexicon.load_labeled_jsonl(_require_file(args.input))
-    matrix = embeddings.load_embeddings(_require_file(args.embeddings))
+    labeled = lexicon.load_labeled_jsonl(args.input)
+    matrix = embeddings.load_embeddings(args.embeddings)
     config = network.ModelConfig(
         embed_dim=matrix.dim,
         max_tokens=args.max_tokens,
@@ -134,7 +119,7 @@ def cmd_train_clf(args, cfg) -> int:
     model = network.SentimentNet(config, matrix)
     data = [(lc.comment.tokens, int(lc.label)) for lc in labeled]
     report = model.train(data, epochs=args.epochs, val_split=args.val_split)
-    atomic_write(args.output, model.save)
+    model.save(args.output)
     _emit({
         "command": "train-clf",
         "examples": len(data),
@@ -148,8 +133,8 @@ def cmd_train_clf(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    model = network.SentimentNet.load(_require_file(args.model))
-    comments = preprocess.load_clean_jsonl(_require_file(args.input))
+    model = network.SentimentNet.load(args.model)
+    comments = preprocess.load_clean_jsonl(args.input)
 
     labels, probs = model.predict_many([c.tokens for c in comments])
 
@@ -162,18 +147,18 @@ def cmd_predict(args, cfg) -> int:
                 "probabilities": row,
             }
 
-    atomic_write(args.output, lambda p: preprocess.write_jsonl(records(), p))
+    preprocess.write_jsonl(records(), args.output)
     _emit({"command": "predict", "predicted": len(comments)})
     return 0
 
 
 def cmd_evaluate(args, cfg) -> int:
     if args.matrix_json:
-        obj = preprocess.read_json(_require_file(args.matrix_json))
+        obj = preprocess.read_json(args.matrix_json)
         if args.key:
             if not isinstance(obj, dict) or args.key not in obj:
                 keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
-                raise InputError(
+                raise ValueError(
                     f"{args.matrix_json}: no key {args.key!r}; available keys: {keys}"
                 )
             obj = obj[args.key]
@@ -181,9 +166,9 @@ def cmd_evaluate(args, cfg) -> int:
         accuracy = float(cm.counts.trace() / cm.counts.sum())
     else:
         if not args.model or not args.input:
-            raise InputError("evaluate needs either --matrix-json or --model and INPUT")
-        model = network.SentimentNet.load(_require_file(args.model))
-        labeled = lexicon.load_labeled_jsonl(_require_file(args.input))
+            raise ValueError("evaluate needs either --matrix-json or --model and INPUT")
+        model = network.SentimentNet.load(args.model)
+        labeled = lexicon.load_labeled_jsonl(args.input)
         data = [(lc.comment.tokens, int(lc.label)) for lc in labeled]
         accuracy, cm = model.evaluate(data)
     mm = metrics.macro_metrics(cm, orientation=args.orientation)
@@ -202,16 +187,13 @@ def cmd_evaluate(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
-    if os.path.exists(args.output_dir) and not os.path.isdir(args.output_dir):
-        raise InputError(f"output directory is not a directory: {args.output_dir}")
-    labeled = lexicon.load_labeled_jsonl(_require_file(args.input))
+    labeled = lexicon.load_labeled_jsonl(args.input)
     stats = flaming.post_stats(labeled)
     zs = flaming.zscores(stats, sample_std=args.sample_std,
                          include_negative=args.include_negative)
     events = flaming.detect(stats, zs, args.z_threshold, args.share_threshold,
                             args.window_hours)
     buckets = flaming.aggregate(labeled, width=args.width)
-    os.makedirs(args.output_dir, exist_ok=True)
     json_path = os.path.join(args.output_dir, "events.json")
     csv_path = os.path.join(args.output_dir, "timeseries.csv")
     flaming.write_report(events, buckets, json_path, csv_path)
@@ -229,11 +211,14 @@ def cmd_detect(args, cfg) -> int:
 
 def cmd_make_fixture(args, cfg) -> int:
     if args.kind == "synthetic":
-        records = fixtures.synthetic_comments(args.comments, seed=args.seed)
+        count = 500 if args.comments is None else args.comments
+        records = fixtures.synthetic_comments(count, seed=args.seed)
+    elif args.comments is not None:
+        raise ValueError("--comments applies only to --kind synthetic")
     else:
         records, planted = fixtures.flaming_comments(seed=args.seed)
         print(f"planted={','.join(planted)}", file=sys.stderr)
-    atomic_write(args.output, lambda p: preprocess.write_jsonl(records, p))
+    preprocess.write_jsonl(records, args.output)
     _emit({"command": "make-fixture", "kind": args.kind, "records": len(records)})
     return 0
 
@@ -327,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-fixture", help="write a synthetic corpus")
     p.add_argument("output")
     p.add_argument("--kind", choices=("synthetic", "flaming"), default="synthetic")
-    p.add_argument("--comments", type=int, default=500)
+    p.add_argument("--comments", type=int, help="synthetic comments (default 500)")
     p.set_defaults(func=cmd_make_fixture)
 
     return parser
@@ -339,13 +324,11 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)
-    except FileNotFoundError as exc:
-        print(f"error: input file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # unexpected -> internal error
+    except Exception as exc:
+        named = isinstance(exc, OSError) and exc.filename is not None
+        if isinstance(exc, ValueError) or named:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -492,7 +492,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
             values.extend([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise bad(lineno, exc) from exc
-    if next(lines, (0, ""))[1].strip():
-        raise bad(count + 2, "trailing data after body")
+    for lineno, line in lines:
+        if line.strip():
+            raise bad(lineno, "trailing data after body")
     vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
     return EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)

@@ -79,6 +79,8 @@ def preprocess_phrase(raw_phrase: str) -> tuple[str, ...]:
 
 def load_lexicon(path, max_n: int = 4) -> tuple[Lexicon, list[tuple[int, str]]]:
     """Load "phrase<TAB>score" lines; invalid entries are rejected with line numbers."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     entries: list[LexiconEntry] = []
     seen: dict[tuple[str, ...], int] = {}
     rejects: list[tuple[int, str]] = []

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import atomic_write
 from .embeddings import EmbeddingMatrix, Vocabulary
 from .lexicon import SentimentLabel
 from .metrics import ConfusionMatrix, confusion
@@ -468,10 +469,8 @@ class SentimentNet:
 
     # ----- optimization ----------------------------------------------------
 
-    def adam_step(self, lr: float | None = None):
+    def adam_step(self):
         """One Adam update of the trainable prefix of `flat` from `grad`."""
-        if lr is None:
-            lr = self.config.learning_rate
         self.adam_t += 1
         t = self.adam_t
         g = self.grad
@@ -479,7 +478,7 @@ class SentimentNet:
         self.adam_v = ADAM_BETA2 * self.adam_v + (1 - ADAM_BETA2) * g * g
         m_hat = self.adam_m / (1 - ADAM_BETA1 ** t)
         v_hat = self.adam_v / (1 - ADAM_BETA2 ** t)
-        self.flat[:g.size] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.flat[:g.size] -= self.config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def train(
         self,
@@ -598,6 +597,7 @@ class SentimentNet:
     # ----- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the checkpoint atomically (`atomic_write`)."""
         names = sorted(self.params)
         meta = {
             "config": {
@@ -613,12 +613,16 @@ class SentimentNet:
             "tensors": [[n, list(self.params[n].shape)] for n in names],
         }
         blob = json.dumps(meta).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<ii", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for n in names:
-                fh.write(self.params[n].astype("<f4").tobytes())
+
+        def write(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(CHECKPOINT_MAGIC)
+                fh.write(struct.pack("<ii", CHECKPOINT_VERSION, len(blob)))
+                fh.write(blob)
+                for n in names:
+                    fh.write(self.params[n].astype("<f4").tobytes())
+
+        atomic_write(path, write)
 
     @classmethod
     def load(cls, path) -> SentimentNet:

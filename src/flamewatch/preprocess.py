@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+from . import atomic_write
 from .porter import stem
 
 # Unicode blocks treated as emoji. Variation selectors and ZWJ are stripped
@@ -304,10 +305,13 @@ def build_corpus(raws) -> Corpus:
 
 
 def write_jsonl(records, path) -> None:
-    """One dict per line, as UTF-8 JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    """One dict per line, as UTF-8 JSON, written atomically (`atomic_write`)."""
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+    atomic_write(path, write)
 
 
 def read_lines(path, errors: list[LineError] | None = None):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from flamewatch import data_path, embeddings, flaming, lexicon, preprocess
+from flamewatch import data_path, embeddings, flaming, lexicon, network, preprocess
 from flamewatch.cli import main
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.fixtures import synthetic_comments
@@ -118,6 +118,13 @@ class TestLabelCommand:
         capsys.readouterr()
         assert main(["label", str(clean), str(tmp_path / "strict.jsonl"), "--strict-eq1"]) == 2
         assert "error: comment c-strict: signed denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_exit_2(self, clean_corpus, tmp_path, capsys, max_n):
+        out = tmp_path / "labeled.jsonl"
+        assert main(["label", str(clean_corpus), str(out), "--max-n", str(max_n)]) == 2
+        assert f"error: max_n must be at least 1, got {max_n}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -245,6 +252,13 @@ class TestDetectCommand:
         assert main(["detect", str(flaming_labeled), str(tmp_path / "report")]) == 0
         # post_stats for the events, aggregate for the time series
         assert calls == {"zscores": 1, "walks": 2}
+
+
+def test_make_fixture_comments_with_flaming_exit_2(tmp_path, capsys):
+    out = tmp_path / "raw.jsonl"
+    assert main(["make-fixture", str(out), "--kind", "flaming", "--comments", "5"]) == 2
+    assert "error: --comments applies only to --kind synthetic" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrainingCommands:
@@ -556,6 +570,44 @@ class TestAtomicOutputs:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_failed_write_jsonl_leaves_previous_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        out.write_text("previous\n")
+
+        def records():
+            yield {"post_id": "p1"}
+            raise RuntimeError("records failed")
+
+        with pytest.raises(RuntimeError, match="records failed"):
+            write_jsonl(records(), out)
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_failed_save_leaves_previous_checkpoint(self, tiny_checkpoint, tmp_path,
+                                                    monkeypatch):
+        model = SentimentNet.load(tiny_checkpoint)
+        previous = tiny_checkpoint.read_bytes()
+        # the first write into the temp file fails: bytes are required
+        monkeypatch.setattr(network, "CHECKPOINT_MAGIC", None)
+        with pytest.raises(TypeError):
+            model.save(tiny_checkpoint)
+        assert tiny_checkpoint.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("command, output, directory", [
+        ("preprocess", "afile/out.jsonl", "afile"), ("detect", "afile/sub", "afile/sub"),
+    ])
+    def test_output_under_a_file_exit_2(self, request, tmp_path, capsys, command, output,
+                                        directory):
+        source = request.getfixturevalue("raw_corpus" if command == "preprocess"
+                                         else "labeled_corpus")
+        (tmp_path / "afile").write_text("previous\n")
+        assert main([command, str(source), f"{tmp_path}/{output}"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: output directory is not a directory: {tmp_path}/{directory}\n" in err
+        assert (tmp_path / "afile").read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
     def test_huge_embedding_header_exit_2(self, labeled_corpus, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         row = " ".join(["0.5"] * 100)
@@ -728,6 +780,27 @@ def tiny_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     SentimentNet(config, matrix).save(path)
     return path
+
+
+@pytest.mark.parametrize("flag, kind", [
+    ("input", "missing"), ("input", "directory"), ("--model", "missing"),
+    ("--model", "directory"),
+])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_unopenable_input_exit_2_names_path(clean_corpus, labeled_corpus, tiny_checkpoint,
+                                            tmp_path, capsys, command, flag, kind):
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    corpus = clean_corpus if command == "predict" else labeled_corpus
+    source, model = (bad, tiny_checkpoint) if flag == "input" else (corpus, bad)
+    out = tmp_path / "out.jsonl"
+    argv = [command, str(source), *([str(out)] if command == "predict" else []),
+            "--model", str(model)]
+    assert main(argv) == 2
+    reason = "Is a directory" if kind == "directory" else "No such file or directory"
+    assert f"{reason}: '{bad}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, corpus", [

@@ -498,6 +498,10 @@ class TestPersistence:
         path.write_text("1 2\nword 0.1 0.2\nextra stuff\n")
         with pytest.raises(EmbeddingFormatError, match="trailing"):
             load_embeddings(path)
+        # a row after blank lines is refused too, named by its own line
+        path.write_text("1 2\nword 0.1 0.2\n\nextra 9 9\n")
+        with pytest.raises(EmbeddingFormatError, match="line 4: trailing data"):
+            load_embeddings(path)
 
     def test_header_count_is_not_preallocated(self, tmp_path):
         # a count of 10^12 rows at dim 100 would need ~728 TiB up front

@@ -92,6 +92,11 @@ class TestLoadLexicon:
         lex, rejects = load_lexicon(path)
         assert rejects == [] and len(lex.entries) == 1
 
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_max_n_below_one_refused_before_reading(self, tmp_path, max_n):
+        with pytest.raises(ValueError, match=f"max_n must be at least 1, got {max_n}"):
+            load_lexicon(tmp_path / "missing.tsv", max_n=max_n)
+
     def test_emoji_table_rejects_other_polarity(self, tmp_path):
         path = tmp_path / "emoji.tsv"
         path.write_text("🙂\t2\n")

@@ -344,13 +344,13 @@ class TestGradients:
 
 class TestAdam:
     def test_first_step_matches_hand_computation(self):
-        model = toy_model()  # fine-tunes, so all of flat is trainable
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        model = toy_model(learning_rate=lr)  # fine-tunes, so all of flat is trainable
         before = model.flat.copy()
         rng = np.random.default_rng(0)
         g = rng.normal(0, 1, model.flat.shape)
         model.grad[...] = g
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        model.adam_step(lr=lr)
+        model.adam_step()
         m_hat = ((1 - b1) * g) / (1 - b1)
         v_hat = ((1 - b2) * g * g) / (1 - b2)
         expected = before - lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -24,11 +24,14 @@ def data_path(name: str):
 def atomic_write(path, write) -> None:
     """Run write(tmp_path) on a temp file beside path, then rename it over path.
 
-    This is the one check of where an output goes. A path that names a
-    directory, or whose directory is or lies under a regular file, raises
-    ValueError before any temp file is made; a missing directory is created.
-    If write raises, path is left as it was and the temp file is removed.
+    This is the one check of where an output goes. A path that is empty or
+    names a directory, or whose directory is or lies under a regular file,
+    raises ValueError before any temp file is made; a missing directory is
+    created. If write raises, path is left as it was and the temp file is
+    removed.
     """
+    if not os.fspath(path):
+        raise ValueError("output path is empty: ''")
     if os.path.isdir(path) or str(path).endswith(os.sep):
         raise ValueError(f"output path names a directory: {path}")
     directory = os.path.dirname(os.fspath(path)) or os.curdir

@@ -3,17 +3,15 @@ predict, evaluate, detect.
 
 Every command prints a one-line JSON summary on stdout and uses exit
 codes 0 (ok), 1 (internal error), 2 (input error: a ValueError, or an
-OSError that names a file). The lexicon and emoji-table paths can come from
-an INI-style config file (lexicon=... and emoji_table=... under [paths]);
-explicit flags win over the config file. This module keeps no file rules:
-the library's readers open the paths given, and its writers are atomic and
-check where each output goes.
+OSError that names a file). `label` reads the bundled lexicon and emoji
+table unless --lexicon or --emoji-table names another. This module keeps no
+file rules: the library's readers open the paths given, and its writers are
+atomic and check where each output goes.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -26,18 +24,10 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False))
 
 
-def _load_config(path) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    # configparser skips a file it cannot open, so an empty result is the check
-    if path and not cfg.read(path):
-        raise ValueError(f"cannot read config file: {path}")
-    return cfg
-
-
 # ----- subcommands ----------------------------------------------------------
 
 
-def cmd_preprocess(args, cfg) -> int:
+def cmd_preprocess(args) -> int:
     raws, errors = preprocess.load_jsonl(args.input)
     corpus = preprocess.build_corpus(raws)
     preprocess.save_clean_jsonl(corpus.comments, args.output)
@@ -51,15 +41,9 @@ def cmd_preprocess(args, cfg) -> int:
     return 0
 
 
-def cmd_label(args, cfg) -> int:
-    lex_path = args.lexicon or cfg.get("paths", "lexicon", fallback=None) or str(
-        data_path("mini_lexicon.tsv")
-    )
-    emoji_path = args.emoji_table or cfg.get("paths", "emoji_table", fallback=None) or str(
-        data_path("emoji_polarity.tsv")
-    )
-    lex, rejects = lexicon.load_lexicon(lex_path, max_n=args.max_n)
-    table = lexicon.load_emoji_table(emoji_path)
+def cmd_label(args) -> int:
+    lex, rejects = lexicon.load_lexicon(args.lexicon, max_n=args.max_n)
+    table = lexicon.load_emoji_table(args.emoji_table)
     comments = preprocess.load_clean_jsonl(args.input)
     labeled, dist = lexicon.label_corpus(
         comments, lex, table, strict=args.strict_eq1
@@ -74,7 +58,7 @@ def cmd_label(args, cfg) -> int:
     return 0
 
 
-def cmd_train_embed(args, cfg) -> int:
+def cmd_train_embed(args) -> int:
     comments = preprocess.load_clean_jsonl(args.input)
     sentences = [c.tokens for c in comments]
     subword = None
@@ -100,7 +84,7 @@ def cmd_train_embed(args, cfg) -> int:
     return 0
 
 
-def cmd_train_clf(args, cfg) -> int:
+def cmd_train_clf(args) -> int:
     labeled = lexicon.load_labeled_jsonl(args.input)
     matrix = embeddings.load_embeddings(args.embeddings)
     config = network.ModelConfig(
@@ -132,7 +116,7 @@ def cmd_train_clf(args, cfg) -> int:
     return 0
 
 
-def cmd_predict(args, cfg) -> int:
+def cmd_predict(args) -> int:
     model = network.SentimentNet.load(args.model)
     comments = preprocess.load_clean_jsonl(args.input)
 
@@ -152,8 +136,10 @@ def cmd_predict(args, cfg) -> int:
     return 0
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args) -> int:
     if args.matrix_json:
+        if args.model is not None or args.input is not None:
+            raise ValueError("--matrix-json takes neither --model nor INPUT")
         obj = preprocess.read_json(args.matrix_json)
         if args.key:
             if not isinstance(obj, dict) or args.key not in obj:
@@ -165,6 +151,8 @@ def cmd_evaluate(args, cfg) -> int:
         cm = metrics.ConfusionMatrix.from_dict(obj)
         accuracy = float(cm.counts.trace() / cm.counts.sum())
     else:
+        if args.key is not None:
+            raise ValueError("--key applies only to --matrix-json")
         if not args.model or not args.input:
             raise ValueError("evaluate needs either --matrix-json or --model and INPUT")
         model = network.SentimentNet.load(args.model)
@@ -186,7 +174,7 @@ def cmd_evaluate(args, cfg) -> int:
     return 0
 
 
-def cmd_detect(args, cfg) -> int:
+def cmd_detect(args) -> int:
     labeled = lexicon.load_labeled_jsonl(args.input)
     stats = flaming.post_stats(labeled)
     zs = flaming.zscores(stats, sample_std=args.sample_std,
@@ -209,7 +197,7 @@ def cmd_detect(args, cfg) -> int:
     return 0
 
 
-def cmd_make_fixture(args, cfg) -> int:
+def cmd_make_fixture(args) -> int:
     if args.kind == "synthetic":
         count = 500 if args.comments is None else args.comments
         records = fixtures.synthetic_comments(count, seed=args.seed)
@@ -231,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flamewatch",
         description="Sentiment labeling and flaming-event detection pipeline.",
     )
-    parser.add_argument("--config", help="INI config file with defaults")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="lexicon-score a preprocessed corpus")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--lexicon")
-    p.add_argument("--emoji-table")
+    p.add_argument("--lexicon", default=str(data_path("mini_lexicon.tsv")))
+    p.add_argument("--emoji-table", default=str(data_path("emoji_polarity.tsv")))
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--strict-eq1", action="store_true",
                    help="use the raw signed score denominator (may raise)")
@@ -322,8 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        return args.func(args)
     except Exception as exc:
         named = isinstance(exc, OSError) and exc.filename is not None
         if isinstance(exc, ValueError) or named:

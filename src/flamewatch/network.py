@@ -3,10 +3,12 @@
 Layer stack: embedding lookup, three same-padded 1-D convolutions with
 ReLU and max-pooling, a masked bidirectional LSTM (final forward and
 backward states concatenated), two sigmoid dense layers with dropout,
-and a 5-way softmax. Forward, reverse-mode gradients and the Adam update
-are all hand-written; everything runs in double precision and is
-reproducible from the seed. The only threads are BLAS's, whose number
-follows the environment (e.g. OPENBLAS_NUM_THREADS).
+and a softmax over the five sentiment labels. The class count is the
+constant CLASSES, not a config field; a checkpoint still stores it as
+"classes": 5, and one that stores another value is refused. Forward,
+reverse-mode gradients and the Adam update are all hand-written; everything
+runs in double precision and is reproducible from the seed. The only threads
+are BLAS's, whose number follows the environment (e.g. OPENBLAS_NUM_THREADS).
 
 Every parameter lives in one float64 vector, `flat`, laid out in the order
 backward writes the gradients: the output layer first, the embedding last.
@@ -50,6 +52,7 @@ PREDICT_ROWS = 64
 # (PREDICT_ROWS, max_tokens, filters): at 1024 tokens and 64 filters that is 32 MiB
 # per convolution, where an unchecked value from a checkpoint could ask for TiB.
 MAX_TOKENS = 1024
+CLASSES = len(SentimentLabel)
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -64,7 +67,6 @@ class ModelConfig:
     dense_sizes: tuple = (128, 64)
     dropout_lstm: float = 0.5
     dropout_dense: float = 0.5
-    classes: int = 5
     seed: int = 0
     batch_size: int = 16
     learning_rate: float = 1e-4
@@ -73,14 +75,16 @@ class ModelConfig:
     def __post_init__(self):
         self.conv_layers = tuple(tuple(c) for c in self.conv_layers)
         self.dense_sizes = tuple(self.dense_sizes)
-        if self.classes != 5:
-            raise ValueError("model is fixed to 5 classes")
         if len(self.conv_layers) != 3:
             raise ValueError("expected exactly 3 conv layers")
         if len(self.dense_sizes) != 2:
             raise ValueError("expected exactly 2 dense layers")
-        if not (isinstance(self.pool, int) and self.pool >= 1):
-            raise ValueError(f"pool {self.pool!r} must be an integer >= 1")
+        sizes = {"pool": self.pool, "lstm_hidden": self.lstm_hidden,
+                 **{f"dense_sizes[{i}]": d for i, d in enumerate(self.dense_sizes)},
+                 "batch_size": self.batch_size}
+        for name, size in sizes.items():
+            if not (isinstance(size, int) and size >= 1):
+                raise ValueError(f"{name} {size!r} must be an integer >= 1")
         if not (isinstance(self.max_tokens, int) and 1 <= self.max_tokens <= MAX_TOKENS):
             raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
         for filters, kernel in self.conv_layers:
@@ -93,8 +97,6 @@ class ModelConfig:
         for p in (self.dropout_lstm, self.dropout_dense):
             if not 0.0 <= p < 1.0:
                 raise ValueError("dropout must be in [0, 1)")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
-            raise ValueError(f"batch_size {self.batch_size!r} must be an integer >= 1")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate {self.learning_rate!r} must be finite and > 0")
 
@@ -168,8 +170,8 @@ def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, .
     shapes["dense1_b"] = (d1,)
     shapes["dense2_w"] = (d1, d2)
     shapes["dense2_b"] = (d2,)
-    shapes["out_w"] = (d2, config.classes)
-    shapes["out_b"] = (config.classes,)
+    shapes["out_w"] = (d2, CLASSES)
+    shapes["out_b"] = (CLASSES,)
     return {name: tuple(map(operator.index, shape)) for name, shape in shapes.items()}
 
 
@@ -247,7 +249,7 @@ class SentimentNet:
             lengths[i] = len(enc)
         one_hot = None
         if labels is not None:
-            one_hot = np.zeros((len(token_lists), self.config.classes))
+            one_hot = np.zeros((len(token_lists), CLASSES))
             one_hot[np.arange(len(token_lists)), np.asarray(labels, dtype=int)] = 1.0
         return Batch(ids=ids, lengths=lengths, labels=one_hot)
 
@@ -500,7 +502,7 @@ class SentimentNet:
         train_idx = order[n_val:]
 
         present = {data[i][1] for i in train_idx}
-        missing = set(range(cfg.classes)) - present
+        missing = set(range(CLASSES)) - present
         if missing:
             raise ValueError(f"classes missing from training split: {sorted(missing)}")
 
@@ -569,7 +571,7 @@ class SentimentNet:
                 chunks.append(tokens[start:start + t])
                 owners.append(i)
         owner = np.asarray(owners, dtype=np.int64)
-        sums = np.zeros((len(token_lists), self.config.classes))
+        sums = np.zeros((len(token_lists), CLASSES))
         for start in range(0, len(chunks), PREDICT_ROWS):
             probs, _ = self.forward(self.make_batch(chunks[start:start + PREDICT_ROWS]))
             np.add.at(sums, owner[start:start + PREDICT_ROWS], probs)
@@ -589,7 +591,7 @@ class SentimentNet:
         predicted, _ = self.predict_many([tokens for tokens, _ in data])
         actual = np.array([int(label) for _, label in data])
         cm = confusion(
-            predicted, actual, self.config.classes,
+            predicted, actual, CLASSES,
             [lbl.name for lbl in SentimentLabel],
         )
         return int((predicted == actual).sum()) / len(data), cm
@@ -601,7 +603,7 @@ class SentimentNet:
         names = sorted(self.params)
         meta = {
             "config": {
-                **{k: getattr(self.config, k) for k in (
+                **{k: CLASSES if k == "classes" else getattr(self.config, k) for k in (
                     "embed_dim", "max_tokens", "pool", "lstm_hidden",
                     "dropout_lstm", "dropout_dense", "classes", "seed",
                     "batch_size", "learning_rate", "fine_tune_embeddings",
@@ -643,7 +645,10 @@ class SentimentNet:
         blob = read_exact(fh, blob_len, "metadata")
         try:
             meta = json.loads(blob.decode("utf-8"))
-            config = ModelConfig(**meta["config"])
+            stored_config = {**meta["config"]}
+            if stored_config.pop("classes", CLASSES) != CLASSES:
+                raise ValueError(f"model is fixed to {CLASSES} classes")
+            config = ModelConfig(**stored_config)
             vocab = Vocabulary.from_tokens(meta["id_to_token"])
             shapes = param_shapes(config, len(vocab))
             stored = meta["tensors"]

@@ -5,6 +5,7 @@ import json
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestEvaluateCommand:
     def test_requires_matrix_or_model(self):
         result = run_cli("evaluate")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["in.jsonl", "--model", "m.ckpt", "--key", "lexicon"],
+         "--key applies only to --matrix-json"),
+        (["in.jsonl", "--model", "m.ckpt", "--matrix-json", "m.json"],
+         "--matrix-json takes neither --model nor INPUT"),
+    ], ids=["key-without-matrix", "matrix-with-model"])
+    def test_ignored_flags_exit_2(self, capsys, argv, message):
+        # refused before any file is opened, so none of these paths need exist
+        assert main(["evaluate", *argv]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_standard_orientation_differs(self):
         paper = json.loads(run_cli(
@@ -338,36 +350,19 @@ class TestTrainingCommands:
         ("--val-split", "nan", "val_split nan must be in [0, 1)"),
         ("--val-split", "1", "val_split 1.0 must be in [0, 1)"),
         ("--val-split", "-0.1", "val_split -0.1 must be in [0, 1)"),
+        ("--lstm-hidden", "0", "lstm_hidden 0 must be an integer >= 1"),
+        ("--lstm-hidden", "-1", "lstm_hidden -1 must be an integer >= 1"),
+        ("--dense", "0 4", "dense_sizes[0] 0 must be an integer >= 1"),
     ])
     def test_bad_train_clf_option_exit_2(self, labeled_corpus, tmp_path, capsys,
                                          flag, value, message):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("1 2\ngood 0.5 -0.5\n")
         code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
-                     "--embeddings", str(vectors), flag, value])
+                     "--embeddings", str(vectors), flag, *value.split()])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
-
-
-class TestConfigFile:
-    def test_config_supplies_lexicon_path(self, clean_corpus, tmp_path):
-        config = tmp_path / "run.ini"
-        config.write_text(
-            "[paths]\n"
-            f"lexicon = {data_path('mini_lexicon.tsv')}\n"
-            f"emoji_table = {data_path('emoji_polarity.tsv')}\n"
-        )
-        out = tmp_path / "labeled.jsonl"
-        result = run_cli("--config", config, "label", clean_corpus, out)
-        assert result.returncode == 0
-
-    def test_missing_config_exit_2(self, clean_corpus, tmp_path):
-        result = run_cli(
-            "--config", tmp_path / "none.ini", "label", clean_corpus,
-            tmp_path / "out.jsonl",
-        )
-        assert result.returncode == 2
 
 
 def _rewrite_line(src, dst, lineno, edit):
@@ -555,18 +550,22 @@ class TestAtomicOutputs:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     @pytest.mark.parametrize("command, name", [
-        ("preprocess", "out"), ("label", "out/"), ("train-embed", "new/"),
+        ("preprocess", "out"), ("label", "out/"), ("train-embed", "new/"), ("preprocess", ""),
     ])
-    def test_output_directory_exit_2(self, request, tmp_path, capsys, command, name):
+    def test_output_directory_exit_2(self, request, tmp_path, capsys, monkeypatch,
+                                     command, name):
         source = request.getfixturevalue("raw_corpus" if command == "preprocess"
                                          else "clean_corpus")
         (tmp_path / "out").mkdir()
-        argv = [command, str(source), f"{tmp_path}/{name}"]
+        monkeypatch.chdir(tmp_path)  # an empty path would put its temp file here
+        output = f"{tmp_path}/{name}" if name else ""
+        argv = [command, str(source), output]
         if command == "train-embed":
             argv += ["--dim", "8", "--epochs", "1", "--min-count", "1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"error: output path names a directory: {tmp_path}/{name}\n" in err
+        message = "output path " + (f"names a directory: {output}" if name else "is empty: ''")
+        assert f"error: {message}\n" in err
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
 
@@ -676,6 +675,16 @@ def _rewrite_metadata(src, dst, change):
     dst.write_bytes(blob[:8] + struct.pack("<i", len(text)) + text + blob[12 + size:])
 
 
+def _set_config_and_tensors(**fields):
+    """A metadata change that sets config fields and the tensor list they imply,
+    so only the config check can refuse the checkpoint."""
+    def change(meta):
+        meta["config"].update(fields)
+        shapes = param_shapes(SimpleNamespace(**meta["config"]), len(meta["id_to_token"]))
+        meta["tensors"] = [[n, list(shapes[n])] for n in sorted(shapes)]
+    return change
+
+
 class TestBadCheckpoint:
     """predict --model: a truncated or malformed checkpoint exits 2 and names the file."""
 
@@ -714,7 +723,10 @@ class TestBadCheckpoint:
         (lambda m: m.pop("tensors"), "missing 'tensors'"),
         (lambda m: m["config"].update(colour="red"), "'colour'"),
         (lambda m: m["tensors"][0][1].append(1), "do not match the config's"),
-    ], ids=["no-tensors", "unknown-config-key", "shape-mismatch"])
+        (lambda m: m["config"].update(classes=4), "model is fixed to 5 classes"),
+        (_set_config_and_tensors(lstm_hidden=0), "lstm_hidden 0 must be an integer >= 1"),
+    ], ids=["no-tensors", "unknown-config-key", "shape-mismatch", "classes-4",
+            "lstm-hidden-0"])
     def test_bad_metadata_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys, change,
                                  detail):
         bad = tmp_path / "bad.ckpt"
@@ -741,13 +753,8 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_huge_config_and_tensor_list_refused(self, clean_corpus, labeled_corpus,
                                                  checkpoint, tmp_path, capsys, command):
-        def grow(meta):
-            meta["config"]["embed_dim"] = 2 ** 40
-            shapes = param_shapes(ModelConfig(**meta["config"]), len(meta["id_to_token"]))
-            meta["tensors"] = [[n, list(shapes[n])] for n in sorted(shapes)]
-
         bad = tmp_path / "huge.ckpt"
-        _rewrite_metadata(checkpoint, bad, grow)
+        _rewrite_metadata(checkpoint, bad, _set_config_and_tensors(embed_dim=2 ** 40))
         code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
         assert code == 2
         assert f"error: checkpoint {bad}: truncated tensor conv0_w: expected " in err
@@ -768,7 +775,7 @@ class TestBadCheckpoint:
         _rewrite_metadata(checkpoint, bad, lambda m: m["config"].update(dense_sizes=[4, 2.0]))
         code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
         assert code == 2
-        assert f"error: checkpoint {bad}: metadata: 'float' object cannot be interpreted" in err
+        assert f"error: checkpoint {bad}: metadata: dense_sizes[1] 2.0 must be an integer" in err
 
 
 @pytest.fixture

@@ -80,7 +80,7 @@ def reference_forward(model, batch):
     cfg = model.config
     p = model.params
     n, t = batch.ids.shape
-    out = np.zeros((n, cfg.classes))
+    out = np.zeros((n, len(SentimentLabel)))
     for bi in range(n):
         x = []
         for ti in range(t):

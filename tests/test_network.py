@@ -1,6 +1,7 @@
 """Forward/backward correctness, optimization and persistence of the classifier."""
 
 import copy
+import hashlib
 import re
 import struct
 
@@ -440,6 +441,61 @@ class TestTraining:
             1 for a, b in zip(report.train_loss, report.train_loss[1:]) if b >= a
         )
         assert increases <= 1
+
+
+def random_dataset(n, seed, max_len=30):
+    """n seeded comments of 1 to max_len tokens, labels cycling through the classes."""
+    rng = np.random.default_rng(seed)
+    return [([TOKENS[int(i)] for i in rng.integers(0, len(TOKENS),
+                                                   size=int(rng.integers(1, max_len + 1)))],
+             k % 5) for k in range(n)]
+
+
+# SHA-256 of the float64 bytes of `flat`, `adam_m`, `adam_v` and the predict_many
+# probabilities after the seeded runs below (numpy 64-bit floats on x86-64 with
+# OpenBLAS, the same caveat as the checkpoint pins in test_cli.py). A checkpoint
+# stores float32, so it can hide last-bit drift that these cannot.
+TRAINED_STATE_SHA256 = {
+    "fine_tune": {
+        "flat": "454eab898967b459d47e6c92c38b4357869d9759e7e14c72eb1350c90e40d1c8",
+        "adam_m": "d09260bcb6234342a4fb8dfca80f70028e7b78379aa85610d0f4d7f3db13cd8f",
+        "adam_v": "5b7d2a0f78497c0730ef422827e1ab06840d865ab052247498acc8f67a7047f6",
+        "probs": "6a986a87a2e76776b1bc89532f1ff287ff6b22235a799c5ffe72469a00f236a1",
+    },
+    "frozen": {
+        "flat": "f1a6300f9d86d27da45a08f5438f37a747683ceab5cc323f19bd2a35376c7377",
+        "adam_m": "9e40625795a6b3fdfb4385f4cdfd8fc0fb4798562c77b8b1e2c2a4fb4256a9bc",
+        "adam_v": "ec5a4f0077e7b30524bcc18032bb59f50ce2ae5409b3c4468aec06999874496b",
+        "probs": "749fc47fed6527b78b2202f9b7402ffba5ebf8fbca6de4b0b669a03951205c70",
+    },
+    "odd_shapes": {
+        "flat": "8b75e6f134e09836c5ab36241bdd95d84427aeb64555aa99cbbab8b85edfceef",
+        "adam_m": "48ebcced6517af7584eaa1ec758fb7673f435667f384ae01444a890d16cbf9e2",
+        "adam_v": "142bc32363c6ffae8149d5df32b74bc20298e3572222b1f016329f7ea2f3be09",
+        "probs": "894b7500825ac14d908fcae5824f86a4a57ac5616699744520d997c5d99560a4",
+    },
+}
+PIN_CASES = {
+    "frozen": dict(fine_tune_embeddings=False),
+    "fine_tune": dict(fine_tune_embeddings=True),
+    # even and unit kernel widths, and a pool that leaves a trimmed tail
+    "odd_shapes": dict(fine_tune_embeddings=True, max_tokens=13, pool=3,
+                       conv_layers=((4, 2), (4, 1), (4, 4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIN_CASES))
+def test_trained_float64_state_pinned(case):
+    model = toy_model(dropout_lstm=0.5, dropout_dense=0.5, batch_size=4,
+                      learning_rate=1e-2, **PIN_CASES[case])
+    report = model.train(random_dataset(60, seed=11), epochs=3, val_split=0.2)
+    _, probs = model.predict_many([toks for toks, _ in random_dataset(20, seed=12)])
+    digests = {name: hashlib.sha256(np.ascontiguousarray(value, dtype=np.float64)
+                                    .tobytes()).hexdigest()
+               for name, value in (("flat", model.flat), ("adam_m", model.adam_m),
+                                   ("adam_v", model.adam_v), ("probs", probs))}
+    assert report.best_epoch >= 0
+    assert digests == TRAINED_STATE_SHA256[case]
 
 
 # ----- inference ------------------------------------------------------------

@@ -79,21 +79,27 @@ class ModelConfig:
             raise ValueError("expected exactly 3 conv layers")
         if len(self.dense_sizes) != 2:
             raise ValueError("expected exactly 2 dense layers")
-        sizes = {"pool": self.pool, "lstm_hidden": self.lstm_hidden,
+        if any(len(c) != 2 for c in self.conv_layers):
+            raise ValueError("each conv layer must be a (filters, kernel_width) pair")
+        sizes = {"embed_dim": self.embed_dim,
+                 **{f"conv_layers[{i}] {part}": size
+                    for i, conv in enumerate(self.conv_layers)
+                    for part, size in zip(("filters", "kernel width"), conv)},
+                 "pool": self.pool, "lstm_hidden": self.lstm_hidden,
                  **{f"dense_sizes[{i}]": d for i, d in enumerate(self.dense_sizes)},
                  "batch_size": self.batch_size}
         for name, size in sizes.items():
             if not (isinstance(size, int) and size >= 1):
                 raise ValueError(f"{name} {size!r} must be an integer >= 1")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
         if not (isinstance(self.max_tokens, int) and 1 <= self.max_tokens <= MAX_TOKENS):
             raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
-        for filters, kernel in self.conv_layers:
-            if not 1 <= kernel <= self.max_tokens:
+        for i, (_, kernel) in enumerate(self.conv_layers):
+            if kernel > self.max_tokens:
                 raise ValueError(
-                    f"kernel width {kernel} outside [1, {self.max_tokens}]"
+                    f"conv_layers[{i}] kernel width {kernel} outside [1, {self.max_tokens}]"
                 )
-            if filters < 1:
-                raise ValueError("filters must be positive")
         for p in (self.dropout_lstm, self.dropout_dense):
             if not 0.0 <= p < 1.0:
                 raise ValueError("dropout must be in [0, 1)")
@@ -227,6 +233,7 @@ class SentimentNet:
         self.grad, self._grads = _flat(layout)
         self.adam_m = np.zeros_like(self.grad)
         self.adam_v = np.zeros_like(self.grad)
+        self._adam_scratch = (np.empty_like(self.grad), np.empty_like(self.grad))
         self.adam_t = 0
 
     # ----- helpers ---------------------------------------------------------
@@ -257,24 +264,30 @@ class SentimentNet:
 
     def _conv_forward(self, x, w, b):
         # x (B,T,C), w (F,K,C) -> same-padded (B,T,F)
-        kernel = w.shape[1]
+        bsz, t, c = x.shape
+        filters, kernel, _ = w.shape
         pl = (kernel - 1) // 2
-        pr = kernel - 1 - pl
-        xp = np.pad(x, ((0, 0), (pl, pr), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1)
-        # win (B,T,C,K); contract C and K
-        z = np.tensordot(win, w, axes=([2, 3], [2, 1])) + b
-        return z, (x.shape, win, pl)
+        xp = np.zeros((bsz, t + kernel - 1, c))
+        xp[:, pl:pl + t, :] = x
+        # the im2col window matrix: row (b, t), column (c, k) holds xp[b, t + k, c]
+        cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1).reshape(
+            bsz * t, c * kernel)
+        z = (cols @ w.transpose(2, 1, 0).reshape(c * kernel, filters)).reshape(
+            bsz, t, filters) + b
+        return z, (cols, pl)
 
     def _conv_backward(self, dz, w, cache, dw, db):
         """Writes the weight and bias gradients into dw and db; returns dx."""
-        x_shape, win, pl = cache
-        kernel = w.shape[1]
-        dw[...] = np.tensordot(dz, win, axes=([0, 1], [0, 1])).transpose(0, 2, 1)
+        cols, pl = cache
+        bsz, t, filters = dz.shape
+        _, kernel, c = w.shape
+        dz2 = dz.reshape(bsz * t, filters)
+        # dz2.T is a transposed view, as tensordot passed it: a contiguous copy
+        # would change how BLAS sums the product
+        dw[...] = (dz2.T @ cols).reshape(filters, c, kernel).transpose(0, 2, 1)
         db[...] = dz.sum(axis=(0, 1))
-        dwin = np.tensordot(dz, w, axes=([2], [0]))  # (B,T,K,C)
-        b, t, _ = x_shape
-        dxp = np.zeros((b, t + kernel - 1, x_shape[2]))
+        dwin = (dz2 @ w.reshape(filters, kernel * c)).reshape(bsz, t, kernel, c)
+        dxp = np.zeros((bsz, t + kernel - 1, c))
         for k in range(kernel):
             dxp[:, k:k + t, :] += dwin[:, :, k, :]
         return dxp[:, pl:pl + t, :]
@@ -288,20 +301,24 @@ class SentimentNet:
         h = np.zeros((b, hdim))
         c = np.zeros((b, hdim))
         steps = range(t) if direction == "fwd" else range(t - 1, -1, -1)
+        keep = 1 - mask
         cache = []
         for ti in steps:
             x = seq[:, ti, :]
             z = x @ wx + h @ wh + bias
-            zi, zf, zg, zo = np.split(z, 4, axis=1)
-            gi, gf, go = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
-            gg = np.tanh(zg)
+            # gates i, f, g, o; the sigmoid of the g block is replaced by 1, which
+            # backward's product with `gates` then leaves exact
+            gates = _sigmoid(z)
+            gg = np.tanh(z[:, 2 * hdim:3 * hdim])
+            gates[:, 2 * hdim:3 * hdim] = 1.0
+            gi, gf, go = gates[:, :hdim], gates[:, hdim:2 * hdim], gates[:, 3 * hdim:]
             c_new = gf * c + gi * gg
             tc = np.tanh(c_new)
             h_new = go * tc
-            m = mask[:, ti:ti + 1]
-            cache.append((ti, x, h, c, gi, gf, gg, go, c_new, tc, m))
-            h = m * h_new + (1 - m) * h
-            c = m * c_new + (1 - m) * c
+            m, k = mask[:, ti:ti + 1], keep[:, ti:ti + 1]
+            cache.append((ti, x, h, c, gates, gg, c_new, tc, m, k))
+            h = m * h_new + k * h
+            c = m * c_new + k * c
         return h, cache
 
     def _lstm_backward(self, dh_final, cache, direction: str, dseq):
@@ -311,25 +328,30 @@ class SentimentNet:
         dwx = self._grads[f"lstm_{direction}_wx"]
         dwh = self._grads[f"lstm_{direction}_wh"]
         db = self._grads[f"lstm_{direction}_b"]
+        hdim = self.config.lstm_hidden
+        di, df, dg, do = (slice(j * hdim, (j + 1) * hdim) for j in range(4))
         dh = dh_final
         dc = np.zeros_like(dh_final)
-        for ti, x, h_prev, c_prev, gi, gf, gg, go, c_new, tc, m in reversed(cache):
+        dz = np.empty((dh.shape[0], 4 * hdim))
+        slope = np.empty_like(dz)
+        for ti, x, h_prev, c_prev, gates, gg, c_new, tc, m, k in reversed(cache):
+            gi, gf, go = gates[:, di], gates[:, df], gates[:, do]
             dh_new = dh * m
-            dh_carry = dh * (1 - m)
+            dh_carry = dh * k
             dc_new = dc * m
-            dc_carry = dc * (1 - m)
-            dgo = dh_new * tc
+            dc_carry = dc * k
             dc_new = dc_new + dh_new * go * (1 - tc ** 2)
-            dgf = dc_new * c_prev
-            dgi = dc_new * gg
-            dgg = dc_new * gi
+            # the gate gradients, then times g * (1 - g) for the sigmoid gates and
+            # 1 * (1 - gg ** 2) for the tanh one, each product associated as written
+            np.multiply(dc_new, gg, out=dz[:, di])
+            np.multiply(dc_new, c_prev, out=dz[:, df])
+            np.multiply(dc_new, gi, out=dz[:, dg])
+            np.multiply(dh_new, tc, out=dz[:, do])
             dc_prev = dc_new * gf + dc_carry
-            dz = np.concatenate([
-                dgi * gi * (1 - gi),
-                dgf * gf * (1 - gf),
-                dgg * (1 - gg ** 2),
-                dgo * go * (1 - go),
-            ], axis=1)
+            np.subtract(1, gates, out=slope)
+            np.subtract(1, gg ** 2, out=slope[:, dg])
+            dz *= gates
+            dz *= slope
             dwx += x.T @ dz
             dwh += h_prev.T @ dz
             db += dz.sum(axis=0)
@@ -358,10 +380,16 @@ class SentimentNet:
                 trimmed = a[:, : tp * cfg.pool, :].reshape(
                     a.shape[0], tp, cfg.pool, a.shape[2]
                 )
-                idx = trimmed.argmax(axis=2)
-                pooled = np.take_along_axis(trimmed, idx[:, :, None, :], axis=2)[
-                    :, :, 0, :
-                ]
+                # a running max over the window's offsets; the strict > keeps the
+                # first maximum, as argmax does. idx is the winning offset, and
+                # pool <= t <= MAX_TOKENS fits int16.
+                pooled = trimmed[:, :, 0, :].copy()
+                idx = np.zeros(pooled.shape, dtype=np.int16)
+                for j in range(1, cfg.pool):
+                    later = trimmed[:, :, j, :]
+                    wins = later > pooled
+                    np.copyto(pooled, later, where=wins)
+                    np.copyto(idx, j, where=wins)
                 cache["pools"].append((t, tp, idx))
                 x = pooled
                 lengths = np.minimum(tp, (lengths - 1) // cfg.pool + 1)
@@ -449,7 +477,8 @@ class SentimentNet:
                     dx.shape[0], tp, cfg.pool, dx.shape[2]
                 )
                 # dtr is a view of da: splitting an axis never copies
-                np.put_along_axis(dtr, idx[:, :, None, :], dx[:, :, None, :], axis=2)
+                for j in range(cfg.pool):
+                    np.copyto(dtr[:, :, j, :], dx, where=idx == j)
             else:
                 da = dx
             dz = da * (z > 0)
@@ -475,12 +504,25 @@ class SentimentNet:
         """One Adam update of the trainable prefix of `flat` from `grad`."""
         self.adam_t += 1
         t = self.adam_t
-        g = self.grad
-        self.adam_m = ADAM_BETA1 * self.adam_m + (1 - ADAM_BETA1) * g
-        self.adam_v = ADAM_BETA2 * self.adam_v + (1 - ADAM_BETA2) * g * g
-        m_hat = self.adam_m / (1 - ADAM_BETA1 ** t)
-        v_hat = self.adam_v / (1 - ADAM_BETA2 ** t)
-        self.flat[:g.size] -= self.config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g, m, v = self.grad, self.adam_m, self.adam_v
+        step, scratch = self._adam_scratch
+        # the arithmetic and its order are those of
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # flat -= lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=scratch)
+        m += scratch
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=scratch)
+        scratch *= g
+        v += scratch
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
+        step *= self.config.learning_rate
+        step /= scratch
+        self.flat[:g.size] -= step
 
     def train(
         self,

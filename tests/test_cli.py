@@ -769,6 +769,26 @@ class TestBadCheckpoint:
         assert code == 2
         assert f"error: checkpoint {bad}: metadata: max_tokens {2 ** 40} outside" in err
 
+    @pytest.mark.parametrize("change, detail", [
+        (lambda m: m["config"].update(seed=3.0), "seed 3.0 must be an integer >= 0"),
+        (lambda m: m["config"].update(seed=-1), "seed -1 must be an integer >= 0"),
+        (lambda m: m["config"].update(embed_dim=2.0),
+         "embed_dim 2.0 must be an integer >= 1"),
+        (lambda m: m["config"]["conv_layers"][1].__setitem__(0, 2.0),
+         "conv_layers[1] filters 2.0 must be an integer >= 1"),
+        (lambda m: m["config"]["conv_layers"][0].__setitem__(1, 3.0),
+         "conv_layers[0] kernel width 3.0 must be an integer >= 1"),
+    ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float",
+            "kernel-float"])
+    def test_bad_integer_in_config_names_the_field(self, clean_corpus, checkpoint,
+                                                    tmp_path, capsys, change, detail):
+        # each float equals the stored integer, so the tensor list still matches
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_metadata(checkpoint, bad, change)
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: {detail}\n" in err
+
     def test_float_size_in_config_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys):
         # 2.0 == 2, so the stored tensor list still matches the config's
         bad = tmp_path / "float.ckpt"

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def reference_forward(model, batch):
     return out
 
 
+# Layer shapes beside the toy default: even kernel widths pad one more step on
+# the right than on the left, pool 1 keeps every step, and a max_tokens that the
+# pool does not divide leaves a trimmed tail at every pooling layer.
+SHAPE_CASES = {
+    "default": {},
+    "kernels_1_2_4": dict(conv_layers=((4, 1), (4, 2), (4, 4))),
+    "pool_1": dict(pool=1, max_tokens=7, conv_layers=((4, 2), (4, 3), (4, 4))),
+    "pool_3_tail": dict(pool=3, max_tokens=13, conv_layers=((4, 4), (4, 2), (4, 1))),
+}
+
+
 # ----- construction ---------------------------------------------------------
 
 
@@ -185,6 +197,26 @@ class TestConstruction:
             with pytest.raises(ValueError, match="^pool .* must be an integer >= 1"):
                 toy_config(pool=pool)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(seed=3.0), "seed 3.0 must be an integer >= 0"),
+        (dict(seed=-1), "seed -1 must be an integer >= 0"),
+        (dict(embed_dim=8.0), "embed_dim 8.0 must be an integer >= 1"),
+        (dict(conv_layers=((4, 3), (4.0, 3), (4, 3))),
+         "conv_layers[1] filters 4.0 must be an integer >= 1"),
+        (dict(conv_layers=((4, 3), (4, 3), (0, 3))),
+         "conv_layers[2] filters 0 must be an integer >= 1"),
+        (dict(conv_layers=((4, 3.0), (4, 3), (4, 3))),
+         "conv_layers[0] kernel width 3.0 must be an integer >= 1"),
+        (dict(conv_layers=((4, 3), (4, 13), (4, 3))),
+         "conv_layers[1] kernel width 13 outside [1, 12]"),
+        (dict(conv_layers=((4, 3), (4, 3, 1), (4, 3))),
+         "each conv layer must be a (filters, kernel_width) pair"),
+    ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float", "filters-0",
+            "kernel-float", "kernel-too-wide", "conv-triple"])
+    def test_config_names_the_bad_field(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            toy_config(**overrides)
+
     @pytest.mark.parametrize("max_tokens", [0, MAX_TOKENS + 1, 2 ** 40, 12.0, "12"])
     def test_max_tokens_bounded(self, max_tokens):
         with pytest.raises(ValueError, match="^max_tokens .* outside"):
@@ -219,8 +251,9 @@ class TestForward:
         assert probs.sum(axis=1) == pytest.approx(np.ones(6), abs=1e-12)
         assert (probs > 0).all() and (probs < 1).all()
 
-    def test_matches_scalar_reference_on_random_batches(self):
-        model = toy_model()
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_matches_scalar_reference_on_random_batches(self, case):
+        model = toy_model(**SHAPE_CASES[case])
         randomize_params(model, seed=3)
         for seed in range(3):
             batch, _, _ = toy_batch(model, rows=4, seed=seed)
@@ -280,35 +313,76 @@ class TestLoss:
 # ----- gradients ------------------------------------------------------------
 
 
+def worst_fd_error(model, batch, per_tensor=None, seed=0):
+    """The largest relative gap between backward's gradient and a central finite
+    difference, over every parameter or over `per_tensor` seeded indices of each."""
+    _, cache = model.forward(batch)
+    grads = model.backward(cache, batch.labels)
+
+    def loss_at_current_params():
+        probs, _ = model.forward(batch)
+        return model.loss(probs, batch.labels)
+
+    rng = np.random.default_rng(seed)
+    eps = 1e-4
+    worst = 0.0
+    for key, grad in grads.items():
+        param = model.params[key]
+        indices = list(np.ndindex(param.shape))
+        if per_tensor is not None and len(indices) > per_tensor:
+            indices = [indices[i] for i in rng.choice(len(indices), per_tensor,
+                                                      replace=False)]
+        for idx in indices:
+            keep = param[idx]
+            param[idx] = keep + eps
+            up = loss_at_current_params()
+            param[idx] = keep - eps
+            down = loss_at_current_params()
+            param[idx] = keep
+            fd = (up - down) / (2 * eps)
+            rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6)
+            worst = max(worst, rel)
+    return worst
+
+
 class TestGradients:
     def test_finite_difference_check(self):
         model = toy_model()
         randomize_params(model, seed=0)
         batch, _, _ = toy_batch(model, rows=4, seed=1)
+        assert worst_fd_error(model, batch) <= 1e-4
+
+    @pytest.mark.parametrize("case", sorted(set(SHAPE_CASES) - {"default"}))
+    def test_finite_difference_check_at_other_shapes(self, case):
+        model = toy_model(**SHAPE_CASES[case])
+        randomize_params(model, seed=0)
+        batch, _, _ = toy_batch(model, rows=4, seed=1)
+        assert worst_fd_error(model, batch, per_tensor=6, seed=2) <= 1e-4
+
+    @pytest.mark.parametrize("pool, max_tokens", [(2, 12), (3, 13)])
+    def test_pooling_tie_sends_gradient_to_first_slot(self, pool, max_tokens):
+        # a zero conv0 kernel and a positive bias give the same activation at
+        # every step, so every pooling window of conv0 is a tie
+        model = toy_model(pool=pool, max_tokens=max_tokens)
+        randomize_params(model, seed=6)
+        model.params["conv0_w"][...] = 0.0
+        model.params["conv0_b"][...] = 0.5
+        batch, _, _ = toy_batch(model, rows=4, seed=3)
         _, cache = model.forward(batch)
-        grads = model.backward(cache, batch.labels)
+        seen = []
+        conv_backward = model._conv_backward
 
-        def loss_at_current_params():
-            probs, _ = model.forward(batch)
-            return model.loss(probs, batch.labels)
+        def record(dz, *args):
+            seen.append(dz.copy())
+            return conv_backward(dz, *args)
 
-        eps = 1e-4
-        worst = 0.0
-        for key, grad in grads.items():
-            param = model.params[key]
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = param[idx]
-                param[idx] = keep + eps
-                up = loss_at_current_params()
-                param[idx] = keep - eps
-                down = loss_at_current_params()
-                param[idx] = keep
-                fd = (up - down) / (2 * eps)
-                rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6)
-                worst = max(worst, rel)
-        assert worst <= 1e-4
+        model._conv_backward = record
+        model.backward(cache, batch.labels)
+        dz0 = seen[-1]  # backward runs the conv layers last to first
+        steps = np.arange(max_tokens)
+        winners = (steps % pool == 0) & (steps < max_tokens // pool * pool)
+        assert not dz0[:, ~winners, :].any()
+        assert dz0[:, winners, :].any()
 
     def test_pad_row_gradient_zero(self):
         model = toy_model()
@@ -356,6 +430,19 @@ class TestAdam:
         v_hat = ((1 - b2) * g * g) / (1 - b2)
         expected = before - lr * m_hat / (np.sqrt(v_hat) + eps)
         assert model.flat == pytest.approx(expected, abs=1e-12)
+
+    def test_step_allocates_no_gradient_sized_array(self):
+        model = toy_model(lstm_hidden=64, dense_sizes=(128, 64))
+        model.grad[...] = np.random.default_rng(0).normal(0, 1, model.grad.shape)
+        model.adam_step()  # the first step may set up what later steps reuse
+        tracemalloc.start()
+        try:
+            model.adam_step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.grad.nbytes > 2 ** 18
+        assert peak < model.grad.nbytes // 64
 
     def test_zero_gradient_is_noop(self):
         model = toy_model()

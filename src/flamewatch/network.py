@@ -17,6 +17,14 @@ in place (`params[k][...] = x`); rebinding it cuts it off from training. The
 trainable part is a prefix of `flat`: all of it with fine_tune_embeddings,
 all but the embedding without. The gradient `grad` and the Adam moments
 `adam_m` and `adam_v` are vectors as long as that prefix, with the same layout.
+`adam_step` updates the moments in place, through two scratch vectors of that
+length made with them, so a step allocates no array.
+
+Each convolution builds its im2col window matrix, (B*T, C*K), once in forward;
+the matrix lives in the forward cache, and backward reuses it for the weight
+gradient. The kernels save numpy calls, not arithmetic: each product and sum
+keeps its operands, its association and the memory layout it hands BLAS, and
+tests pin the SHA-256 of the seeded float64 training state.
 
 Inference cuts every comment into chunks of at most max_tokens tokens and
 packs the chunks of many comments, in order, into forwards of at most
@@ -316,7 +324,7 @@ class SentimentNet:
             tc = np.tanh(c_new)
             h_new = go * tc
             m, k = mask[:, ti:ti + 1], keep[:, ti:ti + 1]
-            cache.append((ti, x, h, c, gates, gg, c_new, tc, m, k))
+            cache.append((ti, x, h, c, gates, gg, tc, m, k))
             h = m * h_new + k * h
             c = m * c_new + k * c
         return h, cache
@@ -334,7 +342,7 @@ class SentimentNet:
         dc = np.zeros_like(dh_final)
         dz = np.empty((dh.shape[0], 4 * hdim))
         slope = np.empty_like(dz)
-        for ti, x, h_prev, c_prev, gates, gg, c_new, tc, m, k in reversed(cache):
+        for ti, x, h_prev, c_prev, gates, gg, tc, m, k in reversed(cache):
             gi, gf, go = gates[:, di], gates[:, df], gates[:, do]
             dh_new = dh * m
             dh_carry = dh * k

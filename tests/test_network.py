@@ -50,11 +50,11 @@ def toy_model(**overrides):
     return SentimentNet(toy_config(**overrides), make_embeddings())
 
 
-def toy_batch(model, rows=4, seed=0):
+def toy_batch(model, rows=4, seed=0, max_len=11):
     rng = np.random.default_rng(seed)
     token_lists = [
         [TOKENS[int(i)] for i in rng.integers(0, len(TOKENS),
-                                              size=int(rng.integers(1, 12)))]
+                                              size=int(rng.integers(1, max_len + 1)))]
         for _ in range(rows)
     ]
     labels = [int(rng.integers(0, 5)) for _ in range(rows)]
@@ -146,11 +146,11 @@ def reference_forward(model, batch):
     return out
 
 
-# Layer shapes beside the toy default: even kernel widths pad one more step on
-# the right than on the left, pool 1 keeps every step, and a max_tokens that the
-# pool does not divide leaves a trimmed tail at every pooling layer.
+# Layer shapes beside the toy default of kernel width 3, pool 2 and max_tokens 12:
+# even kernel widths pad one more step on the right than on the left, pool 1
+# keeps every step, and a max_tokens that the pool does not divide leaves a
+# trimmed tail at every pooling layer.
 SHAPE_CASES = {
-    "default": {},
     "kernels_1_2_4": dict(conv_layers=((4, 1), (4, 2), (4, 4))),
     "pool_1": dict(pool=1, max_tokens=7, conv_layers=((4, 2), (4, 3), (4, 4))),
     "pool_3_tail": dict(pool=3, max_tokens=13, conv_layers=((4, 4), (4, 2), (4, 1))),
@@ -251,15 +251,23 @@ class TestForward:
         assert probs.sum(axis=1) == pytest.approx(np.ones(6), abs=1e-12)
         assert (probs > 0).all() and (probs < 1).all()
 
-    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
-    def test_matches_scalar_reference_on_random_batches(self, case):
-        model = toy_model(**SHAPE_CASES[case])
+    def test_matches_scalar_reference_on_random_batches(self):
+        model = toy_model()
         randomize_params(model, seed=3)
         for seed in range(3):
             batch, _, _ = toy_batch(model, rows=4, seed=seed)
             probs, _ = model.forward(batch)
             assert probs == pytest.approx(reference_forward(model, batch),
                                           abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_matches_scalar_reference_at_other_shapes(self, case):
+        model = toy_model(**SHAPE_CASES[case])
+        randomize_params(model, seed=3)
+        # rows up to two tokens past max_tokens, so the trimmed tail can hold tokens
+        batch, _, _ = toy_batch(model, rows=4, seed=0, max_len=model.config.max_tokens + 2)
+        probs, _ = model.forward(batch)
+        assert probs == pytest.approx(reference_forward(model, batch), abs=1e-9)
 
     def test_padding_does_not_change_output(self):
         # same tokens, different amount of right padding -> same probabilities
@@ -352,11 +360,14 @@ class TestGradients:
         batch, _, _ = toy_batch(model, rows=4, seed=1)
         assert worst_fd_error(model, batch) <= 1e-4
 
-    @pytest.mark.parametrize("case", sorted(set(SHAPE_CASES) - {"default"}))
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
     def test_finite_difference_check_at_other_shapes(self, case):
         model = toy_model(**SHAPE_CASES[case])
         randomize_params(model, seed=0)
-        batch, _, _ = toy_batch(model, rows=4, seed=1)
+        # rows that fill max_tokens. Batch seed 0 would put a ReLU kink within eps
+        # of pool_3_tail's conv0_b[1]: there the difference quotient reaches the
+        # gradient only for eps <= 3e-5, at the parent's code as well.
+        batch, _, _ = toy_batch(model, rows=4, seed=2, max_len=model.config.max_tokens + 2)
         assert worst_fd_error(model, batch, per_tensor=6, seed=2) <= 1e-4
 
     @pytest.mark.parametrize("pool, max_tokens", [(2, 12), (3, 13)])

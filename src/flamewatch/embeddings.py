@@ -33,7 +33,14 @@ Vectors are saved as one text file, a "count dim" header and then one
 "word v1 ... vdim" line per word; the subword variant saves its composed
 vectors, as fastText's .vec output does. The subword table lives only in
 the matrix that `train_fasttext` returns, so composing out-of-vocabulary
-words works there and not on vectors read back from a file.
+words works there and not on vectors read back from a file. Each value is
+written as f"{v:.8e}" writes it. A numpy kernel makes those bytes for
+blocks of rows: it scales each value to nine digits by one exact power of
+ten and looks the digits up in tables. It vouches only for zero and for
+finite values with 1e-14 <= |v| < 1e30 whose scaled value is not within
+1e-6 of a rounding tie; a row holding any other value is formatted by
+Python's "%.8e" instead. Reading a file back refuses a value that is not
+finite.
 """
 
 from __future__ import annotations
@@ -435,21 +442,126 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
     return np.zeros(matrix.dim)
 
 
+# Values per block that `save_embeddings` formats at once; bounds the
+# writer's scratch memory (about 100 bytes a value) whatever |V| is.
+SAVE_BLOCK_VALUES = 2 ** 15
+
+# The kernel's domain besides zero. Scaling a value in it to nine digits
+# multiplies or divides by an exact power of ten (at most 10**22), and its
+# exponent has two digits.
+_SMALLEST, _LARGEST = 1e-14, 1e30
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+# A scaled value carries an error of at most about 1.2e-7, so one this
+# close to a .5 fraction may round either way.
+_TIE_MARGIN = 1e-6
+
+
+def _cells(texts: list[str]) -> np.ndarray:
+    """Each 4-byte ASCII text as one native uint32, so that tobytes() gives
+    the text back whatever the byte order."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
+
+
+# A value's text is four cells, " " sign lead "." | 4 digits | 4 digits |
+# "e" sign 2 digits, where a plus sign is a NUL that the writer strips.
+_LEADS = _cells([f" {sign}{d}." for sign in ("\0", "-") for d in range(10)])
+_DIGITS = _cells([f"{i:04d}" for i in range(10_000)])
+_EXPONENTS = _cells([f"e{e:+03d}" for e in range(-14, 31)])  # index e + 14
+_NEWLINE = _cells(["\n\0\0\0"])[0]
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m + 0.5 for m = a * 10**(8 - e), rounded once, and whether m lies
+    within _TIE_MARGIN of a .5 fraction."""
+    k = 8 - e
+    scale = _POW10.take(np.abs(k).astype(np.intp))
+    r = np.where(k >= 0, a * scale, a / scale) + 0.5
+    frac = r - np.floor(r)
+    return r, (frac < _TIE_MARGIN) | (frac > 1 - _TIE_MARGIN)
+
+
+def _format_rows(block: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The text of each row of the 2-D float64 `block` as `save_embeddings`
+    writes it after the word: each value as " " + f"{v:.8e}", then "\n".
+    Also the mask of rows holding a value whose text the kernel cannot
+    vouch for: one that is not finite, nonzero outside [1e-14, 1e30), or
+    near a rounding tie. Those rows' texts are left to the caller.
+
+    For |v| in the domain, e = floor(log10|v|) and the nine digits are
+    n = floor(m + 0.5), m = |v| * 10**(8 - e). log10 may be off by one
+    near a power of ten, and rounding may carry into a tenth digit, so a
+    value whose n falls outside [1e8, 1e9) moves e by one and is scaled
+    again. Every m is checked for a tie, the first one above all: at the
+    first exponent, 9.999999995 scales to 999999999.5, so a tie there
+    decides between 9.99999999e+00 and 1.00000000e+01.
+    """
+    rows, dim = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    inside = (a >= _SMALLEST) & (a < _LARGEST)  # false for nan and inf
+    a[~inside] = 1.0
+    e = (np.log10(a) + 15).astype(np.int32) - 15  # floor, as log10(a) > -15
+    np.clip(e, -14, 29, out=e)
+    r, unsafe = _scaled(a, e)
+    moved = np.flatnonzero((r >= 1e9) | (r < 1e8))
+    if moved.size:
+        e[moved] += np.where(r[moved] >= 1e9, 1, -1).astype(np.int32)
+        r[moved], tie = _scaled(a[moved], e[moved])
+        unsafe[moved] |= tie | (r[moved] >= 1e9) | (r[moved] < 1e8) | (e[moved] < -14)
+    unsafe |= ~inside & (x != 0)
+    blank = unsafe | ~inside  # zeros, and values whose row is redone
+    r[blank] = 0.0
+    e[blank] = 0
+    n = r.astype(np.int32)
+    lead = n // 100_000_000
+    n -= lead * 100_000_000
+    high = n // 10_000
+    n -= high * 10_000
+
+    text = np.empty((rows, 4 * dim + 1), dtype=np.uint32)
+    cells = text[:, :-1].reshape(rows, dim, 4)
+    lead += 10 * np.signbit(x)
+    for i, (table, index) in enumerate(((_LEADS, lead), (_DIGITS, high), (_DIGITS, n),
+                                        (_EXPONENTS, e + 14))):
+        cells[:, :, i] = table.take(index.astype(np.intp)).reshape(rows, dim)
+    text[:, -1] = _NEWLINE
+    lines = text.tobytes().replace(b"\0", b"").splitlines(keepends=True)
+    return lines, unsafe.reshape(rows, dim).any(axis=1)
+
+
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the text format: a "count dim" header, then "word v1 ... vdim"
-    per word in id order. For the subword variant the rows are the composed
-    vectors, as fastText's own .vec output has them; the subword table is
-    not saved. The file is written atomically, so a failed save leaves it
-    as it was.
+    per word in id order, each value as f"{v:.8e}" writes it. For the
+    subword variant the rows are the composed vectors, as fastText's own
+    .vec output has them; the subword table is not saved. The file is
+    written atomically, so a failed save leaves it as it was.
+
+    The values are formatted by a numpy kernel (`_format_rows`), one block
+    of about `SAVE_BLOCK_VALUES` values at a time, so the writer's scratch
+    memory does not grow with the vocabulary. A row holding a value the
+    kernel cannot vouch for (not finite, nonzero outside [1e-14, 1e30), or
+    within 1e-6 of a rounding tie once scaled to nine digits) is formatted
+    by Python's own "%.8e" instead, so every byte is that formatter's.
     """
-    # one %-template per row writes the same bytes as f"{v:.8e}" per value
-    row_format = " ".join(["%.8e"] * matrix.dim)
+    dim = matrix.dim
+    vectors = matrix.vectors
+    if vectors.ndim != 2 or vectors.shape[1] != dim:
+        raise ValueError(f"vectors of shape {vectors.shape} do not have dim {dim}")
+    words = matrix.vocab.id_to_token
+    count = min(len(words), len(vectors))
+    block_rows = max(1, SAVE_BLOCK_VALUES // dim)
+    row_format = " %.8e" * dim + "\n"
 
     def write_text(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(matrix.vocab)} {matrix.dim}\n")
-            for word, row in zip(matrix.vocab.id_to_token, matrix.vectors):
-                fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
+        with open(tmp, "wb") as fh:
+            fh.write(f"{len(words)} {dim}\n".encode())
+            for first in range(0, count, block_rows):
+                block = np.asarray(vectors[first:first + block_rows], dtype=np.float64)
+                lines, redo = _format_rows(block)
+                for i in np.flatnonzero(redo):
+                    lines[i] = (row_format % tuple(block[i].tolist())).encode()
+                heads = [word.encode() for word in words[first:first + len(block)]]
+                fh.write(b"".join([part for pair in zip(heads, lines) for part in pair]))
 
     atomic_write(path, write_text)
 
@@ -461,8 +573,9 @@ class EmbeddingFormatError(ValueError):
 def load_embeddings(path) -> EmbeddingMatrix:
     """The vectors of a text file written by `save_embeddings`, with no
     subword table: an out-of-vocabulary word looks up as a zero vector.
-    A malformed file raises EmbeddingFormatError "<path>: line N: ...", and
-    a line that is not UTF-8 a ValueError of the same form."""
+    A malformed file, or one holding a value that is not finite (nan, inf),
+    raises EmbeddingFormatError "<path>: line N: ...", and a line that is
+    not UTF-8 a ValueError of the same form."""
     lines = read_lines(path)
 
     def bad(lineno: int, detail) -> EmbeddingFormatError:
@@ -489,11 +602,15 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise bad(lineno, f"expected {dim} components, got {len(parts) - 1}")
         words.append(parts[0])
         try:
-            values.extend([float(x) for x in parts[1:]])
+            values.extend(map(float, parts[1:]))
         except ValueError as exc:
             raise bad(lineno, exc) from exc
     for lineno, line in lines:
         if line.strip():
             raise bad(lineno, "trailing data after body")
     vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise bad(int(row) + 2, f"component {col + 1} is not finite: {vectors[row, col]}")
     return EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)

@@ -65,6 +65,11 @@ CLASSES = len(SentimentLabel)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true would otherwise count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelConfig:
     embed_dim: int
@@ -97,12 +102,16 @@ class ModelConfig:
                  **{f"dense_sizes[{i}]": d for i, d in enumerate(self.dense_sizes)},
                  "batch_size": self.batch_size}
         for name, size in sizes.items():
-            if not (isinstance(size, int) and size >= 1):
+            if not (_is_int(size) and size >= 1):
                 raise ValueError(f"{name} {size!r} must be an integer >= 1")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
-        if not (isinstance(self.max_tokens, int) and 1 <= self.max_tokens <= MAX_TOKENS):
+        if not (_is_int(self.max_tokens) and 1 <= self.max_tokens <= MAX_TOKENS):
             raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
+        if not isinstance(self.fine_tune_embeddings, bool):
+            raise ValueError(
+                f"fine_tune_embeddings {self.fine_tune_embeddings!r} must be true or false"
+            )
         for i, (_, kernel) in enumerate(self.conv_layers):
             if kernel > self.max_tokens:
                 raise ValueError(

@@ -320,6 +320,17 @@ class TestTrainingCommands:
         assert f"error: {bad}: line 3: expected 3 components, got 2" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_non_finite_embedding_exit_2_names_the_line(self, labeled_corpus, tmp_path,
+                                                         capsys):
+        bad = tmp_path / "nan.vec"
+        bad.write_text("2 3\nword 0.1 0.2 0.3\nother 0.1 nan 0.3\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(bad)])
+        assert code == 2
+        assert (f"error: {bad}: line 3: component 2 is not finite: nan\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--window", 0, "window"), ("--epochs", 0, "epochs"),
         ("--negatives", -1, "negatives"), ("--lr", 0, "initial_lr"),
@@ -785,6 +796,21 @@ class TestBadCheckpoint:
         # each float equals the stored integer, so the tensor list still matches
         bad = tmp_path / "bad.ckpt"
         _rewrite_metadata(checkpoint, bad, change)
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: metadata: {detail}\n" in err
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("pool", True, "pool True must be an integer >= 1"),
+        ("batch_size", True, "batch_size True must be an integer >= 1"),
+        ("seed", False, "seed False must be an integer >= 0"),
+        ("fine_tune_embeddings", "no", "fine_tune_embeddings 'no' must be true or false"),
+    ])
+    def test_json_boolean_in_config_names_the_field(self, clean_corpus, checkpoint,
+                                                    tmp_path, capsys, field, value, detail):
+        # JSON true and false are Python bools, which count as the ints 1 and 0
+        bad = tmp_path / "bool.ckpt"
+        _rewrite_metadata(checkpoint, bad, lambda m: m["config"].update({field: value}))
         code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
         assert code == 2
         assert f"error: checkpoint {bad}: metadata: {detail}\n" in err

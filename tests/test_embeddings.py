@@ -1,12 +1,15 @@
 """Skip-gram and subword embedding training, lookup and persistence."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from flamewatch import embeddings
 from flamewatch.embeddings import (
     BLOCK_CENTERS,
     EmbedConfig,
@@ -510,3 +513,108 @@ class TestPersistence:
         path.write_text(f"1000000000000 100\nword {row}\n")
         with pytest.raises(EmbeddingFormatError, match="line 3: expected 1000000000000"):
             load_embeddings(path)
+
+    def test_non_finite_component_line_numbered(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        for bad in ("nan", "inf", "-inf", "-NaN", "Infinity"):
+            path.write_text(f"3 2\nword 0.1 0.2\nother 0.3 {bad}\nlast 0.5 0.6\n")
+            with pytest.raises(EmbeddingFormatError,
+                               match=f"^{path}: line 3: component 2 is not finite: "):
+                load_embeddings(path)
+
+
+def _expected_text(words, values) -> bytes:
+    """The file as a per-value f"{v:.8e}" writer makes it."""
+    return (f"{len(words)} {values.shape[1]}\n" + "".join(
+        f"{w} " + " ".join(f"{v:.8e}" for v in row) + "\n" for w, row in zip(words, values)
+    )).encode("utf-8")
+
+
+def _save_bytes(values, path) -> bytes:
+    words = [f"w{i}" for i in range(len(values))]
+    save_embeddings(EmbeddingMatrix(values.shape[1], Vocabulary.from_tokens(words), values),
+                    path)
+    return path.read_bytes(), words
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _nudged(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+_NEAR_TIES = st.builds(lambda digits, k, steps: _nudged(float(f"{digits}5e{k}"), steps),
+                       st.integers(10 ** 8, 10 ** 9 - 1), st.integers(-25, 22),
+                       st.integers(-2, 2))
+_DECADE_EDGES = st.builds(lambda k, steps: _nudged(float(f"9.999999995e{k}"), steps),
+                          st.integers(-16, 31), st.integers(-2, 2))
+_DOMAIN_EDGES = st.builds(_nudged, st.sampled_from([1e-14, 1e30]), st.integers(-3, 3))
+_SPECIALS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                     2.2250738585072009e-308, 1e-100, 1e100, 1.7976931348623157e308]),
+    st.integers(1, 2 ** 52 - 1).map(_from_bits),  # subnormals
+    st.floats(min_value=1e-300, max_value=1e-100),  # 3-digit exponents
+    st.floats(min_value=1e100, max_value=1e300),
+)
+_VALUES = st.builds(
+    lambda value, negative: -value if negative else value,
+    st.one_of(st.integers(0, 2 ** 64 - 1).map(_from_bits), _NEAR_TIES, _DECADE_EDGES,
+              _DOMAIN_EDGES, _SPECIALS, st.floats(min_value=1e-3, max_value=1.0)),
+    st.booleans(),
+)
+
+
+class TestSaveFormatter:
+    """save_embeddings writes the bytes of a per-value f"{v:.8e}" writer."""
+
+    @seed(17)
+    @settings(max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_VALUES, min_size=1, max_size=24), st.integers(1, 4))
+    # at the first exponent 9.999999995 scales to 999999999.5: 9.99999999e+00
+    # is right, and checking the tie only after moving the exponent gave 1.00000000e+01
+    @example([9.999999995], 1)
+    @example([-9.999999995e-5, 9.999999995e20, 0.5, 1e-14, 1e30], 1)
+    def test_bytes_equal_per_value_formatter(self, tmp_path, values, dim):
+        values = values + [0.25] * (-len(values) % dim)
+        matrix = np.array(values, dtype=np.float64).reshape(-1, dim)
+        text, words = _save_bytes(matrix, tmp_path / "vectors.txt")
+        assert text == _expected_text(words, matrix)
+
+    @pytest.mark.parametrize("block_values", [1, 5, 12, 1000])
+    def test_blocks_of_rows_join_seamlessly(self, tmp_path, monkeypatch, block_values):
+        # 7 rows of dim 4, with a fallback row (nan) and a tie row inside a block
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-5, 5, (7, 4))
+        values[2, 1] = math.nan
+        values[5, 3] = 1.2345678850000000
+        monkeypatch.setattr(embeddings, "SAVE_BLOCK_VALUES", block_values)
+        text, words = _save_bytes(values, tmp_path / "vectors.txt")
+        assert text == _expected_text(words, values)
+
+    def test_float32_vectors_write_their_float64_values(self, tmp_path):
+        values = (np.random.default_rng(3).standard_normal((5, 3)) / 7).astype(np.float32)
+        text, words = _save_bytes(values, tmp_path / "vectors.txt")
+        assert text == _expected_text(words, values.astype(np.float64))
+
+    def test_writer_memory_does_not_grow_with_vocabulary(self, tmp_path):
+        # 50k x 100 float64 is 40 MB; the writer formats blocks of
+        # SAVE_BLOCK_VALUES values, so its own peak stays a few MB
+        values = np.random.default_rng(5).standard_normal((50_000, 100))
+        matrix = EmbeddingMatrix(100, Vocabulary.from_tokens(
+            [f"w{i}" for i in range(len(values))]), values)
+        path = tmp_path / "vectors.txt"
+        tracemalloc.start()
+        try:
+            save_embeddings(matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        path.unlink()
+        assert size > 50_000 * 100 * 15
+        assert peak < 8 * 2 ** 20, f"writer peaked {peak / 2 ** 20:.1f} MiB above the matrix"

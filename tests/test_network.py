@@ -217,6 +217,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             toy_config(**overrides)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(embed_dim=True), "embed_dim True must be an integer >= 1"),
+        (dict(conv_layers=((4, 3), (True, 3), (4, 3))),
+         "conv_layers[1] filters True must be an integer >= 1"),
+        (dict(conv_layers=((4, 3), (4, 3), (4, True))),
+         "conv_layers[2] kernel width True must be an integer >= 1"),
+        (dict(pool=True), "pool True must be an integer >= 1"),
+        (dict(lstm_hidden=True), "lstm_hidden True must be an integer >= 1"),
+        (dict(dense_sizes=(16, True)), "dense_sizes[1] True must be an integer >= 1"),
+        (dict(batch_size=True), "batch_size True must be an integer >= 1"),
+        (dict(max_tokens=True), f"max_tokens True outside [1, {MAX_TOKENS}]"),
+        (dict(seed=False), "seed False must be an integer >= 0"),
+        (dict(seed=True), "seed True must be an integer >= 0"),
+        (dict(fine_tune_embeddings="no"), "fine_tune_embeddings 'no' must be true or false"),
+        (dict(fine_tune_embeddings=1), "fine_tune_embeddings 1 must be true or false"),
+        (dict(fine_tune_embeddings=None),
+         "fine_tune_embeddings None must be true or false"),
+    ], ids=["embed-dim", "filters", "kernel", "pool", "lstm-hidden", "dense", "batch-size",
+            "max-tokens", "seed-false", "seed-true", "fine-tune-str", "fine-tune-int",
+            "fine-tune-none"])
+    def test_config_refuses_bools_as_integers(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            toy_config(**overrides)
+
     @pytest.mark.parametrize("max_tokens", [0, MAX_TOKENS + 1, 2 ** 40, 12.0, "12"])
     def test_max_tokens_bounded(self, max_tokens):
         with pytest.raises(ValueError, match="^max_tokens .* outside"):

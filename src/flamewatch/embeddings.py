@@ -545,17 +545,17 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """
     dim = matrix.dim
     vectors = matrix.vectors
-    if vectors.ndim != 2 or vectors.shape[1] != dim:
-        raise ValueError(f"vectors of shape {vectors.shape} do not have dim {dim}")
     words = matrix.vocab.id_to_token
-    count = min(len(words), len(vectors))
+    if vectors.shape != (len(words), dim):
+        raise ValueError(f"vectors of shape {vectors.shape} do not fit "
+                         f"{len(words)} words of dim {dim}")
     block_rows = max(1, SAVE_BLOCK_VALUES // dim)
     row_format = " %.8e" * dim + "\n"
 
     def write_text(tmp):
         with open(tmp, "wb") as fh:
             fh.write(f"{len(words)} {dim}\n".encode())
-            for first in range(0, count, block_rows):
+            for first in range(0, len(words), block_rows):
                 block = np.asarray(vectors[first:first + block_rows], dtype=np.float64)
                 lines, redo = _format_rows(block)
                 for i in np.flatnonzero(redo):

@@ -601,6 +601,15 @@ class TestSaveFormatter:
         text, words = _save_bytes(values, tmp_path / "vectors.txt")
         assert text == _expected_text(words, values.astype(np.float64))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3, 2), (9,)])
+    def test_vectors_that_do_not_fit_the_vocabulary_refused(self, tmp_path, shape):
+        # three words of dim 3; a short matrix once wrote a file that could not be read
+        matrix = EmbeddingMatrix(3, Vocabulary.from_tokens(["a", "b", "c"]), np.ones(shape))
+        path = tmp_path / "vectors.txt"
+        with pytest.raises(ValueError, match="do not fit 3 words of dim 3"):
+            save_embeddings(matrix, path)
+        assert not path.exists()
+
     def test_writer_memory_does_not_grow_with_vocabulary(self, tmp_path):
         # 50k x 100 float64 is 40 MB; the writer formats blocks of
         # SAVE_BLOCK_VALUES values, so its own peak stays a few MB

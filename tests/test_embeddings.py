@@ -530,7 +530,7 @@ def _expected_text(words, values) -> bytes:
     )).encode("utf-8")
 
 
-def _save_bytes(values, path) -> bytes:
+def _save_bytes(values, path) -> tuple[bytes, list[str]]:
     words = [f"w{i}" for i in range(len(values))]
     save_embeddings(EmbeddingMatrix(values.shape[1], Vocabulary.from_tokens(words), values),
                     path)

@@ -53,8 +53,8 @@ print("skip-gram epoch losses:",
 
 subword = SubwordConfig(min_n=3, max_n=6, buckets=2 ** 12)
 config = EmbedConfig(dim=16, window=2, negatives=5, epochs=6, min_count=1,
-                     seed=1, subword=subword)
-ft = train_fasttext(sentences, config)
+                     seed=1)
+ft = train_fasttext(sentences, config, subword)
 print("subword epoch losses:  ",
       " -> ".join(f"{loss:.4f}" for loss in ft.epoch_losses))
 

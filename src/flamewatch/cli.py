@@ -61,18 +61,17 @@ def cmd_label(args) -> int:
 def cmd_train_embed(args) -> int:
     comments = preprocess.load_clean_jsonl(args.input)
     sentences = [c.tokens for c in comments]
-    subword = None
-    if args.method == "fasttext":
-        subword = embeddings.SubwordConfig(
-            min_n=args.subword_min_n, max_n=args.subword_max_n, buckets=args.buckets
-        )
     config = embeddings.EmbedConfig(
         dim=args.dim, window=args.window, negatives=args.negatives,
         epochs=args.epochs, initial_lr=args.lr, min_count=args.min_count,
-        seed=args.seed, subword=subword,
+        seed=args.seed,
     )
-    train = embeddings.train_word2vec if subword is None else embeddings.train_fasttext
-    matrix = train(sentences, config)
+    if args.method == "fasttext":
+        matrix = embeddings.train_fasttext(sentences, config, embeddings.SubwordConfig(
+            min_n=args.subword_min_n, max_n=args.subword_max_n, buckets=args.buckets
+        ))
+    else:
+        matrix = embeddings.train_word2vec(sentences, config)
     embeddings.save_embeddings(matrix, args.output)
     _emit({
         "command": "train-embed",

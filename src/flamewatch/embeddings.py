@@ -2,7 +2,9 @@
 
 Both trainers share the same objective; the subword variant represents a
 word as the mean of its own vector and hashed character n-gram vectors,
-which also gives out-of-vocabulary words a usable vector.
+which also gives out-of-vocabulary words a usable vector. The trainer that
+runs is the choice of method: `EmbedConfig` holds the settings both share,
+and only `train_fasttext` takes n-gram settings (`SubwordConfig`).
 
 Training is mini-batch SGD over the corpus as one sequence: the sentences'
 in-vocabulary ids back to back, each position knowing its sentence's
@@ -13,7 +15,11 @@ end inside one. A step builds every (center, context) pair of its block
 block), computes all scores and gradients from the parameters as they
 stood at the block's start, and then adds the updates, so that repeated
 words, repeated targets and n-gram hash collisions accumulate. Each center
-keeps its own linearly decaying learning rate.
+keeps its own linearly decaying learning rate. A corpus in which no
+sentence keeps two vocabulary words has no pair and is refused before
+training; a run whose vectors or losses end up not finite is refused after.
+A step looks at context offsets out to the smaller of the window and the
+longest sentence less one, so its memory does not grow with the window.
 
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 draws, in this order: the input vectors (uniform in +-0.5/dim, |V| x dim);
@@ -45,6 +51,7 @@ finite.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -86,7 +93,6 @@ class EmbedConfig:
     initial_lr: float = 0.025
     min_count: int = 2
     seed: int = 1
-    subword: SubwordConfig | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -97,8 +103,8 @@ class EmbedConfig:
             raise ValueError("epochs must be >= 1")
         if self.negatives < 0:
             raise ValueError("negatives must be >= 0")
-        if not self.initial_lr > 0:
-            raise ValueError("initial_lr must be > 0")
+        if not 0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
 
 
 @dataclass
@@ -119,9 +125,7 @@ class Vocabulary:
 
 @dataclass
 class SubwordTable:
-    min_n: int
-    max_n: int
-    buckets: int
+    config: SubwordConfig
     bucket_vectors: np.ndarray  # buckets x dim
     word_raw_vectors: np.ndarray  # |V| x dim, pre-composition input vectors
 
@@ -236,7 +240,7 @@ def _hash_ngrams(
     return ids, starts
 
 
-def ngram_ids(word: str, sub: SubwordConfig | SubwordTable) -> list[int]:
+def ngram_ids(word: str, sub: SubwordConfig) -> list[int]:
     """The bucket ids of `word`'s n-grams, by length, then start."""
     return _hash_ngrams([word], sub.min_n, sub.max_n, sub.buckets)[0].tolist()
 
@@ -296,8 +300,17 @@ def _compose(w_in, buckets, words, flat, owner, size) -> np.ndarray:
 def _train(
     sentences: list[list[str]],
     config: EmbedConfig,
+    sub: SubwordConfig | None,
 ) -> EmbeddingMatrix:
+    """Skip-gram training, with each word also its n-grams when `sub` is given."""
     vocab = build_vocab(sentences, config.min_count)
+    ids, sent_begin, sent_end = _corpus_ids(sentences, vocab)
+    # Every center is visited each epoch and a radius keeps at least its +-1
+    # neighbours, so each epoch has a pair exactly when a sentence keeps two
+    # words. Every vocabulary word occurs in the corpus, so ids is not empty.
+    longest = int((sent_end - sent_begin).max())
+    if longest < 2:
+        raise ValueError("corpus too small: no (center, context) pair")
     rng = np.random.default_rng(config.seed)
     dim = config.dim
     vocab_size = len(vocab)
@@ -305,7 +318,6 @@ def _train(
     bound = 0.5 / dim
     w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
     w_out = np.zeros((vocab_size, dim))
-    sub = config.subword
     if sub is not None:
         buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
         grams = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
@@ -314,17 +326,14 @@ def _train(
     noise_cdf = np.cumsum(noise)
     noise_cdf[-1] = 1.0
 
-    ids, sent_begin, sent_end = _corpus_ids(sentences, vocab)
     total_centers = ids.size * config.epochs
-    if total_centers == 0:
-        raise ValueError("corpus too small: no training pairs")
-    # context offsets -window..-1, 1..window; a center keeps those within its radius
-    offsets = np.concatenate(
-        (np.arange(-config.window, 0), np.arange(1, config.window + 1))
-    )
+    # context offsets -widest..-1, 1..widest; a center keeps those within its
+    # radius. An offset past the longest sentence never stays inside one, so
+    # leaving it out keeps every pair and its order.
+    widest = min(config.window, longest - 1)
+    offsets = np.concatenate((np.arange(-widest, 0), np.arange(1, widest + 1)))
     reach = np.abs(offsets)
     processed = 0
-    pair_seen = False
     losses = []
 
     for _epoch in range(config.epochs):
@@ -368,7 +377,6 @@ def _train(
                 -_log_sigmoid(scores[:, 0]).sum() - _log_sigmoid(-scores[:, 1:]).sum()
             )
             epoch_pairs += pair_center.size
-            pair_seen = True
             g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
             g[:, 0] -= 1.0
             g *= lr[pair_center][:, None]
@@ -384,38 +392,36 @@ def _train(
                 share = grad_words / size[:, None]
                 w_in[words] -= share
                 _scatter_add(buckets, flat, -share[owner])
-        if epoch_pairs:
-            losses.append(epoch_loss / epoch_pairs)
-        else:
-            losses.append(float("nan"))
-
-    if not pair_seen:
-        raise ValueError("corpus too small: no (center, context) pair")
+        losses.append(epoch_loss / epoch_pairs)
 
     if sub is None:
-        return EmbeddingMatrix(dim=dim, vocab=vocab, vectors=w_in, epoch_losses=losses)
-    # composed in chunks, so the gathered bucket rows stay small
-    composed = np.empty_like(w_in)
-    for first in range(0, vocab_size, BLOCK_CENTERS):
-        words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
-        composed[words] = _compose(w_in, buckets, words, *_gather(*grams, words))
-    table = SubwordTable(min_n=sub.min_n, max_n=sub.max_n, buckets=sub.buckets,
-                         bucket_vectors=buckets, word_raw_vectors=w_in)
+        vectors, table = w_in, None
+    else:
+        # composed in chunks, so the gathered bucket rows stay small
+        vectors = np.empty_like(w_in)
+        for first in range(0, vocab_size, BLOCK_CENTERS):
+            words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
+            vectors[words] = _compose(w_in, buckets, words, *_gather(*grams, words))
+        table = SubwordTable(config=sub, bucket_vectors=buckets, word_raw_vectors=w_in)
+    if not (np.isfinite(vectors).all() and np.isfinite(losses).all()):
+        raise ValueError(f"training diverged at initial_lr {config.initial_lr}: "
+                         "the vectors or epoch losses are not finite")
     return EmbeddingMatrix(
-        dim=dim, vocab=vocab, vectors=composed, subword=table, epoch_losses=losses
+        dim=dim, vocab=vocab, vectors=vectors, subword=table, epoch_losses=losses
     )
 
 
 def train_word2vec(sentences: list[list[str]], config: EmbedConfig) -> EmbeddingMatrix:
-    if config.subword is not None:
-        config = EmbedConfig(**{**config.__dict__, "subword": None})
-    return _train(sentences, config)
+    """Skip-gram with negative sampling (Mikolov et al., arXiv:1310.4546)."""
+    return _train(sentences, config, None)
 
 
-def train_fasttext(sentences: list[list[str]], config: EmbedConfig) -> EmbeddingMatrix:
-    if config.subword is None:
-        config = EmbedConfig(**{**config.__dict__, "subword": SubwordConfig()})
-    return _train(sentences, config)
+def train_fasttext(
+    sentences: list[list[str]], config: EmbedConfig, subword: SubwordConfig | None = None
+) -> EmbeddingMatrix:
+    """Skip-gram in which a word is also its hashed character n-grams
+    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig()."""
+    return _train(sentences, config, SubwordConfig() if subword is None else subword)
 
 
 def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
@@ -423,7 +429,7 @@ def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
     sub = matrix.subword
     if sub is None:
         raise ValueError("matrix has no subword table")
-    rows = [sub.bucket_vectors[i] for i in ngram_ids(word, sub)]
+    rows = [sub.bucket_vectors[i] for i in ngram_ids(word, sub.config)]
     wid = matrix.vocab.token_to_id.get(word)
     if wid is not None:
         rows.insert(0, sub.word_raw_vectors[wid])

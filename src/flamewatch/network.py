@@ -117,11 +117,14 @@ class ModelConfig:
                 raise ValueError(
                     f"conv_layers[{i}] kernel width {kernel} outside [1, {self.max_tokens}]"
                 )
-        for p in (self.dropout_lstm, self.dropout_dense):
-            if not 0.0 <= p < 1.0:
-                raise ValueError("dropout must be in [0, 1)")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate {self.learning_rate!r} must be finite and > 0")
+        # a bool is an int, so JSON true would otherwise count as 1.0
+        for name in ("dropout_lstm", "dropout_dense"):
+            p = getattr(self, name)
+            if isinstance(p, bool) or not 0.0 <= p < 1.0:
+                raise ValueError(f"{name} {p!r} must be a number in [0, 1)")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"learning_rate {lr!r} must be finite and > 0")
 
 
 @dataclass

@@ -90,8 +90,8 @@ class RawComment:
         """Inverse of to_dict; the ids must be non-empty strings, created_time
         an ISO-8601 string and message a string."""
         raw = cls(
-            post_id=_record_id(obj, "post_id"),
-            comment_id=_record_id(obj, "comment_id"),
+            post_id=_record_id("post_id", obj["post_id"]),
+            comment_id=_record_id("comment_id", obj["comment_id"]),
             created_time=parse_timestamp(obj["created_time"]),
             text=obj["message"],
         )
@@ -134,15 +134,16 @@ class CleanComment:
         tokens, emojis = obj["tokens"], obj["emojis"]
         caps_flags, exclaim_flags = obj["caps_flags"], obj["exclaim_flags"]
         original_text = obj["original_text"]
-        # one C-level pass over the item types (map, issuperset), no Python
-        # loop per item; _field_error finds the field only when it fails
-        if not (
-            type(tokens) is type(emojis) is type(caps_flags) is type(exclaim_flags) is list
-            and _STR.issuperset(map(type, [post_id, comment_id, original_text, *tokens, *emojis]))
-            and _BOOL.issuperset(map(type, caps_flags + exclaim_flags))
-            and post_id and comment_id
-        ):
-            raise _field_error(obj)
+        _record_id("post_id", post_id)
+        _record_id("comment_id", comment_id)
+        _require_list("tokens", tokens, _STR)
+        _require_list("emojis", emojis, _STR)
+        _require_list("caps_flags", caps_flags, _BOOL)
+        _require_list("exclaim_flags", exclaim_flags, _BOOL)
+        if type(original_text) is not str:
+            raise TypeError(
+                f"original_text must be a string, got {type(original_text).__name__}"
+            )
         comment = cls(
             post_id=post_id,
             comment_id=comment_id,
@@ -161,8 +162,8 @@ class CleanComment:
         return comment
 
 
-def _record_id(obj: dict, key: str) -> str:
-    value = obj[key]
+def _record_id(key: str, value) -> str:
+    """`value`, a record's `key` id, if it is a non-empty string."""
     if type(value) is not str:
         raise TypeError(f"{key} must be a string, got {type(value).__name__}")
     if not value:
@@ -172,23 +173,15 @@ def _record_id(obj: dict, key: str) -> str:
 
 _STR = frozenset((str,))
 _BOOL = frozenset((bool,))
-_LIST_FIELDS = (("tokens", str), ("emojis", str), ("caps_flags", bool), ("exclaim_flags", bool))
 
 
-def _field_error(obj: dict) -> Exception:
-    """The error that names the first ill-typed field of a clean record, or
-    its empty id, where CleanComment.from_dict only saw that there is one."""
-    for key in ("post_id", "comment_id"):
-        try:
-            _record_id(obj, key)
-        except (TypeError, ValueError) as exc:
-            return exc
-    for key, kind in _LIST_FIELDS:
-        value = obj[key]
-        if type(value) is not list or any(type(x) is not kind for x in value):
-            return TypeError(f"{key} must be a list of {kind.__name__}")
-    text = obj["original_text"]
-    return TypeError(f"original_text must be a string, got {type(text).__name__}")
+def _require_list(key: str, value, kinds: frozenset) -> None:
+    """Raise TypeError unless `value`, a record's `key` field, is a list whose
+    items all have the one type in `kinds`."""
+    # map and issuperset check the item types in C, not per item in Python
+    if type(value) is not list or not kinds.issuperset(map(type, value)):
+        (kind,) = kinds
+        raise TypeError(f"{key} must be a list of {kind.__name__}")
 
 
 @dataclass
@@ -264,7 +257,8 @@ def tokenize(text: str) -> list[tuple[str, bool, bool]]:
 
 
 def _clean(raw: RawComment, stems: dict[str, str]) -> CleanComment | None:
-    """preprocess(raw), looking stems up in (and adding them to) `stems`."""
+    """normalize -> tokenize -> stem, looking stems up in (and adding them to)
+    `stems`; None when no token survives."""
     triples = tokenize(normalize_text(raw.text))
     if not triples:
         return None
@@ -286,13 +280,8 @@ def _clean(raw: RawComment, stems: dict[str, str]) -> CleanComment | None:
     )
 
 
-def preprocess(raw: RawComment) -> CleanComment | None:
-    """normalize -> tokenize -> stem; returns None when nothing survives."""
-    return _clean(raw, {})
-
-
 def build_corpus(raws) -> Corpus:
-    """preprocess every comment, stemming each distinct token once."""
+    """Clean every comment (`_clean`), stemming each distinct token once."""
     corpus = Corpus(comments=[])
     stems: dict[str, str] = {}
     for raw in raws:

@@ -347,8 +347,8 @@ def test_criterion_08_embedding_sanity():
 
     subword = SubwordConfig(min_n=3, max_n=6, buckets=2 ** 12)
     config = EmbedConfig(dim=16, window=2, negatives=5, epochs=6,
-                         min_count=1, seed=1, subword=subword)
-    matrix = train_fasttext(sentences, config)
+                         min_count=1, seed=1)
+    matrix = train_fasttext(sentences, config, subword)
 
     def cosine(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

@@ -342,6 +342,24 @@ class TestTrainingCommands:
         assert code == 2
         assert f"error: {field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["word2vec", "fasttext"])
+    @pytest.mark.parametrize("lr, message", [
+        ("inf", "initial_lr must be finite and > 0, got inf"),
+        ("1e308", "training diverged at initial_lr 1e+308: "
+                  "the vectors or epoch losses are not finite"),
+    ], ids=["inf", "diverges"])
+    def test_non_finite_lr_or_vectors_exit_2(self, clean_corpus, tmp_path, capsys, lr,
+                                             message, method):
+        # no vectors file that load_embeddings would refuse, and no NaN in the summary
+        out = tmp_path / "v.txt"
+        code = main(["train-embed", str(clean_corpus), str(out), "--method", method,
+                     "--dim", "8", "--epochs", "1", "--min-count", "1", "--buckets", "1024",
+                     "--lr", lr])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}\n" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_huge_max_tokens_exit_2(self, labeled_corpus, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("1 2\ngood 0.5 -0.5\n")
@@ -527,8 +545,8 @@ class TestAtomicOutputs:
         out.write_text("previous\n")
         train = embeddings.train_fasttext
 
-        def failing(sentences, config):
-            matrix = train(sentences, config)
+        def failing(sentences, config, subword=None):
+            matrix = train(sentences, config, subword)
 
             def rows():
                 yield from matrix.vectors[:3]
@@ -1002,13 +1020,14 @@ class TestSubwordLengths:
             out[max_n] = path
         assert out[longest].read_bytes() == out[10 ** 9].read_bytes()
         sentences = [c.tokens for c in preprocess.load_clean_jsonl(clean_corpus)]
+        config = embeddings.EmbedConfig(dim=8, epochs=1, min_count=1, seed=0)
         huge, capped = [
-            embeddings.train_fasttext(sentences, embeddings.EmbedConfig(
-                dim=8, epochs=1, min_count=1, seed=0,
-                subword=embeddings.SubwordConfig(max_n=max_n, buckets=4096))).subword
+            embeddings.train_fasttext(
+                sentences, config, embeddings.SubwordConfig(max_n=max_n, buckets=4096)
+            ).subword
             for max_n in (10 ** 9, longest)
         ]
-        assert (huge.max_n, capped.max_n) == (10 ** 9, longest)
+        assert (huge.config.max_n, capped.config.max_n) == (10 ** 9, longest)
         assert (huge.bucket_vectors == capped.bucket_vectors).all()
         assert (huge.word_raw_vectors == capped.word_raw_vectors).all()
 

@@ -1,6 +1,7 @@
 """Skip-gram and subword embedding training, lookup and persistence."""
 
 import math
+import resource
 import struct
 import tracemalloc
 
@@ -69,7 +70,7 @@ def reference_ngram_ids(word, min_n, max_n, buckets):
     return [fnv1a_hash(g.encode("utf-8")) % buckets for g in char_ngrams(word, min_n, max_n)]
 
 
-def reference_train(sentences, config):
+def reference_train(sentences, config, sub=None):
     """Block SGD written out pair by pair in plain Python.
 
     Blocks are runs of consecutive centers of the whole corpus, and a
@@ -78,14 +79,13 @@ def reference_train(sentences, config):
     as they stood at the block's start, and accumulates the updates into
     the live parameters. Returns the input
     vectors, the bucket vectors (or None), the stored vectors and the
-    epoch losses.
+    epoch losses. With a SubwordConfig `sub` it trains the subword variant.
     """
     vocab = build_vocab(sentences, config.min_count)
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / config.dim
     w_in = rng.uniform(-bound, bound, size=(len(vocab), config.dim))
     w_out = np.zeros((len(vocab), config.dim))
-    sub = config.subword
     buckets = None
     if sub is not None:
         buckets = rng.uniform(-bound, bound, size=(sub.buckets, config.dim))
@@ -186,10 +186,12 @@ class TestBlockStep:
         assert max(len(b) for b in blocks) >= 3
         assert set(blocks[2]) & set(blocks[3]) == {6}
         config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, initial_lr=0.2,
-                             min_count=2, seed=3, subword=subword)
-        train = train_word2vec if subword is None else train_fasttext
-        matrix = train(sentences, config)
-        w_in, buckets, stored, losses = reference_train(sentences, config)
+                             min_count=2, seed=3)
+        if subword is None:
+            matrix = train_word2vec(sentences, config)
+        else:
+            matrix = train_fasttext(sentences, config, subword)
+        w_in, buckets, stored, losses = reference_train(sentences, config, subword)
         assert "rare" not in matrix.vocab.token_to_id
         assert np.abs(matrix.vectors - stored).max() < 1e-12
         assert np.abs(np.array(matrix.epoch_losses) - losses).max() < 1e-12
@@ -199,12 +201,36 @@ class TestBlockStep:
 
     @pytest.mark.parametrize("train", [train_word2vec, train_fasttext])
     def test_bit_identical_given_seed(self, train):
-        config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, min_count=2,
-                             seed=9, subword=SubwordConfig(min_n=2, max_n=3, buckets=7))
-        a, b = train(block_corpus(), config), train(block_corpus(), config)
+        config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, min_count=2, seed=9)
+        sub = [] if train is train_word2vec else [SubwordConfig(min_n=2, max_n=3, buckets=7)]
+        a, b = (train(block_corpus(), config, *sub) for _ in range(2))
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.epoch_losses == b.epoch_losses
 
+    def test_huge_window_allocates_only_the_longest_sentence(self):
+        # radii are still drawn from 1..window, but a step's offsets reach
+        # only across the longest sentence (137 words), not to +-10**9; an
+        # address-space cap of 1 GiB over what the process holds turns a
+        # regression into a MemoryError instead of gigabytes of pages
+        config = EmbedConfig(dim=6, window=10 ** 9, negatives=3, epochs=1,
+                             initial_lr=0.005, min_count=2, seed=3)
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as fh:
+            held = int(fh.read().split()[0]) * resource.getpagesize()
+        cap = held + 2 ** 30
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+        tracemalloc.start()
+        try:
+            matrix = train_word2vec(block_corpus(), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        _, _, stored, losses = reference_train(block_corpus(), config)
+        assert np.abs(matrix.vectors - stored).max() < 1e-12
+        np.testing.assert_allclose(matrix.epoch_losses, losses, rtol=1e-12)
+        assert peak < 16 * 2 ** 20
 
     def test_one_word_sentences_have_no_pair(self):
         # consecutive centers share a block but never a sentence
@@ -375,8 +401,8 @@ class TestTraining:
 @pytest.fixture(scope="module")
 def matrix():
     config = EmbedConfig(dim=16, window=3, negatives=3, epochs=3,
-                         min_count=1, seed=2, subword=SMALL_SUB)
-    return train_fasttext(toy_corpus(sentences=150), config)
+                         min_count=1, seed=2)
+    return train_fasttext(toy_corpus(sentences=150), config, SMALL_SUB)
 
 
 class TestFasttext:
@@ -385,7 +411,7 @@ class TestFasttext:
         # its n-gram bucket vectors, recomputed independently
         sub = matrix.subword
         for wid, word in enumerate(matrix.vocab.id_to_token):
-            grams = ngram_ids(word, sub)
+            grams = ngram_ids(word, sub.config)
             stack = np.vstack(
                 [sub.word_raw_vectors[wid]] + [sub.bucket_vectors[g] for g in grams]
             )
@@ -438,8 +464,8 @@ class TestPersistence:
         # the file holds the composed vectors only; a reloaded matrix has no
         # subword table, so an OOV word looks up as zeros, as for word2vec
         config = EmbedConfig(dim=8, window=2, negatives=2, epochs=1,
-                             min_count=1, seed=0, subword=SMALL_SUB)
-        matrix = train_fasttext(toy_corpus(sentences=30), config)
+                             min_count=1, seed=0)
+        matrix = train_fasttext(toy_corpus(sentences=30), config, SMALL_SUB)
         path = tmp_path / "vectors.txt"
         save_embeddings(matrix, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vectors.txt"]

@@ -234,9 +234,13 @@ class TestConstruction:
         (dict(fine_tune_embeddings=1), "fine_tune_embeddings 1 must be true or false"),
         (dict(fine_tune_embeddings=None),
          "fine_tune_embeddings None must be true or false"),
+        (dict(learning_rate=True), "learning_rate True must be finite and > 0"),
+        (dict(dropout_lstm=False), "dropout_lstm False must be a number in [0, 1)"),
+        (dict(dropout_dense=False), "dropout_dense False must be a number in [0, 1)"),
     ], ids=["embed-dim", "filters", "kernel", "pool", "lstm-hidden", "dense", "batch-size",
             "max-tokens", "seed-false", "seed-true", "fine-tune-str", "fine-tune-int",
-            "fine-tune-none"])
+            "fine-tune-none", "learning-rate-true", "dropout-lstm-false",
+            "dropout-dense-false"])
     def test_config_refuses_bools_as_integers(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             toy_config(**overrides)

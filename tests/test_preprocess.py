@@ -314,18 +314,20 @@ class TestPreprocess:
         return RawComment("p1", "c1", parse_timestamp("2018-02-14T10:00:00Z"), text)
 
     def test_url_only_dropped(self):
-        assert preprocess.preprocess(self._raw("https://a.b/c")) is None
+        corpus = build_corpus([self._raw("https://a.b/c")])
+        assert corpus.comments == [] and corpus.dropped == 1
 
     def test_empty_dropped(self):
-        assert preprocess.preprocess(self._raw("")) is None
+        corpus = build_corpus([self._raw("")])
+        assert corpus.comments == [] and corpus.dropped == 1
 
     def test_elongated_with_emoji(self):
-        clean = preprocess.preprocess(self._raw("haaappy 🙂"))
+        [clean] = build_corpus([self._raw("haaappy 🙂")]).comments
         assert clean.tokens == ["happi", "🙂"]
         assert clean.emojis == ["🙂"]
 
     def test_flag_lists_match_token_count(self):
-        clean = preprocess.preprocess(self._raw("GREAT stuff! really 🙂"))
+        [clean] = build_corpus([self._raw("GREAT stuff! really 🙂")]).comments
         n = len(clean.tokens)
         assert len(clean.caps_flags) == n and len(clean.exclaim_flags) == n
 
@@ -357,12 +359,12 @@ class TestPreprocess:
         assert calls["running"] == 2
 
     def test_deterministic(self):
-        a = preprocess.preprocess(self._raw("Some TEXT here! 🙂"))
-        b = preprocess.preprocess(self._raw("Some TEXT here! 🙂"))
-        assert a == b
+        a = build_corpus([self._raw("Some TEXT here! 🙂")]).comments
+        b = build_corpus([self._raw("Some TEXT here! 🙂")]).comments
+        assert a == b and len(a) == 1
 
     def test_clean_jsonl_round_trip(self, tmp_path):
-        clean = preprocess.preprocess(self._raw("GREAT daaay today! 🙂"))
+        [clean] = build_corpus([self._raw("GREAT daaay today! 🙂")]).comments
         path = tmp_path / "clean.jsonl"
         save_clean_jsonl([clean], path)
         assert load_clean_jsonl(path) == [clean]

@@ -6,6 +6,7 @@ a traced run, so a deleted or renamed name would only fail there.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,11 @@ def test_traced_target_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize("trainer", ["train_word2vec", "train_fasttext"])
+def test_trainer_takes_config_second(trainer):
+    # the tracer's train-embed hook reads the config as argument 1 or as "config"
+    embeddings = importlib.import_module("flamewatch.embeddings")
+    params = list(inspect.signature(getattr(embeddings, trainer)).parameters)
+    assert params[:2] == ["sentences", "config"]

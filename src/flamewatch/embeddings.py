@@ -63,6 +63,9 @@ from .preprocess import read_lines
 # Centers per SGD step; bounds the step's memory and how stale its reads get
 # on long sentences.
 BLOCK_CENTERS = 64
+# Upper bound on negative samples per pair: word2vec and fastText use 5-20,
+# and each step draws a (pairs, negatives) array.
+MAX_NEGATIVES = 100
 
 
 @dataclass
@@ -101,8 +104,8 @@ class EmbedConfig:
             raise ValueError("window must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.negatives < 0:
-            raise ValueError("negatives must be >= 0")
+        if not 0 <= self.negatives <= MAX_NEGATIVES:
+            raise ValueError(f"negatives must be in [0, {MAX_NEGATIVES}], got {self.negatives}")
         if not 0 < self.initial_lr < math.inf:
             raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
 
@@ -297,6 +300,9 @@ def _compose(w_in, buckets, words, flat, owner, size) -> np.ndarray:
     return total / size[:, None]
 
 
+# A diverging run overflows in exp and adds inf to -inf; the non-finite check
+# after training refuses the result, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _train(
     sentences: list[list[str]],
     config: EmbedConfig,

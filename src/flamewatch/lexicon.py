@@ -39,12 +39,23 @@ class LexiconEntry:
 
 @dataclass
 class Lexicon:
+    """Phrase entries plus two derived lookups: `index` maps a phrase to its
+    entry, and `starts` maps a phrase's first token to the phrase lengths
+    present, longest first. `starts` keeps only lengths up to `max_n`, so a
+    longer phrase can never match."""
+
     entries: list[LexiconEntry]
     max_n: int = 4
     index: dict[tuple[str, ...], LexiconEntry] = field(init=False, repr=False)
+    starts: dict[str, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {e.phrase: e for e in self.entries}
+        lengths: dict[str, set[int]] = {}
+        for phrase in self.index:
+            if 1 <= len(phrase) <= self.max_n:
+                lengths.setdefault(phrase[0], set()).add(len(phrase))
+        self.starts = {tok: tuple(sorted(ns, reverse=True)) for tok, ns in lengths.items()}
 
 
 @dataclass(frozen=True)
@@ -134,17 +145,26 @@ def load_emoji_table(path) -> dict[str, int]:
 
 
 def match_lexicons(comment: CleanComment, lex: Lexicon) -> list[Match]:
-    """Greedy left-to-right longest match over stemmed token n-grams."""
+    """Greedy left-to-right longest match over stemmed token n-grams, at most
+    `lex.max_n` tokens long.
+
+    At each position, `lex.starts` gives the phrase lengths that begin with
+    that token, longest first; a token that starts no phrase is passed over
+    with one lookup, and only lengths that fit before the end are tried.
+    """
     tokens = comment.tokens
+    index, starts = lex.index, lex.starts
+    end = len(tokens)
     matches: list[Match] = []
     i = 0
-    while i < len(tokens):
-        for n in range(min(lex.max_n, len(tokens) - i), 0, -1):
-            entry = lex.index.get(tuple(tokens[i:i + n]))
-            if entry is not None:
-                matches.append(Match(entry, i, i + n))
-                i += n
-                break
+    while i < end:
+        for n in starts.get(tokens[i], ()):
+            if i + n <= end:
+                entry = index.get(tuple(tokens[i:i + n]))
+                if entry is not None:
+                    matches.append(Match(entry, i, i + n))
+                    i += n
+                    break
         else:
             i += 1
     return matches

@@ -3,6 +3,12 @@
 Only the classic algorithm is implemented: no Snowball extensions, no
 special-casing beyond the conventional "leave words of length <= 2 alone"
 rule used by the reference C implementation.
+
+As in the reference implementation, which switches on a letter of the word,
+steps 2, 3 and 4 test only the suffixes that can match: their rules are
+grouped by the suffix's final letter, in list order within each group, and
+a word is checked against the group of its own final letter. The first
+matching suffix still wins.
 """
 
 from __future__ import annotations
@@ -57,9 +63,19 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _apply_rules(word: str, rules, min_measure: int) -> str:
-    """First matching suffix wins; replacement applies only if m(stem) > min_measure."""
-    for suffix, repl in rules:
+def _by_final_letter(rules: list) -> dict[str, tuple]:
+    """Group suffix rules by the suffix's last letter, keeping list order."""
+    groups: dict[str, list] = {}
+    for rule in rules:
+        suffix = rule if isinstance(rule, str) else rule[0]
+        groups.setdefault(suffix[-1], []).append(rule)
+    return {letter: tuple(group) for letter, group in groups.items()}
+
+
+def _apply_rules(word: str, rules: dict[str, tuple], min_measure: int) -> str:
+    """First matching suffix wins; replacement applies only if m(stem) > min_measure.
+    `rules` is grouped by final letter (`_by_final_letter`)."""
+    for suffix, repl in rules.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure:
@@ -85,6 +101,10 @@ _STEP4 = [
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ]
+
+_STEP2_BY_LAST = _by_final_letter(_STEP2)
+_STEP3_BY_LAST = _by_final_letter(_STEP3)
+_STEP4_BY_LAST = _by_final_letter(_STEP4)
 
 
 def _step1a(word: str) -> str:
@@ -129,7 +149,7 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4:
+    for suffix in _STEP4_BY_LAST.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
@@ -158,8 +178,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_rules(word, _STEP2, 0)
-    word = _apply_rules(word, _STEP3, 0)
+    word = _apply_rules(word, _STEP2_BY_LAST, 0)
+    word = _apply_rules(word, _STEP3_BY_LAST, 0)
     word = _step4(word)
     word = _step5(word)
     return word

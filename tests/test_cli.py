@@ -333,7 +333,8 @@ class TestTrainingCommands:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--window", 0, "window"), ("--epochs", 0, "epochs"),
-        ("--negatives", -1, "negatives"), ("--lr", 0, "initial_lr"),
+        ("--negatives", -1, "negatives"), ("--negatives", 10 ** 9, "negatives"),
+        ("--lr", 0, "initial_lr"),
     ])
     def test_out_of_range_embed_option_exit_2(self, clean_corpus, tmp_path, capsys,
                                               flag, value, field):
@@ -359,6 +360,16 @@ class TestTrainingCommands:
         captured = capsys.readouterr()
         assert f"error: {message}\n" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["word2vec", "fasttext"])
+    def test_diverging_run_prints_only_its_error_line(self, clean_corpus, tmp_path, method):
+        # a child process, so that numpy's RuntimeWarnings would reach stderr
+        result = run_cli("train-embed", clean_corpus, tmp_path / "v.txt", "--method", method,
+                         "--dim", "8", "--epochs", "1", "--min-count", "1",
+                         "--buckets", "1024", "--lr", "1e308")
+        assert result.returncode == 2
+        assert result.stderr == ("error: training diverged at initial_lr 1e+308: "
+                                 "the vectors or epoch losses are not finite\n")
 
     def test_huge_max_tokens_exit_2(self, labeled_corpus, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

@@ -334,6 +334,7 @@ class TestSubwordPieces:
 
 @pytest.mark.parametrize("field, value", [
     ("dim", 0), ("window", 0), ("epochs", 0), ("negatives", -1),
+    ("negatives", embeddings.MAX_NEGATIVES + 1), ("negatives", 10 ** 9),
     ("initial_lr", 0.0), ("initial_lr", -0.1), ("initial_lr", float("nan")),
 ])
 def test_embed_config_rejects_out_of_range(field, value):
@@ -342,6 +343,7 @@ def test_embed_config_rejects_out_of_range(field, value):
 
 
 def test_embed_config_allows_zero_negatives():
+    EmbedConfig(negatives=embeddings.MAX_NEGATIVES)  # the bound itself is allowed
     config = EmbedConfig(dim=4, window=2, negatives=0, epochs=1, min_count=1)
     assert np.isfinite(train_word2vec(toy_corpus(sentences=10), config).vectors).all()
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from flamewatch import data_path
@@ -10,6 +10,7 @@ from flamewatch.lexicon import (
     LabeledComment,
     Lexicon,
     LexiconEntry,
+    Match,
     ScoreBreakdown,
     SentimentLabel,
     StrictDenominatorError,
@@ -132,7 +133,52 @@ def _reference_matches(tokens, lex):
     return chosen
 
 
+def reference_match_lexicons(comment, lex):
+    """The matcher before the first-token index: at every position, every
+    length from max_n down to 1 is looked up in the index."""
+    tokens = comment.tokens
+    matches = []
+    i = 0
+    while i < len(tokens):
+        for n in range(min(lex.max_n, len(tokens) - i), 0, -1):
+            entry = lex.index.get(tuple(tokens[i:i + n]))
+            if entry is not None:
+                matches.append(Match(entry, i, i + n))
+                i += n
+                break
+        else:
+            i += 1
+    return matches
+
+
+# phrases up to 6 tokens over 4 letters: several lengths share a first token,
+# and some phrases are longer than max_n; "z" starts no phrase
+_PHRASES = st.lists(st.tuples(st.sampled_from("abcd")).flatmap(
+    lambda first: st.lists(st.sampled_from("abcd"), max_size=5).map(
+        lambda rest: first + tuple(rest))), min_size=1, max_size=12)
+
+
 class TestMatching:
+    @seed(19)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_PHRASES, st.booleans(), st.integers(1, 4),
+           st.lists(st.lists(st.sampled_from("abcdz"), max_size=14), max_size=5))
+    @example([("a", "b", "c", "d", "a"), ("b",)], True, 3, [list("abcdab"), list("zab")])
+    def test_matches_reference_on_random_lexicons(self, phrases, with_prefixes, max_n,
+                                                  comments):
+        if with_prefixes:  # each phrase's prefixes are phrases too
+            phrases = phrases + [p[:k] for p in phrases for k in range(1, len(p))]
+        entries = [LexiconEntry(p, round(0.1 + 0.01 * k, 2)) for k, p in enumerate(phrases)]
+        lex = Lexicon(entries, max_n=max_n)
+        for tokens in comments:
+            comment = make_clean(tokens)
+            assert match_lexicons(comment, lex) == reference_match_lexicons(comment, lex)
+
+    def test_starts_lists_lengths_up_to_max_n_longest_first(self):
+        lex = make_lexicon({"a": 0.1, "a b c": 0.2, "a b": 0.3, "a b c d": 0.4, "b": 0.5},
+                           max_n=3)
+        assert lex.starts == {"a": (3, 2, 1), "b": (1,)}
+
     def test_longest_match_consumes_tokens(self):
         lex = make_lexicon({"not good": -0.5, "good": 0.6})
         comment = make_clean(["not", "good", "day"])

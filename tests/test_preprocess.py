@@ -5,10 +5,10 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from flamewatch import preprocess
+from flamewatch import data_path, porter, preprocess
 from flamewatch.preprocess import (
     RawComment,
     build_corpus,
@@ -241,10 +241,73 @@ class TestTokenize:
         assert tokenize("no!!!") == [("no", False, True)]
 
 
+# Steps 2-4 of the stemmer as they were before their suffix rules were
+# grouped by final letter: every suffix of a step tried in list order.
+
+
+def reference_apply_rules(word: str, rules, min_measure: int) -> str:
+    for suffix, repl in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if porter._measure(stem) > min_measure:
+                return stem + repl
+            return word
+    return word
+
+
+def reference_step4(word: str) -> str:
+    for suffix in porter._STEP4:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            if porter._measure(stem) > 1:
+                return stem
+            return word
+    return word
+
+
+def reference_stem(word: str) -> str:
+    if len(word) <= 2 or not word.isascii() or not word.isalpha():
+        return word
+    word = porter._step1a(word)
+    word = porter._step1b(word)
+    word = porter._step1c(word)
+    word = reference_apply_rules(word, porter._STEP2, 0)
+    word = reference_apply_rules(word, porter._STEP3, 0)
+    word = reference_step4(word)
+    return porter._step5(word)
+
+
+STEP_SUFFIXES = sorted(
+    {suffix for suffix, _ in porter._STEP2 + porter._STEP3} | set(porter._STEP4)
+)
+
+
+def mini_lexicon_words() -> list[str]:
+    words = set()
+    for line in data_path("mini_lexicon.tsv").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            words.update(line.split("\t")[0].lower().split())
+    return sorted(words)
+
+
 class TestStem:
     @pytest.mark.parametrize("word,expected", sorted(PORTER_PAIRS.items()))
     def test_reference_pairs(self, word, expected):
         assert stem(word) == expected
+
+    def test_matches_reference_on_porter_pairs_and_mini_lexicon(self):
+        words = sorted(PORTER_PAIRS) + mini_lexicon_words()
+        assert len(words) > 150
+        assert [stem(w) for w in words] == [reference_stem(w) for w in words]
+
+    @seed(19)
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=8),
+           st.sampled_from(STEP_SUFFIXES))
+    def test_matches_reference_on_words_ending_in_a_step_suffix(self, head, suffix):
+        assert stem(head + suffix) == reference_stem(head + suffix)
 
     def test_emoji_passthrough(self):
         assert stem("🙂") == "🙂"

@@ -29,8 +29,7 @@ embeddings = train_word2vec(
 print(f"embeddings: {len(embeddings.vocab)} words x {embeddings.dim} dims")
 
 config = ModelConfig(
-    embed_dim=16, max_tokens=12,
-    conv_layers=((8, 3), (8, 3), (8, 3)),
+    embed_dim=16, max_tokens=12, filters=8, kernel=3,
     lstm_hidden=8, dense_sizes=(16, 8),
     dropout_lstm=0.1, dropout_dense=0.1,
     batch_size=32, learning_rate=1e-3, seed=1,

@@ -89,7 +89,8 @@ def cmd_train_clf(args) -> int:
     config = network.ModelConfig(
         embed_dim=matrix.dim,
         max_tokens=args.max_tokens,
-        conv_layers=tuple((args.filters, args.kernel) for _ in range(3)),
+        filters=args.filters,
+        kernel=args.kernel,
         lstm_hidden=args.lstm_hidden,
         dense_sizes=tuple(args.dense),
         dropout_lstm=args.dropout_lstm,

@@ -19,7 +19,11 @@ keeps its own linearly decaying learning rate. A corpus in which no
 sentence keeps two vocabulary words has no pair and is refused before
 training; a run whose vectors or losses end up not finite is refused after.
 A step looks at context offsets out to the smaller of the window and the
-longest sentence less one, so its memory does not grow with the window.
+longest sentence less one, so a window wider than every sentence costs
+nothing more. Within that, a step's pairs still grow with the window times
+the lengths of its sentences: three 3000-token comments at window 2000 ask
+for a (758592, dim) array in one step. Bounding a step's pairs is ROADMAP
+item 4.
 
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 draws, in this order: the input vectors (uniform in +-0.5/dim, |V| x dim);
@@ -66,6 +70,10 @@ BLOCK_CENTERS = 64
 # Upper bound on negative samples per pair: word2vec and fastText use 5-20,
 # and each step draws a (pairs, negatives) array.
 MAX_NEGATIVES = 100
+# Upper bound on the vector width: published word2vec and fastText vectors are
+# 100-300 wide. A step at the default window and negatives updates up to 3840
+# target rows, 126 MB of float64 at 4096 dims, and each table row is 32 KiB.
+MAX_DIM = 4096
 
 
 @dataclass
@@ -98,8 +106,8 @@ class EmbedConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.epochs < 1:

@@ -76,13 +76,19 @@ class FlamingEvent:
 
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _BUCKET_STEPS = {"day": timedelta(days=1), "hour": timedelta(hours=1)}
+# Most buckets a time series may span: about 30 years of hours or 700 years of
+# days. Filling 2**18 hourly buckets peaks near 60 MiB (tracemalloc), where one
+# stray comment dated in year 1 could ask for millions of empty buckets.
+MAX_BUCKETS = 2 ** 18
 
 
 def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBucket]:
     """Per-bucket label counts, with empty buckets filled between first and last.
 
     A comment's bucket is the whole number of steps from the Unix epoch to its
-    time, so a bucket starts at a UTC midnight (day) or a UTC hour (hour).
+    time, so a bucket starts at a UTC midnight (day) or a UTC hour (hour). A
+    span of more than MAX_BUCKETS buckets raises ValueError naming the first
+    and last comment times.
     """
     step = _BUCKET_STEPS.get(width)
     if step is None:
@@ -93,9 +99,15 @@ def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBuc
         counts.setdefault(index, [0] * 5)[lc.label] += 1
     if not counts:
         return []
+    first, last = min(counts), max(counts)
+    if last - first >= MAX_BUCKETS:
+        times = [lc.comment.created_time for lc in labeled]
+        raise ValueError(
+            f"comments from {format_timestamp(min(times))} to {format_timestamp(max(times))} "
+            f"span {last - first + 1} {width} buckets, above MAX_BUCKETS {MAX_BUCKETS}")
     return [
         TimeBucket(_UNIX_EPOCH + index * step, counts.get(index, [0] * 5))
-        for index in range(min(counts), max(counts) + 1)
+        for index in range(first, last + 1)
     ]
 
 

@@ -1,11 +1,12 @@
 """CNN + BiLSTM sentiment classifier in plain numpy.
 
-Layer stack: embedding lookup, three same-padded 1-D convolutions with
-ReLU and max-pooling, a masked bidirectional LSTM (final forward and
-backward states concatenated), two sigmoid dense layers with dropout,
-and a softmax over the five sentiment labels. The class count is the
-constant CLASSES, not a config field; a checkpoint still stores it as
-"classes": 5, and one that stores another value is refused. Forward,
+Layer stack: embedding lookup, three same-padded 1-D convolutions of one
+shape (`filters`, `kernel`) with ReLU and max-pooling over pairs of steps, a
+masked bidirectional LSTM (final forward and backward states concatenated),
+two sigmoid dense layers with dropout, and a softmax over the five sentiment
+labels. CLASSES, CONV_LAYERS and POOL are constants, not config fields; a
+checkpoint still stores them as "classes": 5, three equal "conv_layers" pairs
+and "pool": 2, and one that stores other values is refused. Forward,
 reverse-mode gradients and the Adam update are all hand-written; everything
 runs in double precision and is reproducible from the seed. The only threads
 are BLAS's, whose number follows the environment (e.g. OPENBLAS_NUM_THREADS).
@@ -61,6 +62,12 @@ PREDICT_ROWS = 64
 # per convolution, where an unchecked value from a checkpoint could ask for TiB.
 MAX_TOKENS = 1024
 CLASSES = len(SentimentLabel)
+CONV_LAYERS = 3
+POOL = 2
+# Most parameters besides the embedding that a model may have. Training holds six
+# float64 vectors that long (flat, grad, two Adam moments, two scratch vectors), 48
+# bytes a parameter: 2**24 is about 0.8 GB. The default config has about 135k.
+MAX_PARAMETERS = 2 ** 24
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -74,8 +81,8 @@ def _is_int(value) -> bool:
 class ModelConfig:
     embed_dim: int
     max_tokens: int = 30
-    conv_layers: tuple = ((64, 3), (64, 3), (64, 3))  # (filters, kernel_width)
-    pool: int = 2
+    filters: int = 64  # of each conv layer
+    kernel: int = 3  # width of each conv layer's kernel
     lstm_hidden: int = 64
     dense_sizes: tuple = (128, 64)
     dropout_lstm: float = 0.5
@@ -86,19 +93,11 @@ class ModelConfig:
     fine_tune_embeddings: bool = False
 
     def __post_init__(self):
-        self.conv_layers = tuple(tuple(c) for c in self.conv_layers)
         self.dense_sizes = tuple(self.dense_sizes)
-        if len(self.conv_layers) != 3:
-            raise ValueError("expected exactly 3 conv layers")
         if len(self.dense_sizes) != 2:
             raise ValueError("expected exactly 2 dense layers")
-        if any(len(c) != 2 for c in self.conv_layers):
-            raise ValueError("each conv layer must be a (filters, kernel_width) pair")
-        sizes = {"embed_dim": self.embed_dim,
-                 **{f"conv_layers[{i}] {part}": size
-                    for i, conv in enumerate(self.conv_layers)
-                    for part, size in zip(("filters", "kernel width"), conv)},
-                 "pool": self.pool, "lstm_hidden": self.lstm_hidden,
+        sizes = {"embed_dim": self.embed_dim, "filters": self.filters,
+                 "kernel width": self.kernel, "lstm_hidden": self.lstm_hidden,
                  **{f"dense_sizes[{i}]": d for i, d in enumerate(self.dense_sizes)},
                  "batch_size": self.batch_size}
         for name, size in sizes.items():
@@ -112,11 +111,8 @@ class ModelConfig:
             raise ValueError(
                 f"fine_tune_embeddings {self.fine_tune_embeddings!r} must be true or false"
             )
-        for i, (_, kernel) in enumerate(self.conv_layers):
-            if kernel > self.max_tokens:
-                raise ValueError(
-                    f"conv_layers[{i}] kernel width {kernel} outside [1, {self.max_tokens}]"
-                )
+        if self.kernel > self.max_tokens:
+            raise ValueError(f"kernel width {self.kernel} outside [1, {self.max_tokens}]")
         # a bool is an int, so JSON true would otherwise count as 1.0
         for name in ("dropout_lstm", "dropout_dense"):
             p = getattr(self, name)
@@ -182,10 +178,10 @@ def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, .
     """
     shapes = {"embedding": (vocab_size + 2, config.embed_dim)}
     cin = config.embed_dim
-    for li, (filters, kernel) in enumerate(config.conv_layers):
-        shapes[f"conv{li}_w"] = (filters, kernel, cin)
-        shapes[f"conv{li}_b"] = (filters,)
-        cin = filters
+    for li in range(CONV_LAYERS):
+        shapes[f"conv{li}_w"] = (config.filters, config.kernel, cin)
+        shapes[f"conv{li}_b"] = (config.filters,)
+        cin = config.filters
     h = config.lstm_hidden
     for d in ("fwd", "bwd"):
         shapes[f"lstm_{d}_wx"] = (cin, 4 * h)
@@ -221,6 +217,22 @@ def _flat(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, dict[str, np.
     return buffer, views
 
 
+def _check_size(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Refuse more than MAX_PARAMETERS parameters besides the embedding, naming
+    the largest tensor and the field that gives its longest axis."""
+    counts = {name: math.prod(shape) for name, shape in shapes.items() if name != "embedding"}
+    if sum(counts.values()) > MAX_PARAMETERS:
+        largest = max(counts, key=counts.get)
+        h, (d1, d2) = config.lstm_hidden, config.dense_sizes
+        # every axis length but CLASSES, which no tensor that large has as its longest
+        field = {config.kernel: "kernel width", config.embed_dim: "embed_dim",
+                 config.filters: "filters", **dict.fromkeys((h, 2 * h, 4 * h), "lstm_hidden"),
+                 d1: "dense_sizes[0]", d2: "dense_sizes[1]"}[max(shapes[largest])]
+        raise ValueError(f"{sum(counts.values())} parameters besides the embedding exceed "
+                         f"MAX_PARAMETERS {MAX_PARAMETERS}; the largest tensor, {largest} "
+                         f"{shapes[largest]}, is sized by {field}")
+
+
 class SentimentNet:
     """Parameter container plus forward/backward/update for the classifier."""
 
@@ -236,6 +248,7 @@ class SentimentNet:
         self.id_to_token = list(embeddings.vocab.id_to_token)
         rng = np.random.default_rng(config.seed)
         shapes = param_shapes(config, len(self.id_to_token))
+        _check_size(config, shapes)
         layout = _layout(shapes)
         self.flat, views = _flat(layout)
         self.params = {name: views[name] for name in shapes}  # in the draw order
@@ -387,44 +400,26 @@ class SentimentNet:
         pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(np.float64)
         x = emb[batch.ids] * pad_mask  # pad positions are zero vectors by contract
         lengths = np.minimum(batch.lengths, cfg.max_tokens).astype(np.int64)
-        cache: dict = {"ids": batch.ids, "convs": [], "pools": []}
+        cache: dict = {"ids": batch.ids, "convs": []}
 
-        for li in range(len(cfg.conv_layers)):
+        for li in range(CONV_LAYERS):
             z, conv_cache = self._conv_forward(x, p[f"conv{li}_w"], p[f"conv{li}_b"])
             _check_finite(z, f"conv{li}")
-            a = np.maximum(z, 0.0)
-            cache["convs"].append((conv_cache, z))
-            t = a.shape[1]
-            if t >= cfg.pool:
-                tp = t // cfg.pool
-                trimmed = a[:, : tp * cfg.pool, :].reshape(
-                    a.shape[0], tp, cfg.pool, a.shape[2]
-                )
-                # a running max over the window's offsets; the strict > keeps the
-                # first maximum, as argmax does. idx is the winning offset, and
-                # pool <= t <= MAX_TOKENS fits int16.
-                pooled = trimmed[:, :, 0, :].copy()
-                idx = np.zeros(pooled.shape, dtype=np.int16)
-                for j in range(1, cfg.pool):
-                    later = trimmed[:, :, j, :]
-                    wins = later > pooled
-                    np.copyto(pooled, later, where=wins)
-                    np.copyto(idx, j, where=wins)
-                cache["pools"].append((t, tp, idx))
-                x = pooled
-                lengths = np.minimum(tp, (lengths - 1) // cfg.pool + 1)
-            else:
-                cache["pools"].append(None)
-                x = a
+            x = np.maximum(z, 0.0)
+            wins = None  # a sequence shorter than POOL passes unpooled
+            if x.shape[1] >= POOL:
+                tp = x.shape[1] // POOL
+                pairs = x[:, :tp * POOL, :].reshape(x.shape[0], tp, POOL, x.shape[2])
+                # the strict > keeps the first of a tie, as argmax does
+                wins = pairs[:, :, 1, :] > pairs[:, :, 0, :]
+                x = np.where(wins, pairs[:, :, 1, :], pairs[:, :, 0, :])
+                lengths = np.minimum(tp, (lengths - 1) // POOL + 1)
+            cache["convs"].append((conv_cache, z, wins))
 
-        b, t3, _ = x.shape
-        mask = (np.arange(t3)[None, :] < lengths[:, None]).astype(np.float64)
+        mask = (np.arange(x.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
         cache["seq"] = x
-        cache["mask"] = mask
-        h_fwd, cache_fwd = self._lstm_forward(x, mask, "fwd")
-        h_bwd, cache_bwd = self._lstm_forward(x, mask, "bwd")
-        cache["lstm_fwd"] = cache_fwd
-        cache["lstm_bwd"] = cache_bwd
+        h_fwd, cache["lstm_fwd"] = self._lstm_forward(x, mask, "fwd")
+        h_bwd, cache["lstm_bwd"] = self._lstm_forward(x, mask, "bwd")
         hcat = np.concatenate([h_fwd, h_bwd], axis=1)
         _check_finite(hcat, "bilstm")
 
@@ -447,8 +442,7 @@ class SentimentNet:
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
 
-        cache.update(hcat=hcat, m0=m0, a0=a0, a1=a1, m1=m1, a1d=a1d,
-                     a2=a2, probs=probs)
+        cache.update(m0=m0, a0=a0, a1=a1, m1=m1, a1d=a1d, a2=a2, probs=probs)
         return probs, cache
 
     # ----- loss and gradients ---------------------------------------------
@@ -487,21 +481,17 @@ class SentimentNet:
             self._lstm_backward(dhcat[:, sl], cache[f"lstm_{direction}"], direction, dseq)
 
         dx = dseq
-        for li in range(len(cfg.conv_layers) - 1, -1, -1):
-            pool = cache["pools"][li]
-            conv_cache, z = cache["convs"][li]
-            if pool is not None:
-                t, tp, idx = pool
-                da = np.zeros((dx.shape[0], t, dx.shape[2]))
-                dtr = da[:, : tp * cfg.pool, :].reshape(
-                    dx.shape[0], tp, cfg.pool, dx.shape[2]
-                )
-                # dtr is a view of da: splitting an axis never copies
-                for j in range(cfg.pool):
-                    np.copyto(dtr[:, :, j, :], dx, where=idx == j)
-            else:
-                da = dx
-            dz = da * (z > 0)
+        for li in range(CONV_LAYERS - 1, -1, -1):
+            conv_cache, z, wins = cache["convs"][li]
+            if wins is not None:
+                bsz, tp, filters = wins.shape
+                da = np.zeros_like(z)
+                # a view of da: splitting an axis never copies
+                pairs = da[:, :tp * POOL, :].reshape(bsz, tp, POOL, filters)
+                np.copyto(pairs[:, :, 0, :], dx, where=~wins)
+                np.copyto(pairs[:, :, 1, :], dx, where=wins)
+                dx = da
+            dz = dx * (z > 0)
             dx = self._conv_backward(dz, p[f"conv{li}_w"], conv_cache,
                                      g[f"conv{li}_w"], g[f"conv{li}_b"])
 
@@ -645,17 +635,12 @@ class SentimentNet:
         labels, means = self.predict_many([tokens])
         return SentimentLabel(int(labels[0])), means[0]
 
-    def evaluate(
-        self, data: list[tuple[list[str], int]]
-    ) -> tuple[float, ConfusionMatrix]:
+    def evaluate(self, data: list[tuple[list[str], int]]) -> tuple[float, ConfusionMatrix]:
         if not data:
             raise ValueError("empty test set")
         predicted, _ = self.predict_many([tokens for tokens, _ in data])
         actual = np.array([int(label) for _, label in data])
-        cm = confusion(
-            predicted, actual, CLASSES,
-            [lbl.name for lbl in SentimentLabel],
-        )
+        cm = confusion(predicted, actual, CLASSES, [lbl.name for lbl in SentimentLabel])
         return int((predicted == actual).sum()) / len(data), cm
 
     # ----- persistence -----------------------------------------------------
@@ -663,15 +648,16 @@ class SentimentNet:
     def save(self, path) -> None:
         """Write the checkpoint atomically (`atomic_write`)."""
         names = sorted(self.params)
+        cfg = self.config
         meta = {
             "config": {
-                **{k: CLASSES if k == "classes" else getattr(self.config, k) for k in (
-                    "embed_dim", "max_tokens", "pool", "lstm_hidden",
-                    "dropout_lstm", "dropout_dense", "classes", "seed",
-                    "batch_size", "learning_rate", "fine_tune_embeddings",
-                )},
-                "conv_layers": [list(c) for c in self.config.conv_layers],
-                "dense_sizes": list(self.config.dense_sizes),
+                "embed_dim": cfg.embed_dim, "max_tokens": cfg.max_tokens, "pool": POOL,
+                "lstm_hidden": cfg.lstm_hidden, "dropout_lstm": cfg.dropout_lstm,
+                "dropout_dense": cfg.dropout_dense, "classes": CLASSES, "seed": cfg.seed,
+                "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate,
+                "fine_tune_embeddings": cfg.fine_tune_embeddings,
+                "conv_layers": [[cfg.filters, cfg.kernel]] * CONV_LAYERS,
+                "dense_sizes": list(cfg.dense_sizes),
             },
             "id_to_token": self.id_to_token,
             "tensors": [[n, list(self.params[n].shape)] for n in names],
@@ -710,6 +696,15 @@ class SentimentNet:
             stored_config = {**meta["config"]}
             if stored_config.pop("classes", CLASSES) != CLASSES:
                 raise ValueError(f"model is fixed to {CLASSES} classes")
+            pool, conv = stored_config.pop("pool"), stored_config.pop("conv_layers")
+            if not (_is_int(pool) and pool == POOL):
+                raise ValueError(f"pool {pool!r} must be {POOL}")
+            # repr tells 2.0 and true apart from 2 and 1, which == does not
+            if not (isinstance(conv, list) and len(conv) == CONV_LAYERS
+                    and isinstance(conv[0], list) and len(conv[0]) == 2
+                    and len({repr(pair) for pair in conv}) == 1):
+                raise ValueError(f"conv_layers {conv!r} must be {CONV_LAYERS} equal pairs")
+            stored_config["filters"], stored_config["kernel"] = conv[0]
             config = ModelConfig(**stored_config)
             vocab = Vocabulary.from_tokens(meta["id_to_token"])
             shapes = param_shapes(config, len(vocab))
@@ -730,6 +725,9 @@ class SentimentNet:
         }
         if fh.read(1):
             raise ValueError("trailing data after the last tensor")
+        for name, data in tensors.items():
+            if not np.isfinite(data).all():
+                raise ValueError(f"tensor {name} holds a value that is not finite")
         embedding = EmbeddingMatrix(config.embed_dim, vocab, tensors["embedding"][2:])
         model = cls(config, embedding)
         for name, data in tensors.items():

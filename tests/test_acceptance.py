@@ -191,7 +191,7 @@ def test_criterion_05_gradient_check_toy_model():
     toy configuration; max relative error ≤ 1e-4 over every parameter."""
     start = time.monotonic()
     config = ModelConfig(
-        embed_dim=8, max_tokens=12, conv_layers=((4, 3), (4, 3), (4, 3)),
+        embed_dim=8, max_tokens=12, filters=4, kernel=3,
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
         dropout_dense=0.0, seed=1, fine_tune_embeddings=True,
     )
@@ -253,7 +253,7 @@ def test_criterion_06_overfit_separable_toy_set():
     for idx, token in enumerate(tokens):
         vectors[idx, :4] = codes[int(token[3])]
     config = ModelConfig(
-        embed_dim=8, max_tokens=10, conv_layers=((4, 3), (4, 3), (4, 3)),
+        embed_dim=8, max_tokens=10, filters=4, kernel=3,
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
         dropout_dense=0.0, seed=1, batch_size=1, learning_rate=1e-4,
         fine_tune_embeddings=True,
@@ -290,7 +290,7 @@ def test_criterion_07_chunking_identity():
     """≤30-token comments: prediction equals a direct forward pass bitwise.
     65 tokens: output equals the mean of the three chunk outputs to 1e-9."""
     config = ModelConfig(
-        embed_dim=8, max_tokens=30, conv_layers=((4, 3), (4, 3), (4, 3)),
+        embed_dim=8, max_tokens=30, filters=4, kernel=3,
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
         dropout_dense=0.0, seed=2, fine_tune_embeddings=True,
     )

@@ -1,7 +1,10 @@
 """Exit codes, summaries and small end-to-end runs of the command line."""
 
+import dataclasses
 import hashlib
 import json
+import os
+import resource
 import struct
 import subprocess
 import sys
@@ -11,8 +14,8 @@ import numpy as np
 import pytest
 
 from flamewatch import data_path, embeddings, flaming, lexicon, network, preprocess
-from flamewatch.cli import main
-from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
+from flamewatch.cli import build_parser, main
+from flamewatch.embeddings import EmbedConfig, EmbeddingMatrix, SubwordConfig, Vocabulary
 from flamewatch.fixtures import synthetic_comments
 from flamewatch.network import ModelConfig, SentimentNet, param_shapes
 from flamewatch.preprocess import CleanComment, write_jsonl
@@ -23,6 +26,18 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "flamewatch.cli", *map(str, args)],
         capture_output=True, text=True, **kwargs,
     )
+
+
+def run_capped(*args):
+    """run_cli in a child whose address space is capped at 2 GiB, so that an
+    unbounded allocation fails there rather than paging the host."""
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 2 ** 31 if hard == resource.RLIM_INFINITY else min(2 ** 31, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    # one BLAS thread, whose buffers fit under the cap on a many-core host
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    return run_cli(*args, preexec_fn=cap, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +279,77 @@ class TestDetectCommand:
         assert main(["detect", str(flaming_labeled), str(tmp_path / "report")]) == 0
         # post_stats for the events, aggregate for the time series
         assert calls == {"zscores": 1, "walks": 2}
+
+
+class TestHostileSizes:
+    """Sizes that would ask for gigabytes exit 2 naming the field or the span, in a
+    child capped at 2 GiB, and write nothing."""
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--lstm-hidden", "100000000"], "lstm_hidden"),
+        (["--dense", "1000000000", "4"], "dense_sizes[0]"),
+        (["--filters", "1000000000"], "filters"),
+    ])
+    def test_train_clf_parameter_budget(self, labeled_corpus, tmp_path, flags, field):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\ngood 0.5 -0.5\n")
+        result = run_capped("train-clf", labeled_corpus, tmp_path / "m.ckpt",
+                            "--embeddings", vectors, *flags)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "exceed MAX_PARAMETERS 16777216" in result.stderr
+        assert result.stderr.endswith(f"is sized by {field}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]
+
+    def test_train_embed_dim_bound(self, clean_corpus, tmp_path):
+        result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt", "--dim", "100000000")
+        assert result.returncode == 2
+        assert result.stderr == "error: dim must be in [1, 4096], got 100000000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_detect_stray_timestamp(self, labeled_corpus, tmp_path):
+        stray = tmp_path / "stray.jsonl"
+        _rewrite_line(labeled_corpus, stray, 1,
+                      _edit_record(lambda o: o.update(created_time="0001-01-01T00:00:00Z")))
+        result = run_capped("detect", stray, tmp_path / "report", "--width", "day")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: comments from 0001-01-01T00:00:00Z to 2018-")
+        assert result.stderr.endswith(" day buckets, above MAX_BUCKETS 262144\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["stray.jsonl"]
+
+    def test_non_finite_checkpoint(self, clean_corpus, tiny_checkpoint, tmp_path):
+        model = SentimentNet.load(tiny_checkpoint)
+        model.params["lstm_fwd_wh"][0, 0] = np.inf
+        bad = tmp_path / "inf.ckpt"
+        model.save(bad)
+        result = run_capped("predict", clean_corpus, tmp_path / "pred.jsonl", "--model", bad)
+        assert result.returncode == 2
+        assert result.stderr == (f"error: checkpoint {bad}: tensor lstm_fwd_wh holds a value "
+                                 "that is not finite\n")
+        assert not (tmp_path / "pred.jsonl").exists()
+
+
+# Options whose dest differs from the name of the config field they set, and the
+# options that set no config field (paths, the method, and train()'s arguments).
+# embed_dim comes from the vectors file; seed from the global --seed.
+CONFIG_FLAGS = {
+    "train-clf": (["in", "out", "--embeddings", "v"], (ModelConfig,),
+                  {"dense": "dense_sizes", "lr": "learning_rate",
+                   "fine_tune": "fine_tune_embeddings"},
+                  {"input", "output", "embeddings", "epochs", "val_split"}),
+    "train-embed": (["in", "out"], (EmbedConfig, SubwordConfig),
+                    {"lr": "initial_lr", "subword_min_n": "min_n", "subword_max_n": "max_n"},
+                    {"input", "output", "method"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_FLAGS))
+def test_each_config_field_has_exactly_one_flag(command):
+    argv, configs, aliases, others = CONFIG_FLAGS[command]
+    dests = vars(build_parser().parse_args([command, *argv]))
+    set_fields = [aliases.get(d, d) for d in dests if d not in others | {"command", "func"}]
+    fields = [f.name for c in configs for f in dataclasses.fields(c) if f.name != "embed_dim"]
+    assert sorted(set_fields) == sorted(fields)
 
 
 def test_make_fixture_comments_with_flaming_exit_2(tmp_path, capsys):
@@ -720,7 +806,9 @@ def _set_config_and_tensors(**fields):
     so only the config check can refuse the checkpoint."""
     def change(meta):
         meta["config"].update(fields)
-        shapes = param_shapes(SimpleNamespace(**meta["config"]), len(meta["id_to_token"]))
+        filters, kernel = meta["config"]["conv_layers"][0]
+        config = SimpleNamespace(**meta["config"], filters=filters, kernel=kernel)
+        shapes = param_shapes(config, len(meta["id_to_token"]))
         meta["tensors"] = [[n, list(shapes[n])] for n in sorted(shapes)]
     return change
 
@@ -732,8 +820,8 @@ class TestBadCheckpoint:
     def checkpoint(self, tmp_path):
         vocab = Vocabulary.from_tokens(["good", "bad"])
         matrix = EmbeddingMatrix(dim=2, vocab=vocab, vectors=np.zeros((2, 2)))
-        config = ModelConfig(embed_dim=2, max_tokens=6, conv_layers=((2, 3),) * 3,
-                             lstm_hidden=2, dense_sizes=(4, 2))
+        config = ModelConfig(embed_dim=2, max_tokens=6, filters=2, lstm_hidden=2,
+                             dense_sizes=(4, 2))
         path = tmp_path / "model.ckpt"
         SentimentNet(config, matrix).save(path)
         return path
@@ -765,8 +853,11 @@ class TestBadCheckpoint:
         (lambda m: m["tensors"][0][1].append(1), "do not match the config's"),
         (lambda m: m["config"].update(classes=4), "model is fixed to 5 classes"),
         (_set_config_and_tensors(lstm_hidden=0), "lstm_hidden 0 must be an integer >= 1"),
+        (lambda m: m["config"].update(pool=3), "pool 3 must be 2"),
+        (lambda m: m["config"]["conv_layers"].pop(),
+         "conv_layers [[2, 3], [2, 3]] must be 3 equal pairs"),
     ], ids=["no-tensors", "unknown-config-key", "shape-mismatch", "classes-4",
-            "lstm-hidden-0"])
+            "lstm-hidden-0", "pool-3", "two-conv-pairs"])
     def test_bad_metadata_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys, change,
                                  detail):
         bad = tmp_path / "bad.ckpt"
@@ -809,17 +900,33 @@ class TestBadCheckpoint:
         assert code == 2
         assert f"error: checkpoint {bad}: metadata: max_tokens {2 ** 40} outside" in err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_tensor_exit_2_names_it(self, clean_corpus, labeled_corpus,
+                                               checkpoint, tmp_path, capsys, command):
+        model = SentimentNet.load(checkpoint)
+        model.params["conv0_w"][0, 0, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        model.save(bad)
+        code, err = self._run(command, clean_corpus, labeled_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: tensor conv0_w holds a value that is not finite\n" in err
+        assert not (tmp_path / "pred.jsonl").exists()
+
     @pytest.mark.parametrize("change, detail", [
         (lambda m: m["config"].update(seed=3.0), "seed 3.0 must be an integer >= 0"),
         (lambda m: m["config"].update(seed=-1), "seed -1 must be an integer >= 0"),
         (lambda m: m["config"].update(embed_dim=2.0),
          "embed_dim 2.0 must be an integer >= 1"),
         (lambda m: m["config"]["conv_layers"][1].__setitem__(0, 2.0),
-         "conv_layers[1] filters 2.0 must be an integer >= 1"),
+         "conv_layers [[2, 3], [2.0, 3], [2, 3]] must be 3 equal pairs"),
         (lambda m: m["config"]["conv_layers"][0].__setitem__(1, 3.0),
-         "conv_layers[0] kernel width 3.0 must be an integer >= 1"),
+         "conv_layers [[2, 3.0], [2, 3], [2, 3]] must be 3 equal pairs"),
+        (lambda m: m["config"].update(conv_layers=[[2.0, 3]] * 3),
+         "filters 2.0 must be an integer >= 1"),
+        (lambda m: m["config"].update(conv_layers=[[2, 3.0]] * 3),
+         "kernel width 3.0 must be an integer >= 1"),
     ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float",
-            "kernel-float"])
+            "kernel-float", "filters-float-in-every-pair", "kernel-float-in-every-pair"])
     def test_bad_integer_in_config_names_the_field(self, clean_corpus, checkpoint,
                                                     tmp_path, capsys, change, detail):
         # each float equals the stored integer, so the tensor list still matches
@@ -830,7 +937,7 @@ class TestBadCheckpoint:
         assert f"error: checkpoint {bad}: metadata: {detail}\n" in err
 
     @pytest.mark.parametrize("field, value, detail", [
-        ("pool", True, "pool True must be an integer >= 1"),
+        ("pool", True, "pool True must be 2"),
         ("batch_size", True, "batch_size True must be an integer >= 1"),
         ("seed", False, "seed False must be an integer >= 0"),
         ("fine_tune_embeddings", "no", "fine_tune_embeddings 'no' must be true or false"),
@@ -857,8 +964,8 @@ class TestBadCheckpoint:
 def tiny_checkpoint(tmp_path):
     vocab = Vocabulary.from_tokens(["good", "bad"])
     matrix = EmbeddingMatrix(dim=2, vocab=vocab, vectors=np.zeros((2, 2)))
-    config = ModelConfig(embed_dim=2, max_tokens=6, conv_layers=((2, 3),) * 3,
-                         lstm_hidden=2, dense_sizes=(4, 2))
+    config = ModelConfig(embed_dim=2, max_tokens=6, filters=2, lstm_hidden=2,
+                         dense_sizes=(4, 2))
     path = tmp_path / "model.ckpt"
     SentimentNet(config, matrix).save(path)
     return path

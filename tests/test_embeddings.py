@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from flamewatch import embeddings
 from flamewatch.embeddings import (
     BLOCK_CENTERS,
+    MAX_DIM,
     EmbedConfig,
     EmbeddingFormatError,
     EmbeddingMatrix,
@@ -381,6 +382,12 @@ class TestTraining:
             a, b = rng.choice(len(ids), size=2, replace=False)
             sims.append(_cos(centered[a], centered[b]))
         assert pair > np.percentile(sims, 95)
+
+    @pytest.mark.parametrize("dim", [0, MAX_DIM + 1, 10 ** 8])
+    def test_dim_bounded(self, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be in \[1, {MAX_DIM}\], got {dim}$"):
+            EmbedConfig(dim=dim)
+        assert EmbedConfig(dim=MAX_DIM).dim == MAX_DIM
 
     def test_dim_one_smoke(self):
         config = EmbedConfig(dim=1, window=2, negatives=2, epochs=1,

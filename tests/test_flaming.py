@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flamewatch import flaming
 from flamewatch.flaming import (
+    MAX_BUCKETS,
     BurstWindow,
     ZScoreStats,
     aggregate,
@@ -104,6 +107,30 @@ class TestAggregate:
     def test_unknown_width_raises(self):
         with pytest.raises(ValueError, match="unknown bucket width 'week'"):
             aggregate([labeled(0)], width="week")
+
+    def test_span_up_to_max_buckets(self, monkeypatch):
+        monkeypatch.setattr(flaming, "MAX_BUCKETS", 4)
+        comments = [labeled(1, minutes=30.0), labeled(2, minutes=3 * 60.0)]
+        assert len(aggregate(comments, width="hour")) == 4
+        comments.append(labeled(3, minutes=4 * 60.0 + 59))
+        with pytest.raises(ValueError, match=(
+                r"^comments from 2018-02-01T00:30:00Z to 2018-02-01T04:59:00Z "
+                r"span 5 hour buckets, above MAX_BUCKETS 4$")):
+            aggregate(comments, width="hour")
+
+    def test_stray_timestamp_refused_before_filling(self):
+        stray = labeled(0)
+        stray.comment.created_time = datetime(1, 1, 1, tzinfo=timezone.utc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^comments from 0001-01-01T00:00:00Z to 2018-02-01T00:00:00Z "
+                    f"span 736726 day buckets, above MAX_BUCKETS {MAX_BUCKETS}$")):
+                aggregate([labeled(1), stray], width="day")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestPostStats:

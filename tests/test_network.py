@@ -9,16 +9,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flamewatch import network
 from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
 from flamewatch.lexicon import SentimentLabel
 from flamewatch.network import (
+    CONV_LAYERS,
+    MAX_PARAMETERS,
     MAX_TOKENS,
     OOV_ID,
     PAD_ID,
+    POOL,
     PREDICT_ROWS,
     ModelConfig,
     NonFiniteError,
     SentimentNet,
+    param_shapes,
 )
 
 TOKENS = [f"w{i}" for i in range(10)]
@@ -38,7 +43,7 @@ def make_embeddings(dim=8, seed=0, scale=0.1):
 
 def toy_config(**overrides):
     base = dict(
-        embed_dim=8, max_tokens=12, conv_layers=((4, 3), (4, 3), (4, 3)),
+        embed_dim=8, max_tokens=12, filters=4, kernel=3,
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
         dropout_dense=0.0, seed=1, fine_tune_embeddings=True,
     )
@@ -91,31 +96,31 @@ def reference_forward(model, batch):
                      else np.array(p["embedding"][tok]))
         length = min(int(batch.lengths[bi]), cfg.max_tokens)
 
-        for li, (filters, kernel) in enumerate(cfg.conv_layers):
+        for li in range(CONV_LAYERS):
             w = p[f"conv{li}_w"]
             bias = p[f"conv{li}_b"]
-            pl = (kernel - 1) // 2
+            pl = (cfg.kernel - 1) // 2
             cur = len(x)
             activated = []
             for ti in range(cur):
-                row = np.zeros(filters)
-                for f in range(filters):
+                row = np.zeros(cfg.filters)
+                for f in range(cfg.filters):
                     s = bias[f]
-                    for k in range(kernel):
+                    for k in range(cfg.kernel):
                         src = ti - pl + k
                         if 0 <= src < cur:
                             for c in range(len(x[src])):
                                 s += w[f, k, c] * x[src][c]
                     row[f] = max(s, 0.0)
                 activated.append(row)
-            if cur >= cfg.pool:
-                tp = cur // cfg.pool
+            if cur >= POOL:
+                tp = cur // POOL
                 pooled = []
                 for ti in range(tp):
-                    window = activated[ti * cfg.pool:(ti + 1) * cfg.pool]
+                    window = activated[ti * POOL:(ti + 1) * POOL]
                     pooled.append(np.maximum.reduce(window))
                 x = pooled
-                length = min(tp, (length - 1) // cfg.pool + 1)
+                length = min(tp, (length - 1) // POOL + 1)
             else:
                 x = activated
 
@@ -146,14 +151,15 @@ def reference_forward(model, batch):
     return out
 
 
-# Layer shapes beside the toy default of kernel width 3, pool 2 and max_tokens 12:
-# even kernel widths pad one more step on the right than on the left, pool 1
-# keeps every step, and a max_tokens that the pool does not divide leaves a
-# trimmed tail at every pooling layer.
+# Layer shapes beside the toy default of kernel width 3 and max_tokens 12: even
+# kernel widths pad one more step on the right than on the left; max_tokens 7
+# (7, 3, 1 steps) and 13 (13, 6, 3) leave a trimmed tail at the pooling layers;
+# and the last layer at 7 tokens, and every layer after the first at 3 tokens,
+# sees fewer than POOL steps and passes them unpooled.
 SHAPE_CASES = {
-    "kernels_1_2_4": dict(conv_layers=((4, 1), (4, 2), (4, 4))),
-    "pool_1": dict(pool=1, max_tokens=7, conv_layers=((4, 2), (4, 3), (4, 4))),
-    "pool_3_tail": dict(pool=3, max_tokens=13, conv_layers=((4, 4), (4, 2), (4, 1))),
+    "kernel_2_tokens_7": dict(kernel=2, max_tokens=7),
+    "kernel_4_tokens_13": dict(kernel=4, max_tokens=13),
+    "kernel_1_tokens_3": dict(kernel=1, max_tokens=3),
 }
 
 
@@ -186,44 +192,33 @@ class TestConstruction:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            toy_config(conv_layers=((4, 3),))
-        with pytest.raises(ValueError):
             toy_config(dense_sizes=(16,))
         with pytest.raises(ValueError):
             toy_config(dropout_dense=1.0)
         with pytest.raises(ValueError):
-            toy_config(conv_layers=((4, 99), (4, 3), (4, 3)))
-        for pool in (0, -1, 2.0):
-            with pytest.raises(ValueError, match="^pool .* must be an integer >= 1"):
-                toy_config(pool=pool)
+            toy_config(kernel=99)
+        for kernel in (0, -1, 2.0):
+            with pytest.raises(ValueError, match="^kernel width .* must be an integer >= 1"):
+                toy_config(kernel=kernel)
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(seed=3.0), "seed 3.0 must be an integer >= 0"),
         (dict(seed=-1), "seed -1 must be an integer >= 0"),
         (dict(embed_dim=8.0), "embed_dim 8.0 must be an integer >= 1"),
-        (dict(conv_layers=((4, 3), (4.0, 3), (4, 3))),
-         "conv_layers[1] filters 4.0 must be an integer >= 1"),
-        (dict(conv_layers=((4, 3), (4, 3), (0, 3))),
-         "conv_layers[2] filters 0 must be an integer >= 1"),
-        (dict(conv_layers=((4, 3.0), (4, 3), (4, 3))),
-         "conv_layers[0] kernel width 3.0 must be an integer >= 1"),
-        (dict(conv_layers=((4, 3), (4, 13), (4, 3))),
-         "conv_layers[1] kernel width 13 outside [1, 12]"),
-        (dict(conv_layers=((4, 3), (4, 3, 1), (4, 3))),
-         "each conv layer must be a (filters, kernel_width) pair"),
+        (dict(filters=4.0), "filters 4.0 must be an integer >= 1"),
+        (dict(filters=0), "filters 0 must be an integer >= 1"),
+        (dict(kernel=3.0), "kernel width 3.0 must be an integer >= 1"),
+        (dict(kernel=13), "kernel width 13 outside [1, 12]"),
     ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float", "filters-0",
-            "kernel-float", "kernel-too-wide", "conv-triple"])
+            "kernel-float", "kernel-too-wide"])
     def test_config_names_the_bad_field(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             toy_config(**overrides)
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(embed_dim=True), "embed_dim True must be an integer >= 1"),
-        (dict(conv_layers=((4, 3), (True, 3), (4, 3))),
-         "conv_layers[1] filters True must be an integer >= 1"),
-        (dict(conv_layers=((4, 3), (4, 3), (4, True))),
-         "conv_layers[2] kernel width True must be an integer >= 1"),
-        (dict(pool=True), "pool True must be an integer >= 1"),
+        (dict(filters=True), "filters True must be an integer >= 1"),
+        (dict(kernel=True), "kernel width True must be an integer >= 1"),
         (dict(lstm_hidden=True), "lstm_hidden True must be an integer >= 1"),
         (dict(dense_sizes=(16, True)), "dense_sizes[1] True must be an integer >= 1"),
         (dict(batch_size=True), "batch_size True must be an integer >= 1"),
@@ -237,7 +232,7 @@ class TestConstruction:
         (dict(learning_rate=True), "learning_rate True must be finite and > 0"),
         (dict(dropout_lstm=False), "dropout_lstm False must be a number in [0, 1)"),
         (dict(dropout_dense=False), "dropout_dense False must be a number in [0, 1)"),
-    ], ids=["embed-dim", "filters", "kernel", "pool", "lstm-hidden", "dense", "batch-size",
+    ], ids=["embed-dim", "filters", "kernel", "lstm-hidden", "dense", "batch-size",
             "max-tokens", "seed-false", "seed-true", "fine-tune-str", "fine-tune-int",
             "fine-tune-none", "learning-rate-true", "dropout-lstm-false",
             "dropout-dense-false"])
@@ -250,6 +245,38 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^max_tokens .* outside"):
             toy_config(max_tokens=max_tokens)
         assert toy_config(max_tokens=MAX_TOKENS).max_tokens == MAX_TOKENS
+
+    @pytest.mark.parametrize("overrides, field, largest", [
+        (dict(filters=10 ** 9), "filters", "conv1_w (1000000000, 3, 1000000000)"),
+        (dict(lstm_hidden=10 ** 8), "lstm_hidden", "lstm_fwd_wh (100000000, 400000000)"),
+        (dict(dense_sizes=(10 ** 9, 4)), "dense_sizes[0]", "dense1_w (16, 1000000000)"),
+        (dict(dense_sizes=(16, 10 ** 9)), "dense_sizes[1]", "dense2_w (16, 1000000000)"),
+    ], ids=["filters", "lstm-hidden", "dense-0", "dense-1"])
+    def test_size_budget_names_the_field(self, overrides, field, largest):
+        config = toy_config(**overrides)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    rf"^\d+ parameters besides the embedding exceed MAX_PARAMETERS "
+                    rf"{MAX_PARAMETERS}; the largest tensor, {re.escape(largest)}, "
+                    rf"is sized by {re.escape(field)}$")):
+                SentimentNet(config, make_embeddings())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_size_budget_boundary(self, monkeypatch):
+        model = toy_model()
+        size = model.num_parameters() - model.params["embedding"].size
+        monkeypatch.setattr(network, "MAX_PARAMETERS", size)
+        toy_model()
+        monkeypatch.setattr(network, "MAX_PARAMETERS", size - 1)
+        with pytest.raises(ValueError, match=f"^{size} parameters besides the embedding"):
+            toy_model()
+        # the default config is far inside the real budget
+        shapes = param_shapes(ModelConfig(embed_dim=100), 0)
+        assert sum(np.prod(s) for n, s in shapes.items() if n != "embedding") == 135109
 
     def test_embedding_frozen_by_default(self):
         model = SentimentNet(toy_config(fine_tune_embeddings=False),
@@ -392,17 +419,16 @@ class TestGradients:
     def test_finite_difference_check_at_other_shapes(self, case):
         model = toy_model(**SHAPE_CASES[case])
         randomize_params(model, seed=0)
-        # rows that fill max_tokens. Batch seed 0 would put a ReLU kink within eps
-        # of pool_3_tail's conv0_b[1]: there the difference quotient reaches the
-        # gradient only for eps <= 3e-5, at the parent's code as well.
+        # rows that fill max_tokens
         batch, _, _ = toy_batch(model, rows=4, seed=2, max_len=model.config.max_tokens + 2)
         assert worst_fd_error(model, batch, per_tensor=6, seed=2) <= 1e-4
 
-    @pytest.mark.parametrize("pool, max_tokens", [(2, 12), (3, 13)])
+    @pytest.mark.parametrize("pool, max_tokens", [(POOL, 12), (POOL, 13)])
     def test_pooling_tie_sends_gradient_to_first_slot(self, pool, max_tokens):
         # a zero conv0 kernel and a positive bias give the same activation at
-        # every step, so every pooling window of conv0 is a tie
-        model = toy_model(pool=pool, max_tokens=max_tokens)
+        # every step, so every pooling window of conv0 is a tie; at 13 tokens
+        # the last step is trimmed and gets no gradient either
+        model = toy_model(max_tokens=max_tokens)
         randomize_params(model, seed=6)
         model.params["conv0_w"][...] = 0.0
         model.params["conv0_b"][...] = 0.5
@@ -595,18 +621,17 @@ TRAINED_STATE_SHA256 = {
         "probs": "749fc47fed6527b78b2202f9b7402ffba5ebf8fbca6de4b0b669a03951205c70",
     },
     "odd_shapes": {
-        "flat": "8b75e6f134e09836c5ab36241bdd95d84427aeb64555aa99cbbab8b85edfceef",
-        "adam_m": "48ebcced6517af7584eaa1ec758fb7673f435667f384ae01444a890d16cbf9e2",
-        "adam_v": "142bc32363c6ffae8149d5df32b74bc20298e3572222b1f016329f7ea2f3be09",
-        "probs": "894b7500825ac14d908fcae5824f86a4a57ac5616699744520d997c5d99560a4",
+        "flat": "814fd216d80bc465e5e3c6eaf93a861a666833cd94fb1b09ea5be408ca67891b",
+        "adam_m": "463f5bc11461290c57fc8023432beb9f7d31c89f74039bf0166e9ece94caa864",
+        "adam_v": "82a224c62089a99a6e6304d97e6bd8f232fa403462ff36970c496709755d195f",
+        "probs": "a90a1a74327bcfc5d90fbb6319a2aa00b14f1cf170028d85f0ee79772f223f44",
     },
 }
 PIN_CASES = {
     "frozen": dict(fine_tune_embeddings=False),
     "fine_tune": dict(fine_tune_embeddings=True),
-    # even and unit kernel widths, and a pool that leaves a trimmed tail
-    "odd_shapes": dict(fine_tune_embeddings=True, max_tokens=13, pool=3,
-                       conv_layers=((4, 2), (4, 1), (4, 4))),
+    # an even kernel width, and a max_tokens that leaves trimmed tails
+    "odd_shapes": dict(fine_tune_embeddings=True, max_tokens=13, kernel=4),
 }
 
 
@@ -799,8 +824,7 @@ class TestCheckpointReader:
     @pytest.fixture
     def blob(self, tmp_path):
         model = SentimentNet(
-            toy_config(embed_dim=2, conv_layers=((1, 3),) * 3, lstm_hidden=1,
-                       dense_sizes=(2, 2)),
+            toy_config(embed_dim=2, filters=1, lstm_hidden=1, dense_sizes=(2, 2)),
             make_embeddings(dim=2),
         )
         path = tmp_path / "full.ckpt"

@@ -74,6 +74,9 @@ MAX_NEGATIVES = 100
 # 100-300 wide. A step at the default window and negatives updates up to 3840
 # target rows, 126 MB of float64 at 4096 dims, and each table row is 32 KiB.
 MAX_DIM = 4096
+# Most values the fastText bucket table (buckets x dim) may hold: 2**28 float64
+# values are 2 GiB. The defaults, 2**21 buckets at dim 100, hold 2.1e8 of them.
+MAX_TABLE_VALUES = 2 ** 28
 
 
 @dataclass
@@ -434,8 +437,13 @@ def train_fasttext(
     sentences: list[list[str]], config: EmbedConfig, subword: SubwordConfig | None = None
 ) -> EmbeddingMatrix:
     """Skip-gram in which a word is also its hashed character n-grams
-    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig()."""
-    return _train(sentences, config, SubwordConfig() if subword is None else subword)
+    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig(). A bucket
+    table of more than MAX_TABLE_VALUES values is refused before anything is drawn."""
+    sub = SubwordConfig() if subword is None else subword
+    if sub.buckets * config.dim > MAX_TABLE_VALUES:
+        raise ValueError(f"a bucket table of {sub.buckets} buckets x {config.dim} dims exceeds "
+                         f"MAX_TABLE_VALUES {MAX_TABLE_VALUES}; lower --buckets or --dim")
+    return _train(sentences, config, sub)
 
 
 def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:

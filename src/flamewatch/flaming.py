@@ -3,10 +3,11 @@
 Pipeline: one pass over the labeled comments (`post_stats`) keeps, per post,
 the comment total, the five label counts and the Very-Negative times;
 `zscores` standardizes the per-post Very-Negative counts (optionally VN+N);
-`detect` flags the posts above the z threshold and annotates each with its
-Very-Negative share and the densest short time window of its Very-Negative
-times. `aggregate` buckets the comments into the daily/hourly time series
-that `write_report` writes beside the events.
+`detect` flags the posts above the z threshold and annotates each with the
+count its z-score standardized, its Very-Negative count and share, and the
+densest short time window of its Very-Negative times. `aggregate` buckets the
+comments into the daily/hourly time series that `write_report` writes beside
+the events.
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ class PostStats:
     def vn_share(self) -> float:
         return self.vn_count / self.total
 
+    def count(self, include_negative: bool = False) -> int:
+        """The count `zscores` standardizes: Very-Negative, or VN+N."""
+        return self.vn_count + (self.label_counts[NEGATIVE] if include_negative else 0)
+
 
 @dataclass
 class ZScoreStats:
     mean: float
     std: float  # population by default
     z: dict[str, float]  # post_id -> z value
+    include_negative: bool = False  # whether the standardized counts are VN+N
 
 
 @dataclass
@@ -68,6 +74,7 @@ class BurstWindow:
 class FlamingEvent:
     post_id: str
     z: float
+    count: int  # the count z standardized: vn_count, or VN+N with include_negative
     vn_count: int
     vn_share: float
     share_exceeded: bool
@@ -135,12 +142,7 @@ def zscores(
     if len(stats) < 2:
         raise ValueError("need at least 2 posts to compute z-scores")
 
-    def count_of(s: PostStats) -> int:
-        if include_negative:
-            return s.vn_count + s.label_counts[NEGATIVE]
-        return s.vn_count
-
-    xs = [count_of(s) for s in stats]
+    xs = [s.count(include_negative) for s in stats]
     n = len(xs)
     mean = sum(xs) / n
     var = sum((x - mean) ** 2 for x in xs) / (n - 1 if sample_std else n)
@@ -149,7 +151,7 @@ def zscores(
         z = {s.post_id: 0.0 for s in stats}
     else:
         z = {s.post_id: (x - mean) / std for s, x in zip(stats, xs)}
-    return ZScoreStats(mean=mean, std=std, z=z)
+    return ZScoreStats(mean=mean, std=std, z=z, include_negative=include_negative)
 
 
 def burst_profile(
@@ -210,6 +212,7 @@ def detect(
             events.append(FlamingEvent(
                 post_id=s.post_id,
                 z=z,
+                count=s.count(zs.include_negative),
                 vn_count=s.vn_count,
                 vn_share=s.vn_share,
                 share_exceeded=s.vn_share > share_threshold,
@@ -223,6 +226,7 @@ def event_to_dict(e: FlamingEvent) -> dict:
     d = {
         "post_id": e.post_id,
         "z": e.z,
+        "count": e.count,
         "vn_count": e.vn_count,
         "vn_share": e.vn_share,
         "share_exceeded": e.share_exceeded,

@@ -7,9 +7,11 @@ two sigmoid dense layers with dropout, and a softmax over the five sentiment
 labels. CLASSES, CONV_LAYERS and POOL are constants, not config fields; a
 checkpoint still stores them as "classes": 5, three equal "conv_layers" pairs
 and "pool": 2, and one that stores other values is refused. Forward,
-reverse-mode gradients and the Adam update are all hand-written; everything
-runs in double precision and is reproducible from the seed. The only threads
-are BLAS's, whose number follows the environment (e.g. OPENBLAS_NUM_THREADS).
+reverse-mode gradients and the Adam update are all hand-written and
+reproducible from the seed. Training, its validation loss and early stopping
+run in double precision; inference (see below) runs in single precision. The
+only threads are BLAS's, whose number follows the environment (e.g.
+OPENBLAS_NUM_THREADS).
 
 Every parameter lives in one float64 vector, `flat`, laid out in the order
 backward writes the gradients: the output layer first, the embedding last.
@@ -30,6 +32,16 @@ tests pin the SHA-256 of the seeded float64 training state.
 Inference cuts every comment into chunks of at most max_tokens tokens and
 packs the chunks of many comments, in order, into forwards of at most
 PREDICT_ROWS rows; a comment's probability vector is the mean of its chunks'.
+Those forwards (`forward(batch, infer=True)`) share the LSTM cell, pooling and
+dense head with training but keep no cache. They run on float32 copies of the
+weights, which checkpoints store as float32 anyway, and of each batch's
+gathered embedding rows, so the table itself is never copied. Each
+convolution is one (B*(T+K-1), C) @ (C, K*F) product over the padded input,
+whose K column blocks are each tap's response, followed by K shifted adds;
+there is no (B*T, C*K) window matrix. The logits are cast to float64 before
+the softmax, and the chunk means are float64, so each probability row sums to
+1 within float64 rounding. Against the float64 forward the probabilities
+differ by about 1e-8.
 """
 
 from __future__ import annotations
@@ -53,13 +65,15 @@ OOV_ID = 1
 CHECKPOINT_MAGIC = b"FWCK"
 CHECKPOINT_VERSION = 1
 # Chunk rows per inference forward; it bounds the memory of predict and evaluate.
-# On a dim-32 model, 400 long-tail comments and one OpenBLAS thread (Xeon), 64
-# rows peaked 10 MB above the process base at 3.7k comments/s, 256 rows 33 MB
-# above it at 4.0k/s, and one row per forward ran at 340/s.
+# On a dim-32 model, 400 long-tail comments and one OpenBLAS thread (Xeon), the
+# float64 forward with its cache peaked at 64 rows 10 MB above the process base
+# at 3.7k comments/s, at 256 rows 33 MB above it at 4.0k/s, and one row per
+# forward ran at 340/s.
 PREDICT_ROWS = 64
-# Largest max_tokens a config may ask for. Inference holds float64 activations of
-# (PREDICT_ROWS, max_tokens, filters): at 1024 tokens and 64 filters that is 32 MiB
-# per convolution, where an unchecked value from a checkpoint could ask for TiB.
+# Largest max_tokens a config may ask for. Inference holds float32 activations of
+# (PREDICT_ROWS, max_tokens, filters) and tap responses `kernel` times as large: at
+# 1024 tokens, 64 filters and kernel 3 that is 16 and 48 MiB per convolution, where
+# an unchecked value from a checkpoint could ask for TiB.
 MAX_TOKENS = 1024
 CLASSES = len(SentimentLabel)
 CONV_LAYERS = 3
@@ -309,6 +323,22 @@ class SentimentNet:
             bsz, t, filters) + b
         return z, (cols, pl)
 
+    def _conv_taps(self, x, w, b):
+        """The same-padded convolution of `_conv_forward` without im2col: one
+        (B*(T+K-1), C) @ (C, K*F) product gives every tap's response at every
+        padded step, and output step t adds tap k's response at step t + k."""
+        bsz, t, c = x.shape
+        filters, kernel, _ = w.shape
+        pl = (kernel - 1) // 2
+        xp = np.zeros((bsz, t + kernel - 1, c), dtype=x.dtype)
+        xp[:, pl:pl + t, :] = x
+        taps = (xp.reshape(-1, c) @ w.transpose(2, 1, 0).reshape(c, kernel * filters)).reshape(
+            bsz, t + kernel - 1, kernel, filters)
+        z = taps[:, :t, 0, :] + b
+        for k in range(1, kernel):
+            z += taps[:, k:k + t, k, :]
+        return z
+
     def _conv_backward(self, dz, w, cache, dw, db):
         """Writes the weight and bias gradients into dw and db; returns dx."""
         cols, pl = cache
@@ -325,17 +355,19 @@ class SentimentNet:
             dxp[:, k:k + t, :] += dwin[:, :, k, :]
         return dxp[:, pl:pl + t, :]
 
-    def _lstm_forward(self, seq, mask, direction: str):
-        wx = self.params[f"lstm_{direction}_wx"]
-        wh = self.params[f"lstm_{direction}_wh"]
-        bias = self.params[f"lstm_{direction}_b"]
+    def _lstm_forward(self, seq, mask, p, direction: str, cache):
+        """The direction's final hidden state; with a forward cache, each step's
+        values go to its list for the direction."""
+        wx = p[f"lstm_{direction}_wx"]
+        wh = p[f"lstm_{direction}_wh"]
+        bias = p[f"lstm_{direction}_b"]
         b, t, _ = seq.shape
         hdim = self.config.lstm_hidden
-        h = np.zeros((b, hdim))
-        c = np.zeros((b, hdim))
+        h = np.zeros((b, hdim), dtype=seq.dtype)
+        c = np.zeros((b, hdim), dtype=seq.dtype)
         steps = range(t) if direction == "fwd" else range(t - 1, -1, -1)
         keep = 1 - mask
-        cache = []
+        kept = None if cache is None else cache[f"lstm_{direction}"]
         for ti in steps:
             x = seq[:, ti, :]
             z = x @ wx + h @ wh + bias
@@ -349,10 +381,11 @@ class SentimentNet:
             tc = np.tanh(c_new)
             h_new = go * tc
             m, k = mask[:, ti:ti + 1], keep[:, ti:ti + 1]
-            cache.append((ti, x, h, c, gates, gg, tc, m, k))
+            if kept is not None:
+                kept.append((ti, x, h, c, gates, gg, tc, m, k))
             h = m * h_new + k * h
             c = m * c_new + k * c
-        return h, cache
+        return h
 
     def _lstm_backward(self, dh_final, cache, direction: str, dseq):
         """Adds into the direction's gradient views, which start at zero."""
@@ -392,18 +425,33 @@ class SentimentNet:
             dh = dz @ wh.T + dh_carry
             dc = dc_prev
 
-    def forward(self, batch: Batch, rng=None):
-        """Returns (probabilities, cache); dropout draws from `rng` when one is given."""
+    def forward(self, batch: Batch, rng=None, *, infer: bool = False):
+        """Returns (probabilities, cache); dropout draws from `rng` when one is given.
+
+        With `infer`, the forward is inference only: it runs on float32 copies of
+        the weights and of the gathered embedding rows, convolves tap by tap
+        (`_conv_taps`), draws no dropout and keeps no cache (None). Either way
+        the softmax is computed in float64.
+        """
         cfg = self.config
-        p = self.params
-        emb = p["embedding"]
-        pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(np.float64)
-        x = emb[batch.ids] * pad_mask  # pad positions are zero vectors by contract
+        if infer:
+            p = {name: v.astype(np.float32) for name, v in self.params.items()
+                 if name != "embedding"}
+            dtype = np.float32
+        else:
+            p, dtype = self.params, np.float64
+        pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(dtype)
+        # pad positions are zero vectors by contract
+        x = self.params["embedding"][batch.ids].astype(dtype, copy=False) * pad_mask
         lengths = np.minimum(batch.lengths, cfg.max_tokens).astype(np.int64)
-        cache: dict = {"ids": batch.ids, "convs": []}
+        cache = None if infer else {"ids": batch.ids, "convs": []}
 
         for li in range(CONV_LAYERS):
-            z, conv_cache = self._conv_forward(x, p[f"conv{li}_w"], p[f"conv{li}_b"])
+            w, b = p[f"conv{li}_w"], p[f"conv{li}_b"]
+            if infer:
+                z = self._conv_taps(x, w, b)
+            else:
+                z, conv_cache = self._conv_forward(x, w, b)
             _check_finite(z, f"conv{li}")
             x = np.maximum(z, 0.0)
             wins = None  # a sequence shorter than POOL passes unpooled
@@ -414,18 +462,20 @@ class SentimentNet:
                 wins = pairs[:, :, 1, :] > pairs[:, :, 0, :]
                 x = np.where(wins, pairs[:, :, 1, :], pairs[:, :, 0, :])
                 lengths = np.minimum(tp, (lengths - 1) // POOL + 1)
-            cache["convs"].append((conv_cache, z, wins))
+            if cache is not None:
+                cache["convs"].append((conv_cache, z, wins))
 
-        mask = (np.arange(x.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
-        cache["seq"] = x
-        h_fwd, cache["lstm_fwd"] = self._lstm_forward(x, mask, "fwd")
-        h_bwd, cache["lstm_bwd"] = self._lstm_forward(x, mask, "bwd")
+        mask = (np.arange(x.shape[1])[None, :] < lengths[:, None]).astype(dtype)
+        if cache is not None:
+            cache.update(seq=x, lstm_fwd=[], lstm_bwd=[])
+        h_fwd = self._lstm_forward(x, mask, p, "fwd", cache)
+        h_bwd = self._lstm_forward(x, mask, p, "bwd", cache)
         hcat = np.concatenate([h_fwd, h_bwd], axis=1)
         _check_finite(hcat, "bilstm")
 
         def dropout_mask(shape, rate):
-            if rng is None or rate == 0.0:
-                return np.ones(shape)
+            if infer or rng is None or rate == 0.0:
+                return np.ones(shape, dtype)
             return (rng.random(shape) >= rate) / (1.0 - rate)
 
         m0 = dropout_mask(hcat.shape, cfg.dropout_lstm)
@@ -436,13 +486,14 @@ class SentimentNet:
         a1d = a1 * m1
         z2 = a1d @ p["dense2_w"] + p["dense2_b"]
         a2 = _sigmoid(z2)
-        logits = a2 @ p["out_w"] + p["out_b"]
+        logits = (a2 @ p["out_w"] + p["out_b"]).astype(np.float64, copy=False)
         _check_finite(logits, "output")
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         probs = exp / exp.sum(axis=1, keepdims=True)
 
-        cache.update(m0=m0, a0=a0, a1=a1, m1=m1, a1d=a1d, a2=a2, probs=probs)
+        if cache is not None:
+            cache.update(m0=m0, a0=a0, a1=a1, m1=m1, a1d=a1d, a2=a2, probs=probs)
         return probs, cache
 
     # ----- loss and gradients ---------------------------------------------
@@ -625,7 +676,8 @@ class SentimentNet:
         owner = np.asarray(owners, dtype=np.int64)
         sums = np.zeros((len(token_lists), CLASSES))
         for start in range(0, len(chunks), PREDICT_ROWS):
-            probs, _ = self.forward(self.make_batch(chunks[start:start + PREDICT_ROWS]))
+            batch = self.make_batch(chunks[start:start + PREDICT_ROWS])
+            probs, _ = self.forward(batch, infer=True)
             np.add.at(sums, owner[start:start + PREDICT_ROWS], probs)
         means = sums / np.bincount(owner, minlength=len(token_lists))[:, None]
         return means.argmax(axis=1), means

@@ -287,8 +287,8 @@ def test_criterion_06_overfit_separable_toy_set():
 
 
 def test_criterion_07_chunking_identity():
-    """≤30-token comments: prediction equals a direct forward pass bitwise.
-    65 tokens: output equals the mean of the three chunk outputs to 1e-9."""
+    """≤30-token comments: prediction equals a direct inference forward pass
+    bitwise. 65 tokens: output equals the mean of the three chunk outputs to 1e-9."""
     config = ModelConfig(
         embed_dim=8, max_tokens=30, filters=4, kernel=3,
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
@@ -303,13 +303,13 @@ def test_criterion_07_chunking_identity():
 
     short = [names[i % len(names)] for i in range(23)]
     _, mean_probs = model.predict_tokens(short)
-    direct, _ = model.forward(model.make_batch([short]))
+    direct, _ = model.forward(model.make_batch([short]), infer=True)
     assert (mean_probs == direct[0]).all()
 
     long = [names[(i * 3) % len(names)] for i in range(65)]
     _, mean_probs = model.predict_tokens(long)
     chunks = [long[0:30], long[30:60], long[60:65]]
-    parts = [model.forward(model.make_batch([c]))[0][0] for c in chunks]
+    parts = [model.forward(model.make_batch([c]), infer=True)[0][0] for c in chunks]
     assert mean_probs == pytest.approx(np.mean(parts, axis=0), abs=1e-9)
 
 

@@ -256,6 +256,11 @@ class TestDetectCommand:
         stats = flaming.post_stats(lexicon.load_labeled_jsonl(flaming_labeled))
         zs = flaming.zscores(stats, sample_std=bool(flags), include_negative=bool(flags))
         assert (summary["count_mean"], summary["count_std"]) == (zs.mean, zs.std)
+        counts = {s.post_id: s.count(bool(flags)) for s in stats}
+        assert summary["events"]
+        for e in summary["events"]:
+            assert e["count"] == counts[e["post_id"]]
+            assert e["z"] == pytest.approx((e["count"] - zs.mean) / zs.std, abs=1e-12)
         report = json.loads((tmp_path / "report" / "events.json").read_text())
         assert report == {"events": summary["events"]}
 
@@ -305,6 +310,15 @@ class TestHostileSizes:
         result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt", "--dim", "100000000")
         assert result.returncode == 2
         assert result.stderr == "error: dim must be in [1, 4096], got 100000000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_embed_bucket_table_bound(self, clean_corpus, tmp_path):
+        # the default --buckets 2**21 at --dim 4096 would be a 64 GiB table
+        result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt",
+                            "--method", "fasttext", "--dim", "4096")
+        assert result.returncode == 2
+        assert result.stderr == ("error: a bucket table of 2097152 buckets x 4096 dims exceeds "
+                                 "MAX_TABLE_VALUES 268435456; lower --buckets or --dim\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_detect_stray_timestamp(self, labeled_corpus, tmp_path):

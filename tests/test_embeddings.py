@@ -14,6 +14,7 @@ from flamewatch import embeddings
 from flamewatch.embeddings import (
     BLOCK_CENTERS,
     MAX_DIM,
+    MAX_TABLE_VALUES,
     EmbedConfig,
     EmbeddingFormatError,
     EmbeddingMatrix,
@@ -388,6 +389,16 @@ class TestTraining:
         with pytest.raises(ValueError, match=rf"^dim must be in \[1, {MAX_DIM}\], got {dim}$"):
             EmbedConfig(dim=dim)
         assert EmbedConfig(dim=MAX_DIM).dim == MAX_DIM
+
+    def test_bucket_table_bounded(self):
+        defaults = SubwordConfig().buckets * EmbedConfig().dim
+        assert defaults <= MAX_TABLE_VALUES
+        # refused before the corpus is read, so no corpus is needed
+        buckets = MAX_TABLE_VALUES // MAX_DIM + 1
+        with pytest.raises(ValueError, match=rf"^a bucket table of {buckets} buckets x {MAX_DIM} "
+                                             rf"dims exceeds MAX_TABLE_VALUES {MAX_TABLE_VALUES}; "
+                                             r"lower --buckets or --dim$"):
+            train_fasttext([], EmbedConfig(dim=MAX_DIM), SubwordConfig(buckets=buckets))
 
     def test_dim_one_smoke(self):
         config = EmbedConfig(dim=1, window=2, negatives=2, epochs=1,

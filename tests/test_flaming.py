@@ -349,6 +349,20 @@ class TestDetect:
         assert [e.post_id for e in events] == ["p030"]
         assert events[0].burst.contained == 40 and events[0].burst.fraction == 1.0
 
+    @pytest.mark.parametrize("include_negative", [False, True])
+    def test_event_reports_the_count_it_was_flagged_on(self, include_negative):
+        comments = post_with_counts([1] * 21)
+        # the last post also takes 30 Negative comments, which only VN+N can see
+        comments += [labeled(1, "p020", f"n{i}", minutes=i) for i in range(30)]
+        stats = post_stats(comments)
+        zs = zscores(stats, include_negative=include_negative)
+        events = detect(stats, zs, z_threshold=3.0)
+        assert [(e.post_id, e.count, e.vn_count) for e in events] == (
+            [("p020", 31, 1)] if include_negative else [])
+        for e in events:
+            assert e.z == pytest.approx((e.count - zs.mean) / zs.std, abs=1e-12)
+            assert event_to_dict(e)["count"] == e.count
+
     def test_uniform_counts_no_events(self):
         stats = post_stats(post_with_counts([2] * 10))
         events = detect(stats, zscores(stats))
@@ -451,7 +465,7 @@ class TestReport:
         events, _ = self._events_and_buckets()
         payload = event_to_dict(events[0])
         assert set(payload) == {
-            "post_id", "z", "vn_count", "vn_share", "share_exceeded", "burst",
+            "post_id", "z", "count", "vn_count", "vn_share", "share_exceeded", "burst",
         }
         assert set(payload["burst"]) == {
             "start", "window_hours", "contained", "fraction",

@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flamewatch import network
-from flamewatch.embeddings import EmbeddingMatrix, Vocabulary
-from flamewatch.lexicon import SentimentLabel
+from flamewatch import data_path, network
+from flamewatch.embeddings import EmbedConfig, EmbeddingMatrix, Vocabulary, train_word2vec
+from flamewatch.fixtures import flaming_comments, synthetic_comments
+from flamewatch.lexicon import SentimentLabel, label_corpus, load_emoji_table, load_lexicon
 from flamewatch.network import (
     CONV_LAYERS,
     MAX_PARAMETERS,
@@ -25,6 +26,7 @@ from flamewatch.network import (
     SentimentNet,
     param_shapes,
 )
+from flamewatch.preprocess import RawComment, build_corpus, load_jsonl
 
 TOKENS = [f"w{i}" for i in range(10)]
 
@@ -324,6 +326,39 @@ class TestForward:
         probs, _ = model.forward(batch)
         assert probs == pytest.approx(reference_forward(model, batch), abs=1e-9)
 
+    @pytest.mark.parametrize("case", ["toy", *sorted(SHAPE_CASES)])
+    def test_inference_matches_scalar_reference(self, case):
+        model = toy_model(**SHAPE_CASES.get(case, {}))
+        randomize_params(model, seed=3)
+        batch, _, _ = toy_batch(model, rows=4, seed=0, max_len=model.config.max_tokens + 2)
+        probs, cache = model.forward(batch, infer=True)
+        assert cache is None
+        # float32 activations; the largest difference seen over these cases and
+        # seeds 0-4 was 2.1e-8
+        assert np.abs(probs - reference_forward(model, batch)).max() <= 1e-6
+        assert probs.dtype == np.float64
+        assert probs.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
+
+    def test_inference_computes_in_float32(self, monkeypatch):
+        # one float64 temporary would promote every later layer to float64
+        seen = []
+        check = network._check_finite
+
+        def spy(x, where):
+            seen.append((where, x.dtype))
+            check(x, where)
+
+        monkeypatch.setattr(network, "_check_finite", spy)
+        model = toy_model()
+        batch, _, _ = toy_batch(model, rows=3)
+        model.forward(batch, infer=True)
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert seen == [("conv0", f32), ("conv1", f32), ("conv2", f32), ("bilstm", f32),
+                        ("output", f64)]
+        seen.clear()
+        model.forward(batch)
+        assert {dtype for _, dtype in seen} == {f64}
+
     def test_padding_does_not_change_output(self):
         # same tokens, different amount of right padding -> same probabilities
         model = toy_model()
@@ -604,27 +639,28 @@ def random_dataset(n, seed, max_len=30):
 
 
 # SHA-256 of the float64 bytes of `flat`, `adam_m`, `adam_v` and the predict_many
-# probabilities after the seeded runs below (numpy 64-bit floats on x86-64 with
-# OpenBLAS, the same caveat as the checkpoint pins in test_cli.py). A checkpoint
-# stores float32, so it can hide last-bit drift that these cannot.
+# probabilities (a float32 forward, then a float64 softmax and means) after the
+# seeded runs below (numpy on x86-64 with OpenBLAS, the same caveat as the
+# checkpoint pins in test_cli.py). A checkpoint stores float32, so it can hide
+# last-bit drift that these cannot.
 TRAINED_STATE_SHA256 = {
     "fine_tune": {
         "flat": "454eab898967b459d47e6c92c38b4357869d9759e7e14c72eb1350c90e40d1c8",
         "adam_m": "d09260bcb6234342a4fb8dfca80f70028e7b78379aa85610d0f4d7f3db13cd8f",
         "adam_v": "5b7d2a0f78497c0730ef422827e1ab06840d865ab052247498acc8f67a7047f6",
-        "probs": "6a986a87a2e76776b1bc89532f1ff287ff6b22235a799c5ffe72469a00f236a1",
+        "probs": "c69d1032b7253d6c5d3650713b0fa3da64337d2036d1052f4a5ba5a3230fc9f5",
     },
     "frozen": {
         "flat": "f1a6300f9d86d27da45a08f5438f37a747683ceab5cc323f19bd2a35376c7377",
         "adam_m": "9e40625795a6b3fdfb4385f4cdfd8fc0fb4798562c77b8b1e2c2a4fb4256a9bc",
         "adam_v": "ec5a4f0077e7b30524bcc18032bb59f50ce2ae5409b3c4468aec06999874496b",
-        "probs": "749fc47fed6527b78b2202f9b7402ffba5ebf8fbca6de4b0b669a03951205c70",
+        "probs": "76edc1a1578554cd2c37dbdf9512170642d508c4891391779522fab81e1fb403",
     },
     "odd_shapes": {
         "flat": "814fd216d80bc465e5e3c6eaf93a861a666833cd94fb1b09ea5be408ca67891b",
         "adam_m": "463f5bc11461290c57fc8023432beb9f7d31c89f74039bf0166e9ece94caa864",
         "adam_v": "82a224c62089a99a6e6304d97e6bd8f232fa403462ff36970c496709755d195f",
-        "probs": "a90a1a74327bcfc5d90fbb6319a2aa00b14f1cf170028d85f0ee79772f223f44",
+        "probs": "c20c3df40166def093267d73ceb8e6c98e52b13c4afd4b5c79639e232db8b61e",
     },
 }
 PIN_CASES = {
@@ -658,7 +694,7 @@ class TestPredict:
         randomize_params(model, seed=2)
         tokens = [TOKENS[i % len(TOKENS)] for i in range(9)]
         _, mean_probs = model.predict_tokens(tokens)
-        direct, _ = model.forward(model.make_batch([tokens]))
+        direct, _ = model.forward(model.make_batch([tokens]), infer=True)
         assert (mean_probs == direct[0]).all()  # bitwise
 
     def test_long_comment_mean_of_chunks(self):
@@ -667,7 +703,7 @@ class TestPredict:
         tokens = [TOKENS[i % len(TOKENS)] for i in range(30)]  # 12 + 12 + 6
         _, mean_probs = model.predict_tokens(tokens)
         chunks = [tokens[0:12], tokens[12:24], tokens[24:30]]
-        parts = [model.forward(model.make_batch([c]))[0][0] for c in chunks]
+        parts = [model.forward(model.make_batch([c]), infer=True)[0][0] for c in chunks]
         assert mean_probs == pytest.approx(
             np.mean(parts, axis=0), abs=1e-9
         )
@@ -675,8 +711,8 @@ class TestPredict:
     def test_tie_breaks_toward_lower_class_code(self):
         model = toy_model()
         tied = np.array([[0.3, 0.3, 0.2, 0.1, 0.1]])
-        model.forward = lambda batch, train=False, rng=None: (
-            np.repeat(tied, batch.ids.shape[0], axis=0), {}
+        model.forward = lambda batch, rng=None, infer=False: (
+            np.repeat(tied, batch.ids.shape[0], axis=0), None
         )
         label, _ = model.predict_tokens(["w0"])
         assert label is SentimentLabel.VERY_NEGATIVE
@@ -706,10 +742,10 @@ class TestPredict:
 
 
 def per_comment_reference(model, tokens):
-    """The mean chunk probabilities of one comment from a B = chunks forward."""
+    """The mean chunk probabilities of one comment from a B = chunks inference forward."""
     t = model.config.max_tokens
     chunks = [tokens[i:i + t] for i in range(0, len(tokens), t)]
-    probs, _ = model.forward(model.make_batch(chunks))
+    probs, _ = model.forward(model.make_batch(chunks), infer=True)
     return probs.mean(axis=0)
 
 
@@ -752,9 +788,10 @@ class TestPredictMany:
         rows = []
         forward = model.forward
 
-        def wrapped(batch, rng=None):
+        def wrapped(batch, rng=None, infer=False):
             rows.append(batch.ids.shape[0])
-            return forward(batch, rng)
+            assert infer
+            return forward(batch, rng, infer=infer)
 
         model.forward = wrapped
         model.predict_many(token_lists)
@@ -780,6 +817,73 @@ class TestPredictMany:
     def test_no_comments_gives_empty_arrays(self, model):
         labels, means = model.predict_many([])
         assert labels.shape == (0,) and means.shape == (0, 5)
+
+
+def float64_predict_many(model, token_lists):
+    """predict_many through the float64 training forward instead of inference."""
+    model.forward = lambda batch, rng=None, infer=False: SentimentNet.forward(model, batch)
+    try:
+        return model.predict_many(token_lists)
+    finally:
+        del model.forward
+
+
+def _clean_tokens(raws):
+    return [c.tokens for c in build_corpus(raws).comments]
+
+
+# The comments of the golden pipeline (tests/test_golden.py: make-fixture --seed 5
+# --comments 300), the shipped fixture of criterion 10 and the flaming fixture of
+# criterion 09.
+AGREEMENT_CORPORA = {
+    "golden": lambda: _clean_tokens(RawComment.from_dict(r)
+                                    for r in synthetic_comments(300, seed=5)),
+    "shipped": lambda: _clean_tokens(load_jsonl(data_path("synthetic_comments.jsonl"))[0]),
+    "flaming": lambda: _clean_tokens(RawComment.from_dict(r)
+                                     for r in flaming_comments(seed=11)[0]),
+}
+
+
+class TestFloat32Inference:
+    """Inference runs in float32 and the softmax and chunk means in float64; it
+    agrees with the float64 training forward at the default ModelConfig."""
+
+    @pytest.fixture(scope="class", params=["frozen", "fine_tune"])
+    def trained(self, request):
+        raws = [RawComment.from_dict(r) for r in synthetic_comments(300, seed=5)]
+        comments = build_corpus(raws).comments
+        lex, _ = load_lexicon(data_path("mini_lexicon.tsv"))
+        labeled, _ = label_corpus(comments, lex, load_emoji_table(data_path("emoji_polarity.tsv")))
+        vectors = train_word2vec([c.tokens for c in comments],
+                                 EmbedConfig(dim=100, epochs=1, min_count=1))
+        config = ModelConfig(embed_dim=100, fine_tune_embeddings=request.param == "fine_tune")
+        model = SentimentNet(config, vectors)
+        model.train([(lc.comment.tokens, int(lc.label)) for lc in labeled], epochs=2)
+        return model
+
+    @pytest.mark.parametrize("corpus", sorted(AGREEMENT_CORPORA))
+    def test_agrees_with_float64_forward(self, trained, corpus):
+        token_lists = AGREEMENT_CORPORA[corpus]()
+        labels, means = trained.predict_many(token_lists)
+        labels64, means64 = float64_predict_many(trained, token_lists)
+        # the largest difference measured over these cases was 1.7e-8
+        assert np.abs(means - means64).max() <= 1e-6
+        assert (labels == labels64).all()
+        assert np.abs(means.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_predict_keeps_no_cache(self):
+        # a kept float64 cache peaked at 21 MB here, the cacheless float32
+        # forward at 4.3 MB (tracemalloc, numpy 2.4 on x86-64)
+        model = SentimentNet(ModelConfig(embed_dim=100), make_embeddings(dim=100, scale=0.3))
+        comments = [[TOKENS[(i + j) % len(TOKENS)] for j in range(30)] for i in range(640)]
+        model.predict_many(comments[:PREDICT_ROWS])
+        tracemalloc.start()
+        try:
+            model.predict_many(comments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 # ----- persistence ----------------------------------------------------------

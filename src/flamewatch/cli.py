@@ -185,6 +185,10 @@ def cmd_detect(args) -> int:
     json_path = os.path.join(args.output_dir, "events.json")
     csv_path = os.path.join(args.output_dir, "timeseries.csv")
     flaming.write_report(events, buckets, json_path, csv_path)
+    ceiling = flaming.largest_z(len(stats), args.sample_std)
+    if ceiling <= args.z_threshold:
+        print(f"warning: no post can be flagged: the largest z-score {len(stats)} posts allow "
+              f"is {ceiling:.6g}, not above --z-threshold {args.z_threshold:g}", file=sys.stderr)
     _emit({
         "command": "detect",
         "posts": len(stats),

@@ -26,12 +26,23 @@ for a (758592, dim) array in one step. Bounding a step's pairs is ROADMAP
 item 4.
 
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
-draws, in this order: the input vectors (uniform in +-0.5/dim, |V| x dim);
-for the subword variant, the bucket vectors (same law, buckets x dim); then
-per epoch and block of n centers, the window radii
+(PCG64) draws, in this order: the input vectors (uniform in +-0.5/dim,
+|V| x dim); for the subword variant, the bucket vectors (same law, buckets x
+dim); then per epoch and block of n centers, the window radii
 `integers(1, window + 1, size=n)` and, if the block has any pair, the
 negatives `random((pairs, negatives))` mapped through the noise CDF with
 `searchsorted`. Pairs are ordered by center, then by context position.
+
+The bucket table is never drawn whole. Each of its values is one double of
+the stream, so row r is values r*dim .. r*dim + dim - 1 after the saved
+state. `_train` hashes the vocabulary's n-grams first, keeps only the rows
+they hash to (`seen`), and draws just those (`_draw_rows`: bounded blocks,
+the others jumped over with PCG64's `advance`); the training generator then
+advances by buckets x dim, so the radii and negatives are those of the
+one-call draw. Training touches no other row, so every other row keeps its
+initial draw: `SubwordTable.bucket_rows` draws it again from the saved
+state when an out-of-vocabulary word's n-gram hashes there. Memory follows
+the vocabulary's distinct n-gram ids, not the bucket count.
 
 A word's n-grams are those of "<word>" at lengths min_n..max_n, ordered by
 length, then start; an n-gram's id is the 32-bit FNV-1a hash of its UTF-8
@@ -74,9 +85,13 @@ MAX_NEGATIVES = 100
 # 100-300 wide. A step at the default window and negatives updates up to 3840
 # target rows, 126 MB of float64 at 4096 dims, and each table row is 32 KiB.
 MAX_DIM = 4096
-# Most values the fastText bucket table (buckets x dim) may hold: 2**28 float64
-# values are 2 GiB. The defaults, 2**21 buckets at dim 100, hold 2.1e8 of them.
+# Most values the stored fastText bucket rows (the distinct n-gram ids of the
+# vocabulary x dim) may hold: 2**28 float64 values are 2 GiB. A 4096-dim table
+# reaches it at 65,537 distinct ids, about 2k words of ten letters.
 MAX_TABLE_VALUES = 2 ** 28
+# Values per block that `_draw_rows` draws at once; bounds its scratch memory
+# (8 bytes a value) whatever the bucket count is.
+DRAW_BLOCK_VALUES = 2 ** 16
 
 
 @dataclass
@@ -137,11 +152,57 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
+def _draw_rows(state: dict, bound: float, dim: int, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` (sorted, distinct) of `uniform(-bound, bound, (buckets, dim))`
+    drawn in one call by a PCG64 generator in `state`, bit for bit.
+
+    Each value is one double of the stream, so row r begins r * dim values
+    after `state`. The table is cut into blocks of DRAW_BLOCK_VALUES values: a
+    block that holds no requested row is jumped over with `advance`, and one
+    that does is drawn from its first to its last requested row.
+    """
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = state
+    out = np.empty((rows.size, dim))
+    block = rows // max(1, DRAW_BLOCK_VALUES // dim)
+    # for consecutive cuts i and j, rows[i:j] are the rows in one block
+    cuts = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
+    at = 0  # the row the generator stands at
+    for i, j in zip(cuts, cuts[1:]):
+        first, last = int(rows[i]), int(rows[j - 1])
+        gen.bit_generator.advance((first - at) * dim)
+        drawn = gen.uniform(-bound, bound, size=(last + 1 - first, dim))
+        out[i:j] = drawn[rows[i:j] - first]
+        at = last + 1
+    return out
+
+
 @dataclass
 class SubwordTable:
+    """A trained bucket table that stores only the rows training saw.
+
+    `rows` holds the trained rows of the sorted hashed ids `seen`. Every other
+    row still holds its initial draw, which `bucket_rows` draws again from
+    `state`, the generator state just before the table was drawn."""
     config: SubwordConfig
-    bucket_vectors: np.ndarray  # buckets x dim
+    seen: np.ndarray  # sorted distinct n-gram ids of the vocabulary
+    rows: np.ndarray  # len(seen) x dim, trained
+    state: dict  # bit-generator state before the (buckets, dim) draw
+    bound: float  # that draw's half-width
     word_raw_vectors: np.ndarray  # |V| x dim, pre-composition input vectors
+
+    def bucket_rows(self, ids) -> np.ndarray:
+        """The rows of hashed ids `ids`, in order: trained for a seen id, the
+        initial draw for any other."""
+        ids = np.asarray(ids, dtype=np.int64)
+        at = np.searchsorted(self.seen, ids)
+        hit = at < self.seen.size
+        hit[hit] = self.seen[at[hit]] == ids[hit]
+        out = np.empty((ids.size, self.rows.shape[1]))
+        out[hit] = self.rows[at[hit]]
+        unseen, back = np.unique(ids[~hit], return_inverse=True)
+        out[~hit] = _draw_rows(self.state, self.bound, self.rows.shape[1], unseen)[back]
+        return out
 
 
 @dataclass
@@ -328,16 +389,27 @@ def _train(
     longest = int((sent_end - sent_begin).max())
     if longest < 2:
         raise ValueError("corpus too small: no (center, context) pair")
-    rng = np.random.default_rng(config.seed)
     dim = config.dim
     vocab_size = len(vocab)
+    if sub is not None:
+        # the table keeps one row per distinct n-gram id, and the CSR ids
+        # index those rows
+        hashed, starts = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+        seen, compact = np.unique(hashed, return_inverse=True)
+        grams = compact, starts
+        if seen.size * dim > MAX_TABLE_VALUES:
+            raise ValueError(f"{seen.size} seen n-gram buckets x {dim} dims exceed "
+                             f"MAX_TABLE_VALUES {MAX_TABLE_VALUES}; lower --dim or --buckets")
+    rng = np.random.default_rng(config.seed)
 
     bound = 0.5 / dim
     w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
     w_out = np.zeros((vocab_size, dim))
     if sub is not None:
-        buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
-        grams = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+        # only doubles came before, so no half-used 32-bit output is dropped
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(sub.buckets * dim)
+        buckets = _draw_rows(state, bound, dim, seen)
 
     noise = negative_sampling_distribution(vocab)
     noise_cdf = np.cumsum(noise)
@@ -419,7 +491,8 @@ def _train(
         for first in range(0, vocab_size, BLOCK_CENTERS):
             words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
             vectors[words] = _compose(w_in, buckets, words, *_gather(*grams, words))
-        table = SubwordTable(config=sub, bucket_vectors=buckets, word_raw_vectors=w_in)
+        table = SubwordTable(config=sub, seen=seen, rows=buckets, state=state, bound=bound,
+                             word_raw_vectors=w_in)
     if not (np.isfinite(vectors).all() and np.isfinite(losses).all()):
         raise ValueError(f"training diverged at initial_lr {config.initial_lr}: "
                          "the vectors or epoch losses are not finite")
@@ -437,13 +510,10 @@ def train_fasttext(
     sentences: list[list[str]], config: EmbedConfig, subword: SubwordConfig | None = None
 ) -> EmbeddingMatrix:
     """Skip-gram in which a word is also its hashed character n-grams
-    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig(). A bucket
-    table of more than MAX_TABLE_VALUES values is refused before anything is drawn."""
-    sub = SubwordConfig() if subword is None else subword
-    if sub.buckets * config.dim > MAX_TABLE_VALUES:
-        raise ValueError(f"a bucket table of {sub.buckets} buckets x {config.dim} dims exceeds "
-                         f"MAX_TABLE_VALUES {MAX_TABLE_VALUES}; lower --buckets or --dim")
-    return _train(sentences, config, sub)
+    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig(). Only
+    the bucket rows that the vocabulary's n-grams hash to are stored; more
+    than MAX_TABLE_VALUES of their values are refused before anything is drawn."""
+    return _train(sentences, config, SubwordConfig() if subword is None else subword)
 
 
 def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
@@ -451,13 +521,13 @@ def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
     sub = matrix.subword
     if sub is None:
         raise ValueError("matrix has no subword table")
-    rows = [sub.bucket_vectors[i] for i in ngram_ids(word, sub.config)]
+    rows = sub.bucket_rows(ngram_ids(word, sub.config))
     wid = matrix.vocab.token_to_id.get(word)
     if wid is not None:
-        rows.insert(0, sub.word_raw_vectors[wid])
-    if not rows:
+        rows = np.vstack((sub.word_raw_vectors[wid], rows))
+    if not len(rows):
         return np.zeros(matrix.dim)
-    return np.vstack(rows).mean(axis=0)
+    return rows.mean(axis=0)
 
 
 def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:

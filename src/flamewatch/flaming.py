@@ -5,9 +5,10 @@ the comment total, the five label counts and the Very-Negative times;
 `zscores` standardizes the per-post Very-Negative counts (optionally VN+N);
 `detect` flags the posts above the z threshold and annotates each with the
 count its z-score standardized, its Very-Negative count and share, and the
-densest short time window of its Very-Negative times. `aggregate` buckets the
-comments into the daily/hourly time series that `write_report` writes beside
-the events.
+densest short time window of its Very-Negative times. No z-score of n posts
+exceeds `largest_z` (sqrt(n - 1) for the population std), so too few posts
+can flag none. `aggregate` buckets the comments into the daily/hourly time
+series that `write_report` writes beside the events.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ def zscores(
     else:
         z = {s.post_id: (x - mean) / std for s, x in zip(stats, xs)}
     return ZScoreStats(mean=mean, std=std, z=z, include_negative=include_negative)
+
+
+def largest_z(n: int, sample_std: bool = False) -> float:
+    """The largest z-score any of n posts can reach, that of one post above
+    n - 1 equal ones: sqrt(n - 1), or (n - 1) / sqrt(n) with the sample std."""
+    return (n - 1) / math.sqrt(n) if sample_std else math.sqrt(n - 1)
 
 
 def burst_profile(

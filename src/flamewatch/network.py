@@ -659,26 +659,35 @@ class SentimentNet:
     def predict_many(self, token_lists) -> tuple[np.ndarray, np.ndarray]:
         """Labels (N,) and mean chunk probabilities (N, 5) of N comments.
 
-        Each comment is cut into max_tokens chunks. The chunks of all comments,
-        in order, go through forwards of at most PREDICT_ROWS rows, and each
-        comment's row is the mean of its chunks' rows. The label is the row's
-        argmax, so ties go to the lower class code.
+        Every token is mapped to its id once, and each comment's ids are cut
+        into max_tokens chunks. The chunks of all comments, in order, go
+        through forwards of at most PREDICT_ROWS rows, and each comment's row
+        is the mean of its chunks' rows. The label is the row's argmax, so
+        ties go to the lower class code.
         """
         t = self.config.max_tokens
-        chunks: list[list[str]] = []
-        owners: list[int] = []
-        for i, tokens in enumerate(token_lists):
-            if not tokens:
-                raise ValueError(f"comment {i}: empty token list")
-            for start in range(0, len(tokens), t):
-                chunks.append(tokens[start:start + t])
-                owners.append(i)
-        owner = np.asarray(owners, dtype=np.int64)
+        lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+        empty = np.flatnonzero(lengths == 0)
+        if empty.size:
+            raise ValueError(f"comment {empty[0]}: empty token list")
+        get = self.token_to_id.get
+        ids = np.fromiter((get(tok, OOV_ID) for tokens in token_lists for tok in tokens),
+                          dtype=np.int64, count=int(lengths.sum()))
+        # chunk k of comment i holds ids[begin[i] + k*t:][:t]
+        per_comment = -(-lengths // t)
+        owner = np.repeat(np.arange(len(token_lists)), per_comment)
+        rank = np.arange(owner.size) - (np.cumsum(per_comment) - per_comment)[owner]
+        begin = np.cumsum(lengths) - lengths
+        chunk_begin = begin[owner] + rank * t
+        chunk_len = np.minimum(t, lengths[owner] - rank * t)
         sums = np.zeros((len(token_lists), CLASSES))
-        for start in range(0, len(chunks), PREDICT_ROWS):
-            batch = self.make_batch(chunks[start:start + PREDICT_ROWS])
-            probs, _ = self.forward(batch, infer=True)
-            np.add.at(sums, owner[start:start + PREDICT_ROWS], probs)
+        for start in range(0, owner.size, PREDICT_ROWS):
+            rows = slice(start, start + PREDICT_ROWS)
+            used = np.arange(t) < chunk_len[rows, None]
+            batch_ids = np.full(used.shape, PAD_ID, dtype=np.int64)
+            batch_ids[used] = ids[(chunk_begin[rows, None] + np.arange(t))[used]]
+            probs, _ = self.forward(Batch(ids=batch_ids, lengths=chunk_len[rows]), infer=True)
+            np.add.at(sums, owner[rows], probs)
         means = sums / np.bincount(owner, minlength=len(token_lists))[:, None]
         return means.argmax(axis=1), means
 

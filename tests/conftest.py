@@ -2,6 +2,7 @@
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from flamewatch.lexicon import Lexicon, LexiconEntry
@@ -31,6 +32,17 @@ def make_clean(
         exclaim_flags=list(excl) if excl is not None else [False] * len(tokens),
         original_text=text,
     )
+
+
+def ten_letter_sentences(words=4000, seed=0):
+    """Sentences of ten random ten-letter words, in which each of `words` words
+    occurs twice. At the default 4000 words the n-grams of the vocabulary hash
+    to over 100k distinct ids at 2**21 buckets."""
+    rng = np.random.default_rng(seed)
+    letters = rng.integers(ord("a"), ord("z") + 1, size=(words, 10), dtype=np.uint32)
+    vocab = [row.tobytes().decode("utf-32-le") for row in letters]
+    tokens = [vocab[i] for i in rng.permutation(np.repeat(np.arange(words), 2))]
+    return [tokens[i:i + 10] for i in range(0, len(tokens), 10)]
 
 
 def make_lexicon(phrase_scores, max_n=4):

@@ -20,6 +20,8 @@ from flamewatch.fixtures import synthetic_comments
 from flamewatch.network import ModelConfig, SentimentNet, param_shapes
 from flamewatch.preprocess import CleanComment, write_jsonl
 
+from conftest import make_clean, ten_letter_sentences
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -264,6 +266,34 @@ class TestDetectCommand:
         report = json.loads((tmp_path / "report" / "events.json").read_text())
         assert report == {"events": summary["events"]}
 
+    def test_too_few_posts_to_flag_says_so(self, flaming_labeled, tmp_path, capsys):
+        # 21 posts allow z = sqrt(20) = 4.47 at most, below the default 5, even
+        # for one post at 31 Very-Negative comments over twenty at 1
+        counts = [1] * 20 + [31]
+        labeled = [
+            lexicon.LabeledComment(make_clean(["tok"], post_id=f"p{i:02d}", comment_id=f"c{i}-{k}"),
+                                   -2.0, lexicon.SentimentLabel.VERY_NEGATIVE)
+            for i, count in enumerate(counts) for k in range(count)
+        ]
+        few = tmp_path / "few.jsonl"
+        lexicon.save_labeled_jsonl(labeled, few)
+        assert main(["detect", str(few), str(tmp_path / "report")]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: no post can be flagged: the largest z-score 21 posts allow "
+                       "is 4.47214, not above --z-threshold 5\n")
+        assert json.loads(out)["events"] == []
+        assert main(["detect", str(few), str(tmp_path / "r2"), "--z-threshold", "4.4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [e["post_id"] for e in json.loads(out)["events"]] == ["p20"]
+        assert main(["detect", str(few), str(tmp_path / "r3"), "--z-threshold", "4.4",
+                     "--sample-std"]) == 0
+        assert "the largest z-score 21 posts allow is 4.36436, not above --z-threshold 4.4\n" in (
+            capsys.readouterr().err)
+        # the 200 posts of the flaming fixture can pass the default threshold
+        assert main(["detect", str(flaming_labeled), str(tmp_path / "r4")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_one_walk_for_the_events_and_one_zscores(self, flaming_labeled, tmp_path,
                                                      monkeypatch):
         calls = {"zscores": 0, "walks": 0}
@@ -288,7 +318,8 @@ class TestDetectCommand:
 
 class TestHostileSizes:
     """Sizes that would ask for gigabytes exit 2 naming the field or the span, in a
-    child capped at 2 GiB, and write nothing."""
+    child capped at 2 GiB, and write nothing; a size whose memory follows the
+    input instead runs there."""
 
     @pytest.mark.parametrize("flags, field", [
         (["--lstm-hidden", "100000000"], "lstm_hidden"),
@@ -312,14 +343,30 @@ class TestHostileSizes:
         assert result.stderr == "error: dim must be in [1, 4096], got 100000000\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_train_embed_bucket_table_bound(self, clean_corpus, tmp_path):
-        # the default --buckets 2**21 at --dim 4096 would be a 64 GiB table
-        result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt",
+    def test_train_embed_bucket_table_bound(self, tmp_path):
+        # 4000 ten-letter words hash to over 65,536 buckets, whose rows at
+        # --dim 4096 would hold more than 2 GiB
+        sentences = ten_letter_sentences()
+        corpus = tmp_path / "words.jsonl"
+        preprocess.save_clean_jsonl(
+            [make_clean(s, comment_id=f"c{i}") for i, s in enumerate(sentences)], corpus)
+        vocab = embeddings.build_vocab(sentences)
+        seen = np.unique(embeddings._hash_ngrams(vocab.id_to_token, 3, 6, 2 ** 21)[0]).size
+        result = run_capped("train-embed", corpus, tmp_path / "v.txt",
                             "--method", "fasttext", "--dim", "4096")
         assert result.returncode == 2
-        assert result.stderr == ("error: a bucket table of 2097152 buckets x 4096 dims exceeds "
-                                 "MAX_TABLE_VALUES 268435456; lower --buckets or --dim\n")
-        assert list(tmp_path.iterdir()) == []
+        assert result.stderr == (f"error: {seen} seen n-gram buckets x 4096 dims exceed "
+                                 "MAX_TABLE_VALUES 268435456; lower --dim or --buckets\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["words.jsonl"]
+
+    def test_train_embed_default_buckets_at_dim_4096(self, clean_corpus, tmp_path):
+        # the stored rows follow the vocabulary, not the 2**21 default buckets,
+        # whose whole table at 4096 dims would be 64 GiB
+        result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt",
+                            "--method", "fasttext", "--dim", "4096", "--epochs", "1")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["dim"] == 4096
+        assert (tmp_path / "v.txt").read_bytes().split(b"\n", 1)[0].endswith(b" 4096")
 
     def test_detect_stray_timestamp(self, labeled_corpus, tmp_path):
         stray = tmp_path / "stray.jsonl"
@@ -1160,7 +1207,8 @@ class TestSubwordLengths:
             for max_n in (10 ** 9, longest)
         ]
         assert (huge.config.max_n, capped.config.max_n) == (10 ** 9, longest)
-        assert (huge.bucket_vectors == capped.bucket_vectors).all()
+        every = np.arange(4096)
+        assert (huge.bucket_rows(every) == capped.bucket_rows(every)).all()
         assert (huge.word_raw_vectors == capped.word_raw_vectors).all()
 
 

@@ -32,6 +32,8 @@ from flamewatch.embeddings import (
     train_word2vec,
 )
 
+from conftest import ten_letter_sentences
+
 SMALL_SUB = SubwordConfig(min_n=3, max_n=4, buckets=2 ** 12)
 # characters of 1, 2, 3 and 4 UTF-8 bytes, at the edges of each width
 MIXED_WIDTH = "az<\x00\x7f\x80éж\u07ff\u0800€中\uffff\U00010000😀\U0010ffff"
@@ -199,7 +201,8 @@ class TestBlockStep:
         assert np.abs(np.array(matrix.epoch_losses) - losses).max() < 1e-12
         if subword is not None:
             assert np.abs(matrix.subword.word_raw_vectors - w_in).max() < 1e-12
-            assert np.abs(matrix.subword.bucket_vectors - buckets).max() < 1e-12
+            rows = matrix.subword.bucket_rows(np.arange(subword.buckets))
+            assert np.abs(rows - buckets).max() < 1e-12
 
     @pytest.mark.parametrize("train", [train_word2vec, train_fasttext])
     def test_bit_identical_given_seed(self, train):
@@ -391,14 +394,24 @@ class TestTraining:
         assert EmbedConfig(dim=MAX_DIM).dim == MAX_DIM
 
     def test_bucket_table_bounded(self):
-        defaults = SubwordConfig().buckets * EmbedConfig().dim
-        assert defaults <= MAX_TABLE_VALUES
-        # refused before the corpus is read, so no corpus is needed
-        buckets = MAX_TABLE_VALUES // MAX_DIM + 1
-        with pytest.raises(ValueError, match=rf"^a bucket table of {buckets} buckets x {MAX_DIM} "
-                                             rf"dims exceeds MAX_TABLE_VALUES {MAX_TABLE_VALUES}; "
-                                             r"lower --buckets or --dim$"):
-            train_fasttext([], EmbedConfig(dim=MAX_DIM), SubwordConfig(buckets=buckets))
+        # the bound counts the rows stored, one per distinct n-gram id of the
+        # vocabulary, and is checked before anything is drawn: the 4000 x 4096
+        # input vectors alone would be 125 MiB
+        sentences = ten_letter_sentences()
+        vocab = build_vocab(sentences)
+        hashed, _ = _hash_ngrams(vocab.id_to_token, 3, 6, SubwordConfig().buckets)
+        seen = np.unique(hashed).size
+        assert seen * MAX_DIM > MAX_TABLE_VALUES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{seen} seen n-gram buckets x {MAX_DIM} dims "
+                                                 rf"exceed MAX_TABLE_VALUES {MAX_TABLE_VALUES}; "
+                                                 r"lower --dim or --buckets$"):
+                train_fasttext(sentences, EmbedConfig(dim=MAX_DIM))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_dim_one_smoke(self):
         config = EmbedConfig(dim=1, window=2, negatives=2, epochs=1,
@@ -432,9 +445,7 @@ class TestFasttext:
         sub = matrix.subword
         for wid, word in enumerate(matrix.vocab.id_to_token):
             grams = ngram_ids(word, sub.config)
-            stack = np.vstack(
-                [sub.word_raw_vectors[wid]] + [sub.bucket_vectors[g] for g in grams]
-            )
+            stack = np.vstack((sub.word_raw_vectors[wid], sub.bucket_rows(grams)))
             assert matrix.vectors[wid] == pytest.approx(stack.mean(axis=0))
 
     def test_oov_composition_nonzero(self, matrix):
@@ -466,6 +477,163 @@ class TestFasttext:
         config = EmbedConfig(dim=4, window=2, negatives=2, epochs=1, min_count=1)
         w2v = train_word2vec(toy_corpus(sentences=20), config)
         assert (lookup(w2v, "zzzqqq") == 0).all()
+
+
+# The subword trainer as it was when it drew the whole (buckets, dim) table in
+# one call and indexed it by hashed id, kept to pin that drawing only the seen
+# rows changes no bit.
+@np.errstate(over="ignore", invalid="ignore")
+def full_table_train(sentences, config, sub):
+    """Vectors, epoch losses, raw input vectors and the whole bucket table."""
+    vocab = build_vocab(sentences, config.min_count)
+    ids, sent_begin, sent_end = embeddings._corpus_ids(sentences, vocab)
+    longest = int((sent_end - sent_begin).max())
+    rng = np.random.default_rng(config.seed)
+    dim = config.dim
+    vocab_size = len(vocab)
+    bound = 0.5 / dim
+    w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
+    w_out = np.zeros((vocab_size, dim))
+    buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
+    grams = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+    noise_cdf = np.cumsum(negative_sampling_distribution(vocab))
+    noise_cdf[-1] = 1.0
+    total_centers = ids.size * config.epochs
+    widest = min(config.window, longest - 1)
+    offsets = np.concatenate((np.arange(-widest, 0), np.arange(1, widest + 1)))
+    reach = np.abs(offsets)
+    processed = 0
+    losses = []
+    for _epoch in range(config.epochs):
+        epoch_loss = 0.0
+        epoch_pairs = 0
+        for first in range(0, ids.size, BLOCK_CENTERS):
+            last = min(first + BLOCK_CENTERS, ids.size)
+            lr = config.initial_lr * np.maximum(
+                1e-4, 1.0 - np.arange(processed, processed + last - first) / (total_centers + 1)
+            )
+            processed += last - first
+            radius = rng.integers(1, config.window + 1, size=last - first)
+            ctx = np.arange(first, last)[:, None] + offsets
+            keep = (
+                (reach <= radius[:, None])
+                & (ctx >= sent_begin[first:last, None])
+                & (ctx < sent_end[first:last, None])
+            )
+            pair_center, pair_slot = np.nonzero(keep)
+            if not pair_center.size:
+                continue
+            negs = np.searchsorted(noise_cdf, rng.random((pair_center.size, config.negatives)))
+            targets = np.concatenate((ids[ctx[pair_center, pair_slot]][:, None], negs), axis=1)
+            words, word_of_center = np.unique(ids[first:last], return_inverse=True)
+            pair_word = word_of_center[pair_center]
+            flat, owner, size = embeddings._gather(*grams, words)
+            v_words = embeddings._compose(w_in, buckets, words, flat, owner, size)
+            v = v_words[pair_word]
+            u = w_out[targets]
+            scores = np.einsum("pkd,pd->pk", u, v)
+            epoch_loss += float(-embeddings._log_sigmoid(scores[:, 0]).sum()
+                                - embeddings._log_sigmoid(-scores[:, 1:]).sum())
+            epoch_pairs += pair_center.size
+            g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
+            g[:, 0] -= 1.0
+            g *= lr[pair_center][:, None]
+            grad_v = np.einsum("pk,pkd->pd", g, u)
+            embeddings._scatter_add(
+                w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
+            )
+            grad_words = np.zeros_like(v_words)
+            embeddings._scatter_add(grad_words, pair_word, grad_v)
+            share = grad_words / size[:, None]
+            w_in[words] -= share
+            embeddings._scatter_add(buckets, flat, -share[owner])
+        losses.append(epoch_loss / epoch_pairs)
+    vectors = np.empty_like(w_in)
+    for first in range(0, vocab_size, BLOCK_CENTERS):
+        words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
+        vectors[words] = embeddings._compose(w_in, buckets, words,
+                                             *embeddings._gather(*grams, words))
+    return vectors, losses, w_in, buckets
+
+
+def full_table_compose(vocab, w_in, buckets, sub, word):
+    """compose_word as it read the whole table."""
+    rows = [buckets[i] for i in ngram_ids(word, sub)]
+    wid = vocab.token_to_id.get(word)
+    if wid is not None:
+        rows.insert(0, w_in[wid])
+    if not rows:
+        return np.zeros(w_in.shape[1])
+    return np.vstack(rows).mean(axis=0)
+
+
+class TestSeenRows:
+    CONFIG = EmbedConfig(dim=4, window=3, negatives=3, epochs=2, initial_lr=0.2,
+                         min_count=2, seed=3)
+
+    @pytest.mark.parametrize("sub", [
+        SubwordConfig(min_n=2, max_n=3, buckets=7),
+        SubwordConfig(min_n=2, max_n=4, buckets=4096),
+        SubwordConfig(min_n=2, max_n=4, buckets=65536),
+        SubwordConfig(buckets=2 ** 21),
+        SubwordConfig(min_n=12, max_n=14, buckets=2 ** 21),  # no word has an n-gram
+    ], ids=["7", "4096", "65536", "2**21", "no-ngrams"])
+    def test_bit_identical_to_full_table(self, sub):
+        sentences = block_corpus()
+        matrix = train_fasttext(sentences, self.CONFIG, sub)
+        vectors, losses, w_in, buckets = full_table_train(sentences, self.CONFIG, sub)
+        assert matrix.vectors.tobytes() == vectors.tobytes()
+        assert matrix.epoch_losses == losses
+        table = matrix.subword
+        assert table.word_raw_vectors.tobytes() == w_in.tobytes()
+        hashed, _ = _hash_ngrams(matrix.vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+        assert table.seen.tolist() == sorted(set(hashed.tolist()))
+        assert table.rows.shape == (table.seen.size, self.CONFIG.dim)
+        # the seen rows trained, the others as drawn, first and last bucket included
+        rng = np.random.default_rng(0)
+        probe = np.unique(np.concatenate((
+            [0, sub.buckets - 1], table.seen, rng.integers(0, sub.buckets, size=200))))
+        assert table.bucket_rows(probe).tobytes() == buckets[probe].tobytes()
+        for word in ["ab", "zzzqqq", "abbba", "dab", "é中😀"]:
+            expected = full_table_compose(matrix.vocab, w_in, buckets, sub, word)
+            assert compose_word(matrix, word).tobytes() == expected.tobytes()
+            if word not in matrix.vocab.token_to_id:
+                assert lookup(matrix, word).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("buckets, dim", [(1, 1), (7, 3), (5000, 1), (5000, 100),
+                                              (70_001, 4), (2 ** 21, 2)])
+    def test_draw_rows_equals_one_call_draw(self, buckets, dim):
+        rng = np.random.default_rng(buckets + dim)
+        rng.uniform(size=(5, dim))  # the input vectors come first
+        state = rng.bit_generator.state
+        table = rng.uniform(-0.125, 0.125, size=(buckets, dim))
+        after = rng.integers(1, 6, size=9), rng.random((4, 3))
+        for size in (1, 2, 50, 3000):
+            picks = rng.integers(0, buckets, size=size)
+            rows = np.unique(np.concatenate((picks, [0, buckets - 1])))
+            drawn = embeddings._draw_rows(state, 0.125, dim, rows)
+            assert drawn.tobytes() == table[rows].tobytes()
+        empty = embeddings._draw_rows(state, 0.125, dim, np.array([], dtype=np.int64))
+        assert empty.shape == (0, dim)
+        # the training generator jumps over the table and then draws as before
+        jumped = np.random.default_rng(buckets + dim)
+        jumped.uniform(size=(5, dim))
+        jumped.bit_generator.advance(buckets * dim)
+        assert jumped.integers(1, 6, size=9).tolist() == after[0].tolist()
+        assert jumped.random((4, 3)).tobytes() == after[1].tobytes()
+
+    def test_memory_follows_the_vocabulary(self):
+        # the whole table at the default 2**21 buckets would be 128 MiB at dim 8
+        config = EmbedConfig(dim=8, window=3, negatives=3, epochs=1, min_count=1, seed=1)
+        tracemalloc.start()
+        try:
+            matrix = train_fasttext(toy_corpus(sentences=50), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.subword.config.buckets == 2 ** 21
+        assert matrix.subword.rows.nbytes < 2 ** 20
+        assert peak < 4 * 2 ** 20
 
 
 class TestPersistence:

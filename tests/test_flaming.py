@@ -22,6 +22,7 @@ from flamewatch.flaming import (
     burst_profile,
     detect,
     event_to_dict,
+    largest_z,
     post_stats,
     write_report,
     zscores,
@@ -362,6 +363,18 @@ class TestDetect:
         for e in events:
             assert e.z == pytest.approx((e.count - zs.mean) / zs.std, abs=1e-12)
             assert event_to_dict(e)["count"] == e.count
+
+    @pytest.mark.parametrize("sample_std", [False, True])
+    @pytest.mark.parametrize("posts", [2, 3, 21, 27, 200])
+    def test_largest_z_is_one_post_above_equal_ones(self, posts, sample_std):
+        stats = post_stats(post_with_counts([1] * (posts - 1) + [9]))
+        top = max(zscores(stats, sample_std=sample_std).z.values())
+        assert top == pytest.approx(largest_z(posts, sample_std), rel=1e-12)
+        rng = np.random.default_rng(posts)
+        for _ in range(20):
+            stats = post_stats(post_with_counts(rng.integers(0, 6, size=posts).tolist()))
+            z = zscores(stats, sample_std=sample_std).z.values()
+            assert max(z) <= largest_z(posts, sample_std) + 1e-12
 
     def test_uniform_counts_no_events(self):
         stats = post_stats(post_with_counts([2] * 10))

@@ -12,6 +12,7 @@ atomic and check where each output goes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,6 +23,13 @@ from . import embeddings, fixtures, flaming, lexicon, metrics, network, preproce
 
 def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False))
+
+
+def _config(cls, args, **given):
+    """A `cls` whose fields come from the parsed options of the same names,
+    except those in `given`."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in given}, **given)
 
 
 # ----- subcommands ----------------------------------------------------------
@@ -61,15 +69,11 @@ def cmd_label(args) -> int:
 def cmd_train_embed(args) -> int:
     comments = preprocess.load_clean_jsonl(args.input)
     sentences = [c.tokens for c in comments]
-    config = embeddings.EmbedConfig(
-        dim=args.dim, window=args.window, negatives=args.negatives,
-        epochs=args.epochs, initial_lr=args.lr, min_count=args.min_count,
-        seed=args.seed,
-    )
+    config = _config(embeddings.EmbedConfig, args)
     if args.method == "fasttext":
-        matrix = embeddings.train_fasttext(sentences, config, embeddings.SubwordConfig(
-            min_n=args.subword_min_n, max_n=args.subword_max_n, buckets=args.buckets
-        ))
+        matrix = embeddings.train_fasttext(
+            sentences, config, _config(embeddings.SubwordConfig, args)
+        )
     else:
         matrix = embeddings.train_word2vec(sentences, config)
     embeddings.save_embeddings(matrix, args.output)
@@ -86,20 +90,7 @@ def cmd_train_embed(args) -> int:
 def cmd_train_clf(args) -> int:
     labeled = lexicon.load_labeled_jsonl(args.input)
     matrix = embeddings.load_embeddings(args.embeddings)
-    config = network.ModelConfig(
-        embed_dim=matrix.dim,
-        max_tokens=args.max_tokens,
-        filters=args.filters,
-        kernel=args.kernel,
-        lstm_hidden=args.lstm_hidden,
-        dense_sizes=tuple(args.dense),
-        dropout_lstm=args.dropout_lstm,
-        dropout_dense=args.dropout_dense,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        fine_tune_embeddings=args.fine_tune,
-    )
+    config = _config(network.ModelConfig, args, embed_dim=matrix.dim)
     model = network.SentimentNet(config, matrix)
     data = [(lc.comment.tokens, int(lc.label)) for lc in labeled]
     report = model.train(data, epochs=args.epochs, val_split=args.val_split)
@@ -149,7 +140,6 @@ def cmd_evaluate(args) -> int:
                 )
             obj = obj[args.key]
         cm = metrics.ConfusionMatrix.from_dict(obj)
-        accuracy = float(cm.counts.trace() / cm.counts.sum())
     else:
         if args.key is not None:
             raise ValueError("--key applies only to --matrix-json")
@@ -158,12 +148,12 @@ def cmd_evaluate(args) -> int:
         model = network.SentimentNet.load(args.model)
         labeled = lexicon.load_labeled_jsonl(args.input)
         data = [(lc.comment.tokens, int(lc.label)) for lc in labeled]
-        accuracy, cm = model.evaluate(data)
-    mm = metrics.macro_metrics(cm, orientation=args.orientation)
+        _, cm = model.evaluate(data)
+    mm = metrics.macro_metrics(cm, orientation=args.orientation)  # refuses an empty matrix
     print(metrics.format_table(cm, mm), file=sys.stderr)
     _emit({
         "command": "evaluate",
-        "accuracy": accuracy,
+        "accuracy": float(cm.counts.trace() / cm.counts.sum()),
         "orientation": mm.orientation,
         "macro_precision": mm.macro_precision,
         "macro_recall": mm.macro_recall,
@@ -236,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--lexicon", default=str(data_path("mini_lexicon.tsv")))
     p.add_argument("--emoji-table", default=str(data_path("emoji_polarity.tsv")))
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=lexicon.Lexicon.max_n)
     p.add_argument("--strict-eq1", action="store_true",
                    help="use the raw signed score denominator (may raise)")
     p.set_defaults(func=cmd_label)
@@ -245,15 +235,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--method", choices=("word2vec", "fasttext"), default="word2vec")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--subword-min-n", type=int, default=3)
-    p.add_argument("--subword-max-n", type=int, default=6)
-    p.add_argument("--buckets", type=int, default=2 ** 21)
+    # `_config` reads these by dest, so each dest is a field name, each default the field's
+    embed, subword = embeddings.EmbedConfig, embeddings.SubwordConfig
+    p.add_argument("--dim", type=int, default=embed.dim)
+    p.add_argument("--window", type=int, default=embed.window)
+    p.add_argument("--negatives", type=int, default=embed.negatives)
+    p.add_argument("--epochs", type=int, default=embed.epochs)
+    p.add_argument("--lr", dest="initial_lr", type=float, default=embed.initial_lr)
+    p.add_argument("--min-count", type=int, default=embed.min_count)
+    p.add_argument("--subword-min-n", dest="min_n", type=int, default=subword.min_n)
+    p.add_argument("--subword-max-n", dest="max_n", type=int, default=subword.max_n)
+    p.add_argument("--buckets", type=int, default=subword.buckets)
     p.set_defaults(func=cmd_train_embed)
 
     p = sub.add_parser("train-clf", help="train the CNN+BiLSTM classifier")
@@ -262,16 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--val-split", type=float, default=0.1)
-    p.add_argument("--max-tokens", type=int, default=30)
-    p.add_argument("--filters", type=int, default=64)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--lstm-hidden", type=int, default=64)
-    p.add_argument("--dense", type=int, nargs=2, default=[128, 64])
-    p.add_argument("--dropout-lstm", type=float, default=0.5)
-    p.add_argument("--dropout-dense", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--fine-tune", action="store_true")
+    clf = network.ModelConfig  # as for train-embed
+    p.add_argument("--max-tokens", type=int, default=clf.max_tokens)
+    p.add_argument("--filters", type=int, default=clf.filters)
+    p.add_argument("--kernel", type=int, default=clf.kernel)
+    p.add_argument("--lstm-hidden", type=int, default=clf.lstm_hidden)
+    p.add_argument("--dense", dest="dense_sizes", type=int, nargs=2, default=clf.dense_sizes)
+    p.add_argument("--dropout-lstm", type=float, default=clf.dropout_lstm)
+    p.add_argument("--dropout-dense", type=float, default=clf.dropout_dense)
+    p.add_argument("--batch-size", type=int, default=clf.batch_size)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=clf.learning_rate)
+    p.add_argument("--fine-tune", dest="fine_tune_embeddings", action="store_true",
+                   default=clf.fine_tune_embeddings)
     p.set_defaults(func=cmd_train_clf)
 
     p = sub.add_parser("predict", help="predict labels for a clean corpus")

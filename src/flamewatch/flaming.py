@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -230,22 +230,10 @@ def detect(
 
 
 def event_to_dict(e: FlamingEvent) -> dict:
-    d = {
-        "post_id": e.post_id,
-        "z": e.z,
-        "count": e.count,
-        "vn_count": e.vn_count,
-        "vn_share": e.vn_share,
-        "share_exceeded": e.share_exceeded,
-        "burst": None,
-    }
+    """The event's fields in declaration order, with the burst start as text."""
+    d = asdict(e)
     if e.burst is not None:
-        d["burst"] = {
-            "start": format_timestamp(e.burst.start),
-            "window_hours": e.burst.window_hours,
-            "contained": e.burst.contained,
-            "fraction": e.burst.fraction,
-        }
+        d["burst"]["start"] = format_timestamp(e.burst.start)
     return d
 
 

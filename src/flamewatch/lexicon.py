@@ -88,7 +88,7 @@ def preprocess_phrase(raw_phrase: str) -> tuple[str, ...]:
     return tuple(stem(tok) for tok, _, _ in tokenize(normalize_text(raw_phrase)))
 
 
-def load_lexicon(path, max_n: int = 4) -> tuple[Lexicon, list[tuple[int, str]]]:
+def load_lexicon(path, max_n: int = Lexicon.max_n) -> tuple[Lexicon, list[tuple[int, str]]]:
     """Load "phrase<TAB>score" lines; invalid entries are rejected with line numbers."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+INT64_MAX = 2 ** 63 - 1
+
 
 @dataclass
 class ConfusionMatrix:
@@ -33,11 +35,24 @@ class ConfusionMatrix:
 
     @classmethod
     def from_dict(cls, obj) -> "ConfusionMatrix":
-        """From {"counts": rows, "class_names": names}; a missing field raises ValueError."""
+        """From {"counts": rows, "class_names": names} as JSON gives them: strings,
+        and square rows of non-negative integers (no bool or float) whose total
+        int64 holds. Else a ValueError names the field before numpy sees a value."""
         if not isinstance(obj, dict) or not {"counts", "class_names"} <= obj.keys():
             keys = ", ".join(sorted(obj)) if isinstance(obj, dict) else "none"
             raise ValueError(f"a matrix needs counts and class_names; available keys: {keys}")
-        return cls(np.array(obj["counts"]), list(obj["class_names"]))
+        names, rows = obj["class_names"], obj["counts"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError("class_names must be a list of strings")
+        if not (isinstance(rows, list)
+                and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+            raise ValueError("counts must be a square list of rows")
+        values = [v for r in rows for v in r]
+        if not all(type(v) is int and v >= 0 for v in values):
+            raise ValueError("counts must be non-negative integers")
+        if sum(values) > INT64_MAX:
+            raise ValueError(f"counts total {sum(values)} exceeds {INT64_MAX}")
+        return cls(np.array(rows, dtype=np.int64), names)
 
 
 @dataclass
@@ -73,7 +88,7 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def macro_metrics(m: ConfusionMatrix, orientation: str = "standard") -> MacroMetrics:
     counts = m.counts.astype(np.float64)
     if counts.sum() == 0:
-        raise ValueError("empty confusion matrix")
+        raise ValueError("empty confusion matrix: counts sum to 0")
     diag = np.diag(counts)
     row_rates = _safe_div(diag, counts.sum(axis=1))
     col_rates = _safe_div(diag, counts.sum(axis=0))

@@ -65,10 +65,10 @@ OOV_ID = 1
 CHECKPOINT_MAGIC = b"FWCK"
 CHECKPOINT_VERSION = 1
 # Chunk rows per inference forward; it bounds the memory of predict and evaluate.
-# On a dim-32 model, 400 long-tail comments and one OpenBLAS thread (Xeon), the
-# float64 forward with its cache peaked at 64 rows 10 MB above the process base
-# at 3.7k comments/s, at 256 rows 33 MB above it at 4.0k/s, and one row per
-# forward ran at 340/s.
+# On a dim-32 model, 400 long-tail comments and one OpenBLAS thread (2-core Xeon),
+# the float32 forward without cache ran at 8.8k comments/s with a 3.3 MiB
+# tracemalloc peak at 64 rows, at 8.9k/s with 10.9 MiB at 256 rows, and at 1.1k/s
+# with one row per forward (medians of 21 interleaved runs).
 PREDICT_ROWS = 64
 # Largest max_tokens a config may ask for. Inference holds float32 activations of
 # (PREDICT_ROWS, max_tokens, filters) and tap responses `kernel` times as large: at

@@ -1,19 +1,27 @@
 """Exit codes, summaries and small end-to-end runs of the command line."""
 
+import argparse
 import dataclasses
 import hashlib
+import inspect
+import io
 import json
 import os
 import resource
 import struct
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
-from flamewatch import data_path, embeddings, flaming, lexicon, network, preprocess
+from flamewatch import (data_path, embeddings, flaming, lexicon, metrics, network,
+                        preprocess)
 from flamewatch.cli import build_parser, main
 from flamewatch.embeddings import EmbedConfig, EmbeddingMatrix, SubwordConfig, Vocabulary
 from flamewatch.fixtures import synthetic_comments
@@ -413,6 +421,106 @@ def test_each_config_field_has_exactly_one_flag(command):
     assert sorted(set_fields) == sorted(fields)
 
 
+# Each command's arguments, by flag (or positional name), with the type each takes:
+# a dest may be renamed, but not a flag that a user types.
+ARGUMENTS = {
+    None: {"--seed": "int"},
+    "preprocess": {"input": "str", "output": "str"},
+    "label": {"input": "str", "output": "str", "--lexicon": "str", "--emoji-table": "str",
+              "--max-n": "int", "--strict-eq1": "flag"},
+    "train-embed": {"input": "str", "output": "str", "--method": "word2vec|fasttext",
+                    "--dim": "int", "--window": "int", "--negatives": "int", "--epochs": "int",
+                    "--lr": "float", "--min-count": "int", "--subword-min-n": "int",
+                    "--subword-max-n": "int", "--buckets": "int"},
+    "train-clf": {"input": "str", "output": "str", "--embeddings": "str", "--epochs": "int",
+                  "--val-split": "float", "--max-tokens": "int", "--filters": "int",
+                  "--kernel": "int", "--lstm-hidden": "int", "--dense": "int 2",
+                  "--dropout-lstm": "float", "--dropout-dense": "float",
+                  "--batch-size": "int", "--lr": "float", "--fine-tune": "flag"},
+    "predict": {"input": "str", "output": "str", "--model": "str"},
+    "evaluate": {"input": "str ?", "--model": "str", "--matrix-json": "str", "--key": "str",
+                 "--orientation": "standard|paper"},
+    "detect": {"input": "str", "output_dir": "str", "--z-threshold": "float",
+               "--share-threshold": "float", "--window-hours": "float",
+               "--width": "day|hour", "--sample-std": "flag", "--include-negative": "flag"},
+    "make-fixture": {"output": "str", "--kind": "synthetic|flaming", "--comments": "int"},
+}
+
+
+def _arguments(parser):
+    """{flag or positional name: type} of the parser's own arguments; and its
+    subcommands' parsers by name."""
+    arguments, commands = {}, {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands = action.choices
+        elif not isinstance(action, argparse._HelpAction):
+            kind = "|".join(action.choices or ()) or getattr(action.type, "__name__", "str")
+            kind = {0: "flag", None: kind}.get(action.nargs, f"{kind} {action.nargs}")
+            arguments["/".join(action.option_strings) or action.dest] = kind
+    return arguments, commands
+
+
+def test_flags_and_types_are_pinned():
+    top, commands = _arguments(build_parser())
+    found = {None: top, **{name: _arguments(p)[0] for name, p in commands.items()}}
+    assert found == ARGUMENTS
+
+
+class TestDefaultsAreTheLibrarys:
+    """With no options, each command builds the library's default config (and
+    the default global --seed, 0). Configs are captured where they are used."""
+
+    @pytest.mark.parametrize("method", ["word2vec", "fasttext"])
+    def test_train_embed(self, clean_corpus, tmp_path, monkeypatch, capsys, method):
+        built = []
+
+        def train(sentences, *configs):
+            built.extend(configs)
+            return SimpleNamespace(vocab=[], dim=0, epoch_losses=[])
+
+        monkeypatch.setattr(embeddings, f"train_{method}", train)
+        monkeypatch.setattr(embeddings, "save_embeddings", lambda matrix, path: None)
+        argv = ["train-embed", str(clean_corpus), str(tmp_path / "v"), "--method", method]
+        assert main(argv) == 0
+        subword = [SubwordConfig()] if method == "fasttext" else []
+        assert built == [EmbedConfig(seed=0), *subword]
+
+    def test_train_clf(self, labeled_corpus, tmp_path, monkeypatch, capsys):
+        built = []
+
+        class Net:
+            def __init__(self, config, matrix):
+                built.append(config)
+
+            def train(self, data, epochs, val_split):
+                return network.TrainReport()
+
+            def save(self, path):
+                pass
+
+            def num_parameters(self):
+                return 0
+
+        monkeypatch.setattr(embeddings, "load_embeddings", lambda path: SimpleNamespace(dim=7))
+        monkeypatch.setattr(network, "SentimentNet", Net)
+        argv = ["train-clf", str(labeled_corpus), str(tmp_path / "m"), "--embeddings", "v"]
+        assert main(argv) == 0
+        assert built == [ModelConfig(embed_dim=7, seed=0)]
+
+    def test_label(self, clean_corpus, tmp_path, monkeypatch, capsys):
+        load, seen = lexicon.load_lexicon, []
+
+        def load_lexicon(path, max_n):
+            seen.append(max_n)
+            return load(path, max_n)
+
+        monkeypatch.setattr(lexicon, "load_lexicon", load_lexicon)
+        assert main(["label", str(clean_corpus), str(tmp_path / "labeled.jsonl")]) == 0
+        assert seen == [lexicon.Lexicon.max_n]
+        assert inspect.signature(load).parameters["max_n"].default == lexicon.Lexicon.max_n
+
+
 def test_make_fixture_comments_with_flaming_exit_2(tmp_path, capsys):
     out = tmp_path / "raw.jsonl"
     assert main(["make-fixture", str(out), "--kind", "flaming", "--comments", "5"]) == 2
@@ -680,6 +788,103 @@ class TestEvaluateMatrixErrors:
         path.write_text(text, encoding="utf-8", errors="surrogateescape")
         assert main(["evaluate", "--matrix-json", str(path), "--key", "m"]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+# Matrix fields that once made `evaluate --matrix-json` exit 1, or exit 0 on a
+# count JSON does not hold as an integer, or warn before its error line.
+BAD_MATRICES = {
+    "names-not-a-list": ({"class_names": 5}, "class_names must be a list of strings"),
+    "names-not-strings": ({"class_names": [1, 2]}, "class_names must be a list of strings"),
+    "float-count": ({"counts": [[1.5, 2], [3, 4]]}, "counts must be non-negative integers"),
+    "bool-count": ({"counts": [[True, 2], [3, 4]]}, "counts must be non-negative integers"),
+    "count-past-int64": ({"counts": [[10 ** 30, 0], [0, 1]]},
+                         f"counts total {10 ** 30 + 1} exceeds {2 ** 63 - 1}"),
+    "huge-float-count": ({"counts": [[1e30, 0], [0, 1]]}, "counts must be non-negative integers"),
+    "all-zero": ({"counts": [[0, 0], [0, 0]]}, "empty confusion matrix: counts sum to 0"),
+}
+
+
+def _evaluate_matrix(path, counts, class_names):
+    """(exit code, stdout, stderr) of `evaluate --matrix-json` on one matrix, with
+    every warning raised as an error, so that a warning cannot pass unseen."""
+    path.write_text(json.dumps({"counts": counts, "class_names": class_names}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["evaluate", "--matrix-json", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _matrices(draw):
+    """A well-typed matrix of 0-4 classes, then perhaps one of its fields, rows,
+    counts or names swapped for any JSON value."""
+    n = draw(st.integers(0, 4))
+    cells = st.integers(0, 9) | st.integers(0, 2 ** 62)
+    matrix = {"counts": draw(st.lists(st.lists(cells, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)),
+              "class_names": draw(st.lists(st.text(max_size=3), min_size=n, max_size=n))}
+    where = draw(st.sampled_from(["nothing", "counts", "class_names", "row", "count", "name"]))
+    value = draw(_json_values)
+    if where in ("counts", "class_names"):
+        matrix[where] = value
+    elif n and where == "row":
+        matrix["counts"][draw(st.integers(0, n - 1))] = value
+    elif n and where == "count":
+        matrix["counts"][draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = value
+    elif n and where == "name":
+        matrix["class_names"][draw(st.integers(0, n - 1))] = value
+    return matrix
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrix") / "m.json"
+
+
+class TestEvaluateMatrixFields:
+    @pytest.mark.parametrize("case", list(BAD_MATRICES))
+    def test_bad_field_exit_2_with_one_line(self, tmp_path, case):
+        change, message = BAD_MATRICES[case]
+        matrix = {"counts": [[1, 0], [0, 1]], "class_names": ["a", "b"], **change}
+        code, out, err = _evaluate_matrix(tmp_path / "m.json", **matrix)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_published_matrices_still_read(self):
+        # the type checks accept every matrix the package ships
+        matrices = preprocess.read_json(data_path("published_eval_matrices.json"))
+        for matrix in matrices.values():
+            cm = metrics.ConfusionMatrix.from_dict(matrix)
+            assert cm.counts.tolist() == matrix["counts"]
+            assert cm.class_names == matrix["class_names"]
+
+    @seed(25)
+    @settings(max_examples=300, deadline=None, database=None)
+    @example({"counts": [[1, 0], [0, 1]], "class_names": 5})
+    @example({"counts": [[1, 0], [0, 1]], "class_names": [1, 2]})
+    @example({"counts": [[1.5, 2], [3, 4]], "class_names": ["a", "b"]})
+    @example({"counts": [[True, 2], [3, 4]], "class_names": ["a", "b"]})
+    @example({"counts": [[10 ** 30, 0], [0, 1]], "class_names": ["a", "b"]})
+    @example({"counts": [[1e30, 0], [0, 1]], "class_names": ["a", "b"]})
+    @example({"counts": [[0, 0], [0, 0]], "class_names": ["a", "b"]})
+    @given(_matrices())
+    def test_mutated_matrix_exits_0_or_2(self, matrix_path, matrix):
+        code, out, err = _evaluate_matrix(matrix_path, **matrix)
+        if code == 0:
+            assert all(isinstance(name, str) for name in matrix["class_names"])
+            assert all(type(v) is int for row in matrix["counts"] for v in row)
+            assert json.loads(out)["command"] == "evaluate"
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestAtomicOutputs:

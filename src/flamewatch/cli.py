@@ -103,6 +103,7 @@ def cmd_train_clf(args) -> int:
         "early_stopped": report.early_stopped,
         "train_loss": report.train_loss,
         "val_loss": report.val_loss,
+        "val_accuracy": report.val_accuracy,
     })
     return 0
 
@@ -252,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="labeled JSONL")
     p.add_argument("output", help="checkpoint path")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--val-split", type=float, default=0.1)
+    p.add_argument("--epochs", type=int, default=network.TRAIN_EPOCHS)
+    p.add_argument("--val-split", type=float, default=network.VAL_SPLIT)
     clf = network.ModelConfig  # as for train-embed
     p.add_argument("--max-tokens", type=int, default=clf.max_tokens)
     p.add_argument("--filters", type=int, default=clf.filters)

@@ -540,8 +540,8 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
     return np.zeros(matrix.dim)
 
 
-# Values per block that `save_embeddings` formats at once; bounds the
-# writer's scratch memory (about 100 bytes a value) whatever |V| is.
+# Values per block that `save_embeddings` formats, and `load_embeddings` parses,
+# at once; bounds their scratch memory (about 100 bytes a value) whatever |V| is.
 SAVE_BLOCK_VALUES = 2 ** 15
 
 # The kernel's domain besides zero. Scaling a value in it to nine digits
@@ -673,7 +673,29 @@ def load_embeddings(path) -> EmbeddingMatrix:
     subword table: an out-of-vocabulary word looks up as a zero vector.
     A malformed file, or one holding a value that is not finite (nan, inf),
     raises EmbeddingFormatError "<path>: line N: ...", and a line that is
-    not UTF-8 a ValueError of the same form."""
+    not UTF-8 a ValueError of the same form.
+
+    The values are parsed in bulk (`_parse_written`) when each is written as
+    `save_embeddings` writes it. Any other file, well formed or not, is read
+    again value by value with float(), which names the first bad line; so
+    both ways accept the same files and read the same values."""
+    try:
+        words, vectors = _read_vectors(path, bulk=True)
+    except ValueError:
+        words, vectors = _read_vectors(path, bulk=False)
+    finite = np.isfinite(vectors)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise EmbeddingFormatError(f"{path}: line {int(row) + 2}: component {col + 1} "
+                                   f"is not finite: {vectors[row, col]}")
+    return EmbeddingMatrix(dim=vectors.shape[1], vocab=Vocabulary.from_tokens(words),
+                           vectors=vectors)
+
+
+def _read_vectors(path, bulk: bool) -> tuple[list[str], np.ndarray]:
+    """The words and (count, dim) values of a vectors file. With `bulk`, each
+    block of lines goes to `_parse_written`, which raises ValueError on text
+    it cannot vouch for; without, each value goes to float()."""
     lines = read_lines(path)
 
     def bad(lineno: int, detail) -> EmbeddingFormatError:
@@ -689,12 +711,21 @@ def load_embeddings(path) -> EmbeddingMatrix:
     if count < 0 or dim < 1:
         raise bad(1, f"bad count {count} or dim {dim}")
     # values grow with the lines actually read, never from the header's count
-    words = []
+    words, texts, blocks = [], [], []
     values = array("d")
+    block_rows = max(1, SAVE_BLOCK_VALUES // dim)
     for lineno in range(2, count + 2):
         line = next(lines, (lineno, None))[1]
         if line is None:
             raise bad(lineno, f"expected {count} vector lines, file ended")
+        if bulk:
+            word, _, text = line.rstrip("\n").partition(" ")
+            words.append(word)
+            texts.append(text)
+            if len(texts) == block_rows:
+                blocks.append(_parse_written(texts, dim))
+                texts = []
+            continue
         parts = line.rstrip("\n").split(" ")
         if len(parts) != dim + 1:
             raise bad(lineno, f"expected {dim} components, got {len(parts) - 1}")
@@ -706,9 +737,52 @@ def load_embeddings(path) -> EmbeddingMatrix:
     for lineno, line in lines:
         if line.strip():
             raise bad(lineno, "trailing data after body")
-    vectors = np.frombuffer(values, dtype=np.float64).reshape(count, dim)
-    finite = np.isfinite(vectors)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise bad(int(row) + 2, f"component {col + 1} is not finite: {vectors[row, col]}")
-    return EmbeddingMatrix(dim=dim, vocab=Vocabulary.from_tokens(words), vectors=vectors)
+    if bulk:
+        return words, np.concatenate([*blocks, _parse_written(texts, dim)])
+    return words, np.frombuffer(values, dtype=np.float64).reshape(count, dim)
+
+
+def _parse_written(texts: list[str], dim: int) -> np.ndarray:
+    """The (len(texts), dim) values of vectors lines, each text the part after
+    the word, when every value is written as `save_embeddings` writes one in
+    its kernel's domain: " " ["-"] digit "." 8 digits "e" sign 2 digits, with
+    an exponent e in [-14, 30]. Its nine digits n then give the value as
+    n * 10**(e - 8): one product or quotient of exact doubles, rounded once,
+    as float() reads the text. Any other text raises ValueError."""
+    if not texts:
+        return np.empty((0, dim))
+    raw = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(" ")) | (raw == ord("\n")))
+    width = np.diff(seps)  # each value's length plus one
+    negative = width == 16
+    # every row holds dim values: its newline is every dim-th separator
+    ok = (seps.size == len(texts) * dim + 1 and (raw[seps[::dim]] == ord("\n")).all()
+          and np.count_nonzero(raw == ord("\n")) == len(texts) + 1
+          and ((width == 15) | negative).all())
+    if not ok:
+        raise ValueError("a line is not written as save_embeddings writes one")
+    ends = seps[1:]
+
+    def number(backs):
+        """The decimal number of each value's characters `backs` places from
+        its end, and whether they are all digits."""
+        total, digits = np.zeros(ends.size, dtype=np.int64), True
+        for back in backs:
+            digit = raw.take(ends - back) - ord("0")  # uint8: a non-digit wraps past 9
+            digits = digits & (digit < 10)
+            total = 10 * total + digit
+        return total, digits
+
+    mantissa, ok = number((14, *range(12, 4, -1)))
+    exponent, ok_exponent = number((2, 1))
+    exponent_sign = raw.take(ends - 3)
+    ok &= ok_exponent & (raw.take(ends - 13) == ord(".")) & (raw.take(ends - 4) == ord("e"))
+    ok &= (exponent_sign == ord("+")) | (exponent_sign == ord("-"))
+    ok &= ~negative | (raw.take(ends - 15) == ord("-"))
+    k = np.where(exponent_sign == ord("-"), -exponent, exponent) - 8
+    if not (ok & (k >= -22) & (k <= 22)).all():
+        raise ValueError("a value is not written as save_embeddings writes one")
+    values = np.where(k >= 0, mantissa * _POW10[np.maximum(k, 0)],
+                      mantissa / _POW10[np.maximum(-k, 0)])
+    np.negative(values, out=values, where=negative)
+    return values.reshape(len(texts), dim)

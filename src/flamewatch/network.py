@@ -8,40 +8,45 @@ labels. CLASSES, CONV_LAYERS and POOL are constants, not config fields; a
 checkpoint still stores them as "classes": 5, three equal "conv_layers" pairs
 and "pool": 2, and one that stores other values is refused. Forward,
 reverse-mode gradients and the Adam update are all hand-written and
-reproducible from the seed. Training, its validation loss and early stopping
-run in double precision; inference (see below) runs in single precision. The
-only threads are BLAS's, whose number follows the environment (e.g.
-OPENBLAS_NUM_THREADS).
+reproducible from the seed. The only threads are BLAS's, whose number follows
+the environment (e.g. OPENBLAS_NUM_THREADS).
 
-Every parameter lives in one float64 vector, `flat`, laid out in the order
-backward writes the gradients: the output layer first, the embedding last.
-`params` maps each name to its view into `flat`, so an entry must be written
-in place (`params[k][...] = x`); rebinding it cuts it off from training. The
-trainable part is a prefix of `flat`: all of it with fine_tune_embeddings,
-all but the embedding without. The gradient `grad` and the Adam moments
-`adam_m` and `adam_v` are vectors as long as that prefix, with the same layout.
+Every parameter lives in one vector, `flat`, laid out in the order backward
+writes the gradients: the output layer first, the embedding last. `params`
+maps each name to its view into `flat`, so an entry must be written in place
+(`params[k][...] = x`); rebinding it cuts it off from training. The trainable
+part is a prefix of `flat`: all of it with fine_tune_embeddings, all but the
+embedding without. The gradient `grad` and the Adam moments `adam_m` and
+`adam_v` are vectors as long as that prefix, with the same layout.
 `adam_step` updates the moments in place, through two scratch vectors of that
 length made with them, so a step allocates no array.
 
-Each convolution builds its im2col window matrix, (B*T, C*K), once in forward;
-the matrix lives in the forward cache, and backward reuses it for the weight
-gradient. The kernels save numpy calls, not arithmetic: each product and sum
-keeps its operands, its association and the memory layout it hands BLAS, and
-tests pin the SHA-256 of the seeded float64 training state.
+Precision: `flat` is float32 unless the constructor's `dtype` says otherwise,
+as the reference tools train (Keras' default floatx, word2vec.c's and
+fastText's `real`), and checkpoints store float32. Every array the network
+computes follows `flat`'s dtype: the gradient, the Adam state, the
+activations and their gradients. Only the softmax, the loss and the chunk
+means are float64, so each probability row sums to 1 within float64
+rounding. A float64 network (`dtype=np.float64`) runs the same code; the
+finite-difference gradient checks use one.
+
+Training and inference share one forward. `forward(batch, infer=True)` only
+draws no dropout and keeps no cache; its probabilities equal those of a
+forward with no `rng`, bit for bit. Each convolution is one
+(B*(T+K-1), C) @ (C, K*F) product over the padded input, whose K column
+blocks are each tap's response, followed by K shifted adds; there is no
+(B*T, C*K) window matrix. The cache keeps the padded input, and backward
+fills the tap gradients (B, T+K-1, K, F) with K shifted copies of the output
+gradient, so the weight and the input gradients are one product each. Each
+LSTM direction projects every step's input in one (B*T, C) @ (C, 4H) product
+before its time loop (Appleyard, Kocisky and Blunsom, arXiv:1604.01946), and
+backward finds the input, recurrent, bias and sequence gradients in one
+product or sum each after its loop. Tests pin the SHA-256 of the seeded
+float32 training state.
 
 Inference cuts every comment into chunks of at most max_tokens tokens and
 packs the chunks of many comments, in order, into forwards of at most
 PREDICT_ROWS rows; a comment's probability vector is the mean of its chunks'.
-Those forwards (`forward(batch, infer=True)`) share the LSTM cell, pooling and
-dense head with training but keep no cache. They run on float32 copies of the
-weights, which checkpoints store as float32 anyway, and of each batch's
-gathered embedding rows, so the table itself is never copied. Each
-convolution is one (B*(T+K-1), C) @ (C, K*F) product over the padded input,
-whose K column blocks are each tap's response, followed by K shifted adds;
-there is no (B*T, C*K) window matrix. The logits are cast to float64 before
-the softmax, and the chunk means are float64, so each probability row sums to
-1 within float64 rounding. Against the float64 forward the probabilities
-differ by about 1e-8.
 """
 
 from __future__ import annotations
@@ -79,9 +84,13 @@ CLASSES = len(SentimentLabel)
 CONV_LAYERS = 3
 POOL = 2
 # Most parameters besides the embedding that a model may have. Training holds six
-# float64 vectors that long (flat, grad, two Adam moments, two scratch vectors), 48
-# bytes a parameter: 2**24 is about 0.8 GB. The default config has about 135k.
+# float32 vectors that long (flat, grad, two Adam moments, two scratch vectors), 24
+# bytes a parameter: 2**24 is about 0.4 GB. The default config has about 135k.
 MAX_PARAMETERS = 2 ** 24
+# What `SentimentNet.train` runs by default: epochs, and the share of the data held
+# out for validation loss and early stopping
+TRAIN_EPOCHS = 40
+VAL_SPLIT = 0.1
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -220,9 +229,9 @@ def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
     return {name: shapes[name] for layer in reversed(layers.values()) for name in layer}
 
 
-def _flat(shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """A zeroed float64 vector and its consecutive views, one per shape, in order."""
-    buffer = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+def _flat(shapes: dict[str, tuple[int, ...]], dtype) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A zeroed vector of `dtype` and its consecutive views, one per shape, in order."""
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype=dtype)
     views, offset = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
@@ -250,7 +259,8 @@ def _check_size(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None
 class SentimentNet:
     """Parameter container plus forward/backward/update for the classifier."""
 
-    def __init__(self, config: ModelConfig, embeddings: EmbeddingMatrix):
+    def __init__(self, config: ModelConfig, embeddings: EmbeddingMatrix, *,
+                 dtype=np.float32):
         if embeddings.dim != config.embed_dim:
             raise ValueError(
                 f"embedding dim {embeddings.dim} != config.embed_dim {config.embed_dim}"
@@ -264,7 +274,7 @@ class SentimentNet:
         shapes = param_shapes(config, len(self.id_to_token))
         _check_size(config, shapes)
         layout = _layout(shapes)
-        self.flat, views = _flat(layout)
+        self.flat, views = _flat(layout, dtype)
         self.params = {name: views[name] for name in shapes}  # in the draw order
         for name, p in self.params.items():
             if name == "embedding":  # rows 0/1 are pad and OOV, kept at zero init
@@ -277,7 +287,7 @@ class SentimentNet:
 
         if not config.fine_tune_embeddings:
             del layout["embedding"]
-        self.grad, self._grads = _flat(layout)
+        self.grad, self._grads = _flat(layout, dtype)
         self.adam_m = np.zeros_like(self.grad)
         self.adam_v = np.zeros_like(self.grad)
         self._adam_scratch = (np.empty_like(self.grad), np.empty_like(self.grad))
@@ -309,24 +319,11 @@ class SentimentNet:
 
     # ----- forward ---------------------------------------------------------
 
-    def _conv_forward(self, x, w, b):
-        # x (B,T,C), w (F,K,C) -> same-padded (B,T,F)
-        bsz, t, c = x.shape
-        filters, kernel, _ = w.shape
-        pl = (kernel - 1) // 2
-        xp = np.zeros((bsz, t + kernel - 1, c))
-        xp[:, pl:pl + t, :] = x
-        # the im2col window matrix: row (b, t), column (c, k) holds xp[b, t + k, c]
-        cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=1).reshape(
-            bsz * t, c * kernel)
-        z = (cols @ w.transpose(2, 1, 0).reshape(c * kernel, filters)).reshape(
-            bsz, t, filters) + b
-        return z, (cols, pl)
-
     def _conv_taps(self, x, w, b):
-        """The same-padded convolution of `_conv_forward` without im2col: one
+        """Same-padded convolution of x (B,T,C) with w (F,K,C): one
         (B*(T+K-1), C) @ (C, K*F) product gives every tap's response at every
-        padded step, and output step t adds tap k's response at step t + k."""
+        padded step, and output step t adds tap k's response at step t + k.
+        Returns z (B,T,F) and the padded input, which backward reuses."""
         bsz, t, c = x.shape
         filters, kernel, _ = w.shape
         pl = (kernel - 1) // 2
@@ -337,40 +334,43 @@ class SentimentNet:
         z = taps[:, :t, 0, :] + b
         for k in range(1, kernel):
             z += taps[:, k:k + t, k, :]
-        return z
+        return z, xp
 
-    def _conv_backward(self, dz, w, cache, dw, db):
-        """Writes the weight and bias gradients into dw and db; returns dx."""
-        cols, pl = cache
+    def _conv_backward(self, dz, w, xp, dw, db, input_grad=True):
+        """Writes the weight and bias gradients into dw and db; returns dx, or
+        None without `input_grad`. Tap k's response at padded step s fed output
+        step s - k, so its gradient dtaps[:, s, k] is dz[:, s - k]."""
         bsz, t, filters = dz.shape
         _, kernel, c = w.shape
-        dz2 = dz.reshape(bsz * t, filters)
-        # dz2.T is a transposed view, as tensordot passed it: a contiguous copy
-        # would change how BLAS sums the product
-        dw[...] = (dz2.T @ cols).reshape(filters, c, kernel).transpose(0, 2, 1)
-        db[...] = dz.sum(axis=(0, 1))
-        dwin = (dz2 @ w.reshape(filters, kernel * c)).reshape(bsz, t, kernel, c)
-        dxp = np.zeros((bsz, t + kernel - 1, c))
+        pl = (kernel - 1) // 2
+        dtaps = np.zeros((bsz, t + kernel - 1, kernel, filters), dtype=dz.dtype)
         for k in range(kernel):
-            dxp[:, k:k + t, :] += dwin[:, :, k, :]
-        return dxp[:, pl:pl + t, :]
+            dtaps[:, k:k + t, k, :] = dz
+        dtaps = dtaps.reshape(-1, kernel * filters)
+        dw[...] = (xp.reshape(-1, c).T @ dtaps).reshape(c, kernel, filters).transpose(2, 1, 0)
+        db[...] = dz.sum(axis=(0, 1))
+        if not input_grad:
+            return None
+        dxp = dtaps @ w.transpose(1, 0, 2).reshape(kernel * filters, c)
+        return dxp.reshape(bsz, t + kernel - 1, c)[:, pl:pl + t, :]
 
-    def _lstm_forward(self, seq, mask, p, direction: str, cache):
-        """The direction's final hidden state; with a forward cache, each step's
-        values go to its list for the direction."""
-        wx = p[f"lstm_{direction}_wx"]
+    def _lstm_forward(self, seq, mask, direction: str, cache):
+        """The direction's final hidden state. Every step's input projection
+        is one product before the time loop; with a forward cache, each
+        step's values go to its list for the direction."""
+        p = self.params
         wh = p[f"lstm_{direction}_wh"]
-        bias = p[f"lstm_{direction}_b"]
-        b, t, _ = seq.shape
+        b, t, cin = seq.shape
         hdim = self.config.lstm_hidden
+        xw = (seq.reshape(-1, cin) @ p[f"lstm_{direction}_wx"]
+              + p[f"lstm_{direction}_b"]).reshape(b, t, 4 * hdim)
         h = np.zeros((b, hdim), dtype=seq.dtype)
         c = np.zeros((b, hdim), dtype=seq.dtype)
         steps = range(t) if direction == "fwd" else range(t - 1, -1, -1)
         keep = 1 - mask
         kept = None if cache is None else cache[f"lstm_{direction}"]
         for ti in steps:
-            x = seq[:, ti, :]
-            z = x @ wx + h @ wh + bias
+            z = xw[:, ti, :] + h @ wh
             # gates i, f, g, o; the sigmoid of the g block is replaced by 1, which
             # backward's product with `gates` then leaves exact
             gates = _sigmoid(z)
@@ -382,25 +382,28 @@ class SentimentNet:
             h_new = go * tc
             m, k = mask[:, ti:ti + 1], keep[:, ti:ti + 1]
             if kept is not None:
-                kept.append((ti, x, h, c, gates, gg, tc, m, k))
+                kept.append((ti, h, c, gates, gg, tc, m, k))
             h = m * h_new + k * h
             c = m * c_new + k * c
         return h
 
-    def _lstm_backward(self, dh_final, cache, direction: str, dseq):
-        """Adds into the direction's gradient views, which start at zero."""
+    def _lstm_backward(self, dh_final, seq, cache, direction: str):
+        """Writes the direction's gradients and returns its gradient of `seq`.
+        The time loop finds each step's gate gradient; the products with the
+        inputs, the previous hidden states and wx are one each after it."""
         wx = self.params[f"lstm_{direction}_wx"]
         wh = self.params[f"lstm_{direction}_wh"]
-        dwx = self._grads[f"lstm_{direction}_wx"]
-        dwh = self._grads[f"lstm_{direction}_wh"]
-        db = self._grads[f"lstm_{direction}_b"]
+        b, t, cin = seq.shape
         hdim = self.config.lstm_hidden
         di, df, dg, do = (slice(j * hdim, (j + 1) * hdim) for j in range(4))
+        dzs = np.empty((b, t, 4 * hdim), dtype=seq.dtype)
+        h_prevs = np.empty((b, t, hdim), dtype=seq.dtype)
+        slope = np.empty((b, 4 * hdim), dtype=seq.dtype)
         dh = dh_final
         dc = np.zeros_like(dh_final)
-        dz = np.empty((dh.shape[0], 4 * hdim))
-        slope = np.empty_like(dz)
-        for ti, x, h_prev, c_prev, gates, gg, tc, m, k in reversed(cache):
+        for ti, h_prev, c_prev, gates, gg, tc, m, k in reversed(cache):
+            dz = dzs[:, ti, :]
+            h_prevs[:, ti, :] = h_prev
             gi, gf, go = gates[:, di], gates[:, df], gates[:, do]
             dh_new = dh * m
             dh_carry = dh * k
@@ -408,7 +411,7 @@ class SentimentNet:
             dc_carry = dc * k
             dc_new = dc_new + dh_new * go * (1 - tc ** 2)
             # the gate gradients, then times g * (1 - g) for the sigmoid gates and
-            # 1 * (1 - gg ** 2) for the tanh one, each product associated as written
+            # 1 * (1 - gg ** 2) for the tanh one
             np.multiply(dc_new, gg, out=dz[:, di])
             np.multiply(dc_new, c_prev, out=dz[:, df])
             np.multiply(dc_new, gi, out=dz[:, dg])
@@ -418,40 +421,32 @@ class SentimentNet:
             np.subtract(1, gg ** 2, out=slope[:, dg])
             dz *= gates
             dz *= slope
-            dwx += x.T @ dz
-            dwh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dseq[:, ti, :] += dz @ wx.T
             dh = dz @ wh.T + dh_carry
             dc = dc_prev
+        dzs = dzs.reshape(-1, 4 * hdim)
+        self._grads[f"lstm_{direction}_wx"][...] = seq.reshape(-1, cin).T @ dzs
+        self._grads[f"lstm_{direction}_wh"][...] = h_prevs.reshape(-1, hdim).T @ dzs
+        self._grads[f"lstm_{direction}_b"][...] = dzs.sum(axis=0)
+        return (dzs @ wx.T).reshape(b, t, cin)
 
     def forward(self, batch: Batch, rng=None, *, infer: bool = False):
         """Returns (probabilities, cache); dropout draws from `rng` when one is given.
 
-        With `infer`, the forward is inference only: it runs on float32 copies of
-        the weights and of the gathered embedding rows, convolves tap by tap
-        (`_conv_taps`), draws no dropout and keeps no cache (None). Either way
-        the softmax is computed in float64.
+        Everything up to the logits computes in the dtype of `flat`; the
+        softmax is float64. With `infer`, the forward draws no dropout and
+        keeps no cache (None); its probabilities are those of a forward with
+        no `rng`, bit for bit.
         """
         cfg = self.config
-        if infer:
-            p = {name: v.astype(np.float32) for name, v in self.params.items()
-                 if name != "embedding"}
-            dtype = np.float32
-        else:
-            p, dtype = self.params, np.float64
-        pad_mask = (batch.ids != PAD_ID)[:, :, None].astype(dtype)
+        p = self.params
+        dtype = self.flat.dtype
         # pad positions are zero vectors by contract
-        x = self.params["embedding"][batch.ids].astype(dtype, copy=False) * pad_mask
+        x = p["embedding"][batch.ids] * (batch.ids != PAD_ID)[:, :, None]
         lengths = np.minimum(batch.lengths, cfg.max_tokens).astype(np.int64)
         cache = None if infer else {"ids": batch.ids, "convs": []}
 
         for li in range(CONV_LAYERS):
-            w, b = p[f"conv{li}_w"], p[f"conv{li}_b"]
-            if infer:
-                z = self._conv_taps(x, w, b)
-            else:
-                z, conv_cache = self._conv_forward(x, w, b)
+            z, xp = self._conv_taps(x, p[f"conv{li}_w"], p[f"conv{li}_b"])
             _check_finite(z, f"conv{li}")
             x = np.maximum(z, 0.0)
             wins = None  # a sequence shorter than POOL passes unpooled
@@ -463,20 +458,20 @@ class SentimentNet:
                 x = np.where(wins, pairs[:, :, 1, :], pairs[:, :, 0, :])
                 lengths = np.minimum(tp, (lengths - 1) // POOL + 1)
             if cache is not None:
-                cache["convs"].append((conv_cache, z, wins))
+                cache["convs"].append((xp, z, wins))
 
         mask = (np.arange(x.shape[1])[None, :] < lengths[:, None]).astype(dtype)
         if cache is not None:
             cache.update(seq=x, lstm_fwd=[], lstm_bwd=[])
-        h_fwd = self._lstm_forward(x, mask, p, "fwd", cache)
-        h_bwd = self._lstm_forward(x, mask, p, "bwd", cache)
+        h_fwd = self._lstm_forward(x, mask, "fwd", cache)
+        h_bwd = self._lstm_forward(x, mask, "bwd", cache)
         hcat = np.concatenate([h_fwd, h_bwd], axis=1)
         _check_finite(hcat, "bilstm")
 
         def dropout_mask(shape, rate):
             if infer or rng is None or rate == 0.0:
                 return np.ones(shape, dtype)
-            return (rng.random(shape) >= rate) / (1.0 - rate)
+            return ((rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype)
 
         m0 = dropout_mask(hcat.shape, cfg.dropout_lstm)
         a0 = hcat * m0
@@ -510,9 +505,8 @@ class SentimentNet:
         p = self.params
         g = self._grads
         b = labels.shape[0]
-        self.grad.fill(0.0)  # the LSTM and embedding gradients accumulate
 
-        dlogits = (cache["probs"] - labels) / b
+        dlogits = ((cache["probs"] - labels) / b).astype(self.flat.dtype, copy=False)
         g["out_w"][...] = cache["a2"].T @ dlogits
         g["out_b"][...] = dlogits.sum(axis=0)
         da2 = dlogits @ p["out_w"].T
@@ -526,14 +520,12 @@ class SentimentNet:
         dhcat = (dz1 @ p["dense1_w"].T) * cache["m0"]
 
         hdim = cfg.lstm_hidden
-        dseq = np.zeros_like(cache["seq"])
-        # each dseq cell gets one term per direction, so their order is exact
-        for direction, sl in (("bwd", slice(hdim, None)), ("fwd", slice(0, hdim))):
-            self._lstm_backward(dhcat[:, sl], cache[f"lstm_{direction}"], direction, dseq)
+        seq = cache["seq"]
+        dx = (self._lstm_backward(dhcat[:, hdim:], seq, cache["lstm_bwd"], "bwd")
+              + self._lstm_backward(dhcat[:, :hdim], seq, cache["lstm_fwd"], "fwd"))
 
-        dx = dseq
         for li in range(CONV_LAYERS - 1, -1, -1):
-            conv_cache, z, wins = cache["convs"][li]
+            xp, z, wins = cache["convs"][li]
             if wins is not None:
                 bsz, tp, filters = wins.shape
                 da = np.zeros_like(z)
@@ -543,13 +535,15 @@ class SentimentNet:
                 np.copyto(pairs[:, :, 1, :], dx, where=wins)
                 dx = da
             dz = dx * (z > 0)
-            dx = self._conv_backward(dz, p[f"conv{li}_w"], conv_cache,
-                                     g[f"conv{li}_w"], g[f"conv{li}_b"])
+            # conv0's input gradient is read only to fine-tune the embedding
+            dx = self._conv_backward(dz, p[f"conv{li}_w"], xp, g[f"conv{li}_w"],
+                                     g[f"conv{li}_b"], li > 0 or cfg.fine_tune_embeddings)
 
         # a frozen embedding is outside grad and gets no gradient; PAD
         # positions scatter into row PAD_ID, which is zeroed after
         if cfg.fine_tune_embeddings:
             demb = g["embedding"]
+            demb.fill(0.0)
             np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
             demb[PAD_ID] = 0.0
 
@@ -588,8 +582,8 @@ class SentimentNet:
     def train(
         self,
         data: list[tuple[list[str], int]],
-        epochs: int,
-        val_split: float = 0.1,
+        epochs: int = TRAIN_EPOCHS,
+        val_split: float = VAL_SPLIT,
     ) -> TrainReport:
         """Mini-batch Adam; keeps the parameters of the min-validation-loss epoch."""
         if not (isinstance(epochs, int) and epochs >= 1):
@@ -649,7 +643,7 @@ class SentimentNet:
         correct = 0
         for start in range(0, n, self.config.batch_size):
             part = batch.rows(slice(start, start + self.config.batch_size))
-            probs, _ = self.forward(part)
+            probs, _ = self.forward(part, infer=True)
             total += self.loss(probs, part.labels) * len(part.ids)
             correct += int((probs.argmax(1) == part.labels.argmax(1)).sum())
         return total / n, correct / n

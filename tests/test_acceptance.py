@@ -195,7 +195,9 @@ def test_criterion_05_gradient_check_toy_model():
         lstm_hidden=8, dense_sizes=(16, 8), dropout_lstm=0.0,
         dropout_dense=0.0, seed=1, fine_tune_embeddings=True,
     )
-    model = SentimentNet(config, _toy_embeddings())
+    # finite differences need double precision; the float64 network runs the
+    # same code as the float32 one that trains
+    model = SentimentNet(config, _toy_embeddings(), dtype=np.float64)
     # move to a generic point so no ReLU or pooling tie sits exactly at a kink
     rng = np.random.default_rng(0)
     for key in model.params:

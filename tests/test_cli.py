@@ -488,12 +488,14 @@ class TestDefaultsAreTheLibrarys:
 
     def test_train_clf(self, labeled_corpus, tmp_path, monkeypatch, capsys):
         built = []
+        defaults = inspect.signature(network.SentimentNet.train).parameters
 
         class Net:
             def __init__(self, config, matrix):
                 built.append(config)
 
             def train(self, data, epochs, val_split):
+                built.append({"epochs": epochs, "val_split": val_split})
                 return network.TrainReport()
 
             def save(self, path):
@@ -506,7 +508,8 @@ class TestDefaultsAreTheLibrarys:
         monkeypatch.setattr(network, "SentimentNet", Net)
         argv = ["train-clf", str(labeled_corpus), str(tmp_path / "m"), "--embeddings", "v"]
         assert main(argv) == 0
-        assert built == [ModelConfig(embed_dim=7, seed=0)]
+        assert built == [ModelConfig(embed_dim=7, seed=0),
+                         {name: defaults[name].default for name in ("epochs", "val_split")}]
 
     def test_label(self, clean_corpus, tmp_path, monkeypatch, capsys):
         load, seen = lexicon.load_lexicon, []
@@ -548,7 +551,10 @@ class TestTrainingCommands:
             "--dense", 8, 4, "--val-split", 0.2, "--max-tokens", 12,
         )
         assert result.returncode == 0
-        assert json.loads(result.stdout)["examples"] > 0
+        summary = json.loads(result.stdout)
+        assert summary["examples"] > 0
+        assert len(summary["val_loss"]) == len(summary["val_accuracy"]) == 1
+        assert 0.0 <= summary["val_accuracy"][0] <= 1.0
 
         predictions = tmp_path / "pred.jsonl"
         result = run_cli("predict", clean_corpus, predictions, "--model", model)
@@ -1010,10 +1016,9 @@ class TestAtomicOutputs:
         assert f"error: {vectors}: line 3: expected 1000000000000 vector lines" in err
 
 
-# SHA-256 of the checkpoint below as written by the version whose backward
-# pass still built the dense embedding gradient when the embedding is frozen
-# (numpy 64-bit float arithmetic on x86-64 with OpenBLAS).
-FROZEN_CHECKPOINT_SHA256 = "0e0c4194e9bfeb014bba716108d5dad7b4d2d7bf494bcb5205a99a59c5d231fd"
+# SHA-256 of the checkpoint below, trained in float32 through the forward that
+# inference runs (numpy on x86-64 with OpenBLAS).
+FROZEN_CHECKPOINT_SHA256 = "a027b4d79fecf361b1389a4738c6fa9f703ebce80e6b1343ec815aaea9d3d27f"
 
 
 def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
@@ -1035,8 +1040,8 @@ def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
 
 
 # SHA-256 of the --fine-tune checkpoint below, with the same arithmetic caveat
-# as FROZEN_CHECKPOINT_SHA256 (numpy 64-bit floats on x86-64 with OpenBLAS).
-FINE_TUNE_CHECKPOINT_SHA256 = "fb2e5af86ad10d1a3204fe26dcc487502d54a1bb1667cf686dcf419252cedf90"
+# as FROZEN_CHECKPOINT_SHA256 (numpy on x86-64 with OpenBLAS).
+FINE_TUNE_CHECKPOINT_SHA256 = "46a2309d9914385a79ee060fcc3d804e433fe320564eab1fcf36d6bcc4cb95a5"
 
 
 def test_fine_tune_checkpoint_unchanged(labeled_corpus, tmp_path):

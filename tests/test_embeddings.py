@@ -736,6 +736,55 @@ class TestPersistence:
                                match=f"^{path}: line 3: component 2 is not finite: "):
                 load_embeddings(path)
 
+    # tokens that float() and numpy's own parser read differently, beside
+    # texts of save_embeddings' layout that fall just outside what it writes
+    @pytest.mark.parametrize("token", [
+        "1_0", "0x1p3", "1e400", "nan", "infinity", "\u22121", "\u0661.5", "1.00000000e+00\t",
+        "\t1.5", "", "1.00000000e+00 ", "1.00000000E+00", "+1.00000000e+00", "1.0000000e+00",
+        "1.00000000e+3", "1.00000000e+030", "1.00000000e-15", "1.00000000e+31", "--1.00000000e+00",
+        "1.00000000e+0-", "1.00000000x+00", "1,00000000e+00", "-0.00000000e+00", "9.99999999e+29",
+    ])
+    def test_loader_accepts_what_float_accepts(self, tmp_path, token):
+        path = tmp_path / "vectors.txt"
+        lines = ["w0 5.00000000e-01 -2.50000000e-01", f"w1 -1.00000000e+00 {token}"]
+        path.write_text(f"2 2\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        parts = lines[1].split(" ")
+        if len(parts) != 3:
+            with pytest.raises(EmbeddingFormatError, match="^.*: line 3: expected 2 components"):
+                load_embeddings(path)
+            return
+        try:
+            value = float(token)
+        except ValueError:
+            with pytest.raises(EmbeddingFormatError, match="^.*: line 3: could not convert"):
+                load_embeddings(path)
+            return
+        if not math.isfinite(value):
+            with pytest.raises(EmbeddingFormatError,
+                               match="^.*: line 3: component 2 is not finite"):
+                load_embeddings(path)
+            return
+        expected = np.array([[0.5, -0.25], [-1.0, value]])
+        assert load_embeddings(path).vectors.tobytes() == expected.tobytes()
+
+    def test_written_values_are_parsed_in_bulk_as_float_reads_them(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = 10.0 ** rng.uniform(-14, 30, size=(300, 9))
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        values[0, :4] = [0.0, -0.0, 1e-14, 9.999999996e29]
+        path = tmp_path / "vectors.txt"
+        text, words = _save_bytes(values, path)
+        read, modes = embeddings._read_vectors, []
+        monkeypatch.setattr(embeddings, "_read_vectors",
+                            lambda path, bulk: modes.append(bulk) or read(path, bulk))
+        monkeypatch.setattr(embeddings, "SAVE_BLOCK_VALUES", 7 * 9)  # 42 blocks, 6 rows over
+        back = load_embeddings(path)
+        assert modes == [True]
+        expected = [[float(v) for v in line.split(" ")[1:]]
+                    for line in text.decode().splitlines()[1:]]
+        assert back.vocab.id_to_token == words
+        assert back.vectors.tobytes() == np.array(expected).tobytes()
+
 
 def _expected_text(words, values) -> bytes:
     """The file as a per-value f"{v:.8e}" writer makes it."""

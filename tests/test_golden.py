@@ -8,7 +8,7 @@ and of each command's stdout and stderr, and each command's exit code.
 entry that moved.
 
 Float outputs carry the same caveat as the pinned checkpoint hashes in
-test_cli.py: numpy 64-bit float arithmetic on x86-64 with OpenBLAS. A
+test_cli.py: numpy float arithmetic on x86-64 with OpenBLAS. A
 change that moves an output on purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -53,8 +53,11 @@ def toy_config(**overrides):
     return ModelConfig(**base)
 
 
-def toy_model(**overrides):
-    return SentimentNet(toy_config(**overrides), make_embeddings())
+def toy_model(dtype=np.float64, **overrides):
+    """A toy network, float64 unless `dtype` says otherwise: the exact
+    identities and finite differences below need double precision, and the
+    float64 network runs the same code as the float32 one that trains."""
+    return SentimentNet(toy_config(**overrides), make_embeddings(), dtype=dtype)
 
 
 def toy_batch(model, rows=4, seed=0, max_len=11):
@@ -300,6 +303,33 @@ class TestConstruction:
 # ----- forward --------------------------------------------------------------
 
 
+def check_layer_dtypes(monkeypatch, model, dtype):
+    """Every layer of an inference and of a training forward, the gradient and
+    the Adam state of `model` are `dtype`; the logits are float64."""
+    seen = []
+    check = network._check_finite
+
+    def spy(x, where):
+        seen.append((where, x.dtype))
+        check(x, where)
+
+    monkeypatch.setattr(network, "_check_finite", spy)
+    batch, _, _ = toy_batch(model, rows=3)
+    want, f64 = np.dtype(dtype), np.dtype(np.float64)
+    layers = [("conv0", want), ("conv1", want), ("conv2", want), ("bilstm", want),
+              ("output", f64)]
+    model.forward(batch, infer=True)
+    assert seen == layers
+    seen.clear()
+    _, cache = model.forward(batch, rng=np.random.default_rng(0))
+    assert seen == layers
+    grads = model.backward(cache, batch.labels)
+    assert {g.dtype for g in grads.values()} == {want}
+    model.adam_step()
+    assert {a.dtype for a in (model.flat, model.grad, model.adam_m, model.adam_v,
+                              *model._adam_scratch)} == {want}
+
+
 class TestForward:
     def test_softmax_rows_sum_to_one(self):
         model = toy_model()
@@ -328,7 +358,7 @@ class TestForward:
 
     @pytest.mark.parametrize("case", ["toy", *sorted(SHAPE_CASES)])
     def test_inference_matches_scalar_reference(self, case):
-        model = toy_model(**SHAPE_CASES.get(case, {}))
+        model = toy_model(np.float32, **SHAPE_CASES.get(case, {}))
         randomize_params(model, seed=3)
         batch, _, _ = toy_batch(model, rows=4, seed=0, max_len=model.config.max_tokens + 2)
         probs, cache = model.forward(batch, infer=True)
@@ -340,24 +370,27 @@ class TestForward:
         assert probs.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_inference_computes_in_float32(self, monkeypatch):
-        # one float64 temporary would promote every later layer to float64
-        seen = []
-        check = network._check_finite
+        # training too, and by default; one float64 temporary would promote
+        # every later layer to float64
+        config = toy_config(dropout_lstm=0.5, dropout_dense=0.5)
+        check_layer_dtypes(monkeypatch, SentimentNet(config, make_embeddings()), np.float32)
 
-        def spy(x, where):
-            seen.append((where, x.dtype))
-            check(x, where)
+    def test_float64_network_stays_float64(self, monkeypatch):
+        # so the gradient checks test the code that trains
+        model = toy_model(np.float64, dropout_lstm=0.5, dropout_dense=0.5)
+        check_layer_dtypes(monkeypatch, model, np.float64)
 
-        monkeypatch.setattr(network, "_check_finite", spy)
-        model = toy_model()
-        batch, _, _ = toy_batch(model, rows=3)
-        model.forward(batch, infer=True)
-        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
-        assert seen == [("conv0", f32), ("conv1", f32), ("conv2", f32), ("bilstm", f32),
-                        ("output", f64)]
-        seen.clear()
-        model.forward(batch)
-        assert {dtype for _, dtype in seen} == {f64}
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_equals_forward_without_rng(self, dtype):
+        # dropout is configured, but a forward without rng draws none
+        model = toy_model(dtype, dropout_lstm=0.5, dropout_dense=0.5)
+        randomize_params(model, seed=3)
+        batch, _, _ = toy_batch(model, rows=5, seed=2)
+        inferred, cache = model.forward(batch, infer=True)
+        assert cache is None
+        trained, cache = model.forward(batch)
+        assert cache is not None
+        assert inferred.tobytes() == trained.tobytes()
 
     def test_padding_does_not_change_output(self):
         # same tokens, different amount of right padding -> same probabilities
@@ -638,29 +671,29 @@ def random_dataset(n, seed, max_len=30):
              k % 5) for k in range(n)]
 
 
-# SHA-256 of the float64 bytes of `flat`, `adam_m`, `adam_v` and the predict_many
-# probabilities (a float32 forward, then a float64 softmax and means) after the
-# seeded runs below (numpy on x86-64 with OpenBLAS, the same caveat as the
-# checkpoint pins in test_cli.py). A checkpoint stores float32, so it can hide
-# last-bit drift that these cannot.
+# SHA-256 of the bytes of the float32 `flat`, `adam_m` and `adam_v` and of the
+# float64 predict_many probabilities after the seeded float32 training runs below
+# (numpy on x86-64 with OpenBLAS, the same caveat as the checkpoint pins in
+# test_cli.py). A checkpoint holds only `flat`, so it can hide drift in the Adam
+# moments that these cannot.
 TRAINED_STATE_SHA256 = {
     "fine_tune": {
-        "flat": "454eab898967b459d47e6c92c38b4357869d9759e7e14c72eb1350c90e40d1c8",
-        "adam_m": "d09260bcb6234342a4fb8dfca80f70028e7b78379aa85610d0f4d7f3db13cd8f",
-        "adam_v": "5b7d2a0f78497c0730ef422827e1ab06840d865ab052247498acc8f67a7047f6",
-        "probs": "c69d1032b7253d6c5d3650713b0fa3da64337d2036d1052f4a5ba5a3230fc9f5",
+        "flat": "f82ab3bafe92c788300a2ffc74a70d6de26bbfc6361ce1a785d52907c25c5718",
+        "adam_m": "26e0fa80156ca1af0d728e0c1b89b8f915f8871fc317cf6646934a6a84eab96c",
+        "adam_v": "5b91c88bdc49a4e4cf88b05bae58a4230c57d9a75f3ab1d24cc3b1d8b8147d2d",
+        "probs": "6df36ffb714e8232be41838f2543ff05f24cf501105611d74b4c389400809a2f",
     },
     "frozen": {
-        "flat": "f1a6300f9d86d27da45a08f5438f37a747683ceab5cc323f19bd2a35376c7377",
-        "adam_m": "9e40625795a6b3fdfb4385f4cdfd8fc0fb4798562c77b8b1e2c2a4fb4256a9bc",
-        "adam_v": "ec5a4f0077e7b30524bcc18032bb59f50ce2ae5409b3c4468aec06999874496b",
-        "probs": "76edc1a1578554cd2c37dbdf9512170642d508c4891391779522fab81e1fb403",
+        "flat": "da9105458418dd20bd05798326c6a3482bc17406bb44cb002c767e94d51b19a9",
+        "adam_m": "b9c44110385b1a48cdcd420612984546508bd1cd0c546b0b2e4167e94ec2b101",
+        "adam_v": "f56788243b6a2b3ad640b748d7c8f08b403e4b41f5dd6cd4b355ace87742ba42",
+        "probs": "5709c486a6c283418c29d5d3967c279d8b7bc438aca7fbcdcf630b53a628d0c0",
     },
     "odd_shapes": {
-        "flat": "814fd216d80bc465e5e3c6eaf93a861a666833cd94fb1b09ea5be408ca67891b",
-        "adam_m": "463f5bc11461290c57fc8023432beb9f7d31c89f74039bf0166e9ece94caa864",
-        "adam_v": "82a224c62089a99a6e6304d97e6bd8f232fa403462ff36970c496709755d195f",
-        "probs": "c20c3df40166def093267d73ceb8e6c98e52b13c4afd4b5c79639e232db8b61e",
+        "flat": "92df7037e8ce72419cb105cb402bb28187eec839307f03490f3499ae512290a5",
+        "adam_m": "5b3c8d737ebbb037f1a28e925e0786df5919f039e210fb1fb2689e0d6b16810f",
+        "adam_v": "ab96705df135c241ceafa3e1ed21ecdaeaa70fae47905bd32024a070d1a3ee64",
+        "probs": "646e181dbdda2604f0f6399340df67c9afe34d6a1b823d18f8ac244fb467e703",
     },
 }
 PIN_CASES = {
@@ -672,13 +705,12 @@ PIN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PIN_CASES))
-def test_trained_float64_state_pinned(case):
-    model = toy_model(dropout_lstm=0.5, dropout_dense=0.5, batch_size=4,
+def test_trained_state_pinned(case):
+    model = toy_model(np.float32, dropout_lstm=0.5, dropout_dense=0.5, batch_size=4,
                       learning_rate=1e-2, **PIN_CASES[case])
     report = model.train(random_dataset(60, seed=11), epochs=3, val_split=0.2)
     _, probs = model.predict_many([toks for toks, _ in random_dataset(20, seed=12)])
-    digests = {name: hashlib.sha256(np.ascontiguousarray(value, dtype=np.float64)
-                                    .tobytes()).hexdigest()
+    digests = {name: hashlib.sha256(value.tobytes()).hexdigest()
                for name, value in (("flat", model.flat), ("adam_m", model.adam_m),
                                    ("adam_v", model.adam_v), ("probs", probs))}
     assert report.best_epoch >= 0
@@ -819,13 +851,14 @@ class TestPredictMany:
         assert labels.shape == (0,) and means.shape == (0, 5)
 
 
-def float64_predict_many(model, token_lists):
-    """predict_many through the float64 training forward instead of inference."""
-    model.forward = lambda batch, rng=None, infer=False: SentimentNet.forward(model, batch)
-    try:
-        return model.predict_many(token_lists)
-    finally:
-        del model.forward
+def float64_copy(model):
+    """A float64-built network holding `model`'s parameters."""
+    embedding = model.params["embedding"][2:]
+    vocab = Vocabulary.from_tokens(model.id_to_token)
+    copy64 = SentimentNet(model.config, EmbeddingMatrix(embedding.shape[1], vocab, embedding),
+                          dtype=np.float64)
+    copy64.flat[...] = model.flat
+    return copy64
 
 
 def _clean_tokens(raws):
@@ -845,8 +878,9 @@ AGREEMENT_CORPORA = {
 
 
 class TestFloat32Inference:
-    """Inference runs in float32 and the softmax and chunk means in float64; it
-    agrees with the float64 training forward at the default ModelConfig."""
+    """A network trains and infers in float32 and computes the softmax and chunk
+    means in float64; at the default ModelConfig it agrees with a float64-built
+    network holding the same parameters."""
 
     @pytest.fixture(scope="class", params=["frozen", "fine_tune"])
     def trained(self, request):
@@ -865,8 +899,8 @@ class TestFloat32Inference:
     def test_agrees_with_float64_forward(self, trained, corpus):
         token_lists = AGREEMENT_CORPORA[corpus]()
         labels, means = trained.predict_many(token_lists)
-        labels64, means64 = float64_predict_many(trained, token_lists)
-        # the largest difference measured over these cases was 1.7e-8
+        labels64, means64 = float64_copy(trained).predict_many(token_lists)
+        # the largest difference measured over these cases was 2.1e-8
         assert np.abs(means - means64).max() <= 1e-6
         assert (labels == labels64).all()
         assert np.abs(means.sum(axis=1) - 1.0).max() <= 1e-12

@@ -194,7 +194,7 @@ def cmd_detect(args) -> int:
 
 def cmd_make_fixture(args) -> int:
     if args.kind == "synthetic":
-        count = 500 if args.comments is None else args.comments
+        count = fixtures.SYNTHETIC_COMMENTS if args.comments is None else args.comments
         records = fixtures.synthetic_comments(count, seed=args.seed)
     elif args.comments is not None:
         raise ValueError("--comments applies only to --kind synthetic")
@@ -286,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="flag flaming posts in a labeled corpus")
     p.add_argument("input")
     p.add_argument("output_dir")
-    p.add_argument("--z-threshold", type=float, default=5.0)
-    p.add_argument("--share-threshold", type=float, default=0.20)
-    p.add_argument("--window-hours", type=float, default=3.0)
+    p.add_argument("--z-threshold", type=float, default=flaming.Z_THRESHOLD)
+    p.add_argument("--share-threshold", type=float, default=flaming.SHARE_THRESHOLD)
+    p.add_argument("--window-hours", type=float, default=flaming.WINDOW_HOURS)
     p.add_argument("--width", choices=("day", "hour"), default="day")
     p.add_argument("--sample-std", action="store_true")
     p.add_argument("--include-negative", action="store_true",
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-fixture", help="write a synthetic corpus")
     p.add_argument("output")
     p.add_argument("--kind", choices=("synthetic", "flaming"), default="synthetic")
-    p.add_argument("--comments", type=int, help="synthetic comments (default 500)")
+    p.add_argument("--comments", type=int,
+                   help=f"synthetic comments (default {fixtures.SYNTHETIC_COMMENTS})")
     p.set_defaults(func=cmd_make_fixture)
 
     return parser

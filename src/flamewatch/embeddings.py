@@ -23,7 +23,7 @@ longest sentence less one, so a window wider than every sentence costs
 nothing more. Within that, a step's pairs still grow with the window times
 the lengths of its sentences: three 3000-token comments at window 2000 ask
 for a (758592, dim) array in one step. Bounding a step's pairs is ROADMAP
-item 4.
+item 6.
 
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 (PCG64) draws, in this order: the input vectors (uniform in +-0.5/dim,
@@ -61,7 +61,7 @@ ten and looks the digits up in tables. It vouches only for zero and for
 finite values with 1e-14 <= |v| < 1e30 whose scaled value is not within
 1e-6 of a rounding tie; a row holding any other value is formatted by
 Python's "%.8e" instead. Reading a file back refuses a value that is not
-finite.
+finite and a repeated word.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -671,31 +672,12 @@ class EmbeddingFormatError(ValueError):
 def load_embeddings(path) -> EmbeddingMatrix:
     """The vectors of a text file written by `save_embeddings`, with no
     subword table: an out-of-vocabulary word looks up as a zero vector.
-    A malformed file, or one holding a value that is not finite (nan, inf),
-    raises EmbeddingFormatError "<path>: line N: ...", and a line that is
-    not UTF-8 a ValueError of the same form.
-
-    The values are parsed in bulk (`_parse_written`) when each is written as
-    `save_embeddings` writes it. Any other file, well formed or not, is read
-    again value by value with float(), which names the first bad line; so
-    both ways accept the same files and read the same values."""
-    try:
-        words, vectors = _read_vectors(path, bulk=True)
-    except ValueError:
-        words, vectors = _read_vectors(path, bulk=False)
-    finite = np.isfinite(vectors)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise EmbeddingFormatError(f"{path}: line {int(row) + 2}: component {col + 1} "
-                                   f"is not finite: {vectors[row, col]}")
-    return EmbeddingMatrix(dim=vectors.shape[1], vocab=Vocabulary.from_tokens(words),
-                           vectors=vectors)
-
-
-def _read_vectors(path, bulk: bool) -> tuple[list[str], np.ndarray]:
-    """The words and (count, dim) values of a vectors file. With `bulk`, each
-    block of lines goes to `_parse_written`, which raises ValueError on text
-    it cannot vouch for; without, each value goes to float()."""
+    A malformed file, one that repeats a word, or one holding a value that
+    is not finite (nan, inf) raises EmbeddingFormatError "<path>: line N:
+    ...", and a line that is not UTF-8 a ValueError of the same form. The
+    file is read once, in blocks of about `SAVE_BLOCK_VALUES` values
+    (`_parse_lines`). The first bad line is the one named, save that a line
+    that is not UTF-8 is named as its block is read, before it is parsed."""
     lines = read_lines(path)
 
     def bad(lineno: int, detail) -> EmbeddingFormatError:
@@ -711,35 +693,50 @@ def _read_vectors(path, bulk: bool) -> tuple[list[str], np.ndarray]:
     if count < 0 or dim < 1:
         raise bad(1, f"bad count {count} or dim {dim}")
     # values grow with the lines actually read, never from the header's count
-    words, texts, blocks = [], [], []
-    values = array("d")
-    block_rows = max(1, SAVE_BLOCK_VALUES // dim)
-    for lineno in range(2, count + 2):
-        line = next(lines, (lineno, None))[1]
-        if line is None:
-            raise bad(lineno, f"expected {count} vector lines, file ended")
-        if bulk:
-            word, _, text = line.rstrip("\n").partition(" ")
-            words.append(word)
-            texts.append(text)
-            if len(texts) == block_rows:
-                blocks.append(_parse_written(texts, dim))
-                texts = []
-            continue
-        parts = line.rstrip("\n").split(" ")
-        if len(parts) != dim + 1:
-            raise bad(lineno, f"expected {dim} components, got {len(parts) - 1}")
-        words.append(parts[0])
-        try:
-            values.extend(map(float, parts[1:]))
-        except ValueError as exc:
-            raise bad(lineno, exc) from exc
+    words, blocks = [], [np.empty((0, dim))]
+    body, block_rows = islice(lines, count), max(1, SAVE_BLOCK_VALUES // dim)
+    while block := [line.rstrip("\n").partition(" ") for _, line in islice(body, block_rows)]:
+        blocks.append(_parse_lines(block, words, dim, bad))
+    if len(words) < count:
+        raise bad(len(words) + 2, f"expected {count} vector lines, file ended")
     for lineno, line in lines:
         if line.strip():
             raise bad(lineno, "trailing data after body")
-    if bulk:
-        return words, np.concatenate([*blocks, _parse_written(texts, dim)])
-    return words, np.frombuffer(values, dtype=np.float64).reshape(count, dim)
+    vectors = np.concatenate(blocks)
+    if not np.isfinite(vectors).all():
+        row, col = np.argwhere(~np.isfinite(vectors))[0]
+        raise bad(int(row) + 2, f"component {col + 1} is not finite: {vectors[row, col]}")
+    vocab = Vocabulary.from_tokens(words)
+    if len(vocab.token_to_id) < len(words):
+        seen = {}
+        for lineno, word in enumerate(words, 2):
+            if seen.setdefault(word, lineno) != lineno:
+                raise bad(lineno, f"word {word!r} repeats line {seen[word]}")
+    return EmbeddingMatrix(dim=dim, vocab=vocab, vectors=vectors)
+
+
+def _parse_lines(lines: list[tuple], words: list[str], dim: int, bad) -> np.ndarray:
+    """The (len(lines), dim) values of the vectors lines that follow those of
+    `words`, each line given as its partition(" "); appends their words to
+    `words`. `_parse_written` parses a block written as `save_embeddings`
+    writes one, and float() any other, line by line; `bad(lineno, detail)`
+    makes the error for a bad line."""
+    first = len(words) + 2  # the first line's number, after the header
+    words += [word for word, _, _ in lines]
+    try:
+        return _parse_written([text for _, _, text in lines], dim)
+    except ValueError:
+        pass
+    values = array("d")
+    for lineno, (_, space, text) in enumerate(lines, first):
+        parts = text.split(" ") if space else []
+        if len(parts) != dim:
+            raise bad(lineno, f"expected {dim} components, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise bad(lineno, exc) from exc
+    return np.frombuffer(values, dtype=np.float64).reshape(len(lines), dim)
 
 
 def _parse_written(texts: list[str], dim: int) -> np.ndarray:
@@ -749,8 +746,6 @@ def _parse_written(texts: list[str], dim: int) -> np.ndarray:
     an exponent e in [-14, 30]. Its nine digits n then give the value as
     n * 10**(e - 8): one product or quotient of exact doubles, rounded once,
     as float() reads the text. Any other text raises ValueError."""
-    if not texts:
-        return np.empty((0, dim))
     raw = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
     seps = np.flatnonzero((raw == ord(" ")) | (raw == ord("\n")))
     width = np.diff(seps)  # each value's length plus one

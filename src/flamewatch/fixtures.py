@@ -63,6 +63,8 @@ POOLS = [
 ]
 
 _EPOCH = datetime(2018, 2, 1, tzinfo=timezone.utc)
+# Comments `synthetic_comments` (and `make-fixture --kind synthetic`) writes by default
+SYNTHETIC_COMMENTS = 500
 
 
 def _record(post_id: str, comment_id: str, minutes: float, message: str) -> dict:
@@ -72,7 +74,7 @@ def _record(post_id: str, comment_id: str, minutes: float, message: str) -> dict
 
 
 def synthetic_comments(
-    n_comments: int = 500, n_posts: int = 20, seed: int = 7
+    n_comments: int = SYNTHETIC_COMMENTS, n_posts: int = 20, seed: int = 7
 ) -> list[dict]:
     """Mixed-class corpus: one JSONL-ready dict per comment."""
     rng = np.random.default_rng(seed)

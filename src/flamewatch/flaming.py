@@ -88,6 +88,12 @@ _BUCKET_STEPS = {"day": timedelta(days=1), "hour": timedelta(hours=1)}
 # days. Filling 2**18 hourly buckets peaks near 60 MiB (tracemalloc), where one
 # stray comment dated in year 1 could ask for millions of empty buckets.
 MAX_BUCKETS = 2 ** 18
+# What `detect` flags by default: a z-score above Z_THRESHOLD; its event says
+# whether the Very-Negative share is above SHARE_THRESHOLD and gives the densest
+# WINDOW_HOURS window of the post's Very-Negative times (`burst_profile`)
+Z_THRESHOLD = 5.0
+SHARE_THRESHOLD = 0.20
+WINDOW_HOURS = 3.0
 
 
 def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBucket]:
@@ -162,7 +168,7 @@ def largest_z(n: int, sample_std: bool = False) -> float:
 
 
 def burst_profile(
-    vn_times: list[datetime], window_hours: float = 3.0
+    vn_times: list[datetime], window_hours: float = WINDOW_HOURS
 ) -> BurstWindow:
     """Window of the given width holding the most Very-Negative comments.
 
@@ -200,9 +206,9 @@ def burst_profile(
 def detect(
     stats: list[PostStats],
     zs: ZScoreStats,
-    z_threshold: float = 5.0,
-    share_threshold: float = 0.20,
-    window_hours: float = 3.0,
+    z_threshold: float = Z_THRESHOLD,
+    share_threshold: float = SHARE_THRESHOLD,
+    window_hours: float = WINDOW_HOURS,
 ) -> list[FlamingEvent]:
     """Posts whose z-score in `zs` exceeds the threshold, z-descending, each
     with the densest burst of its Very-Negative times."""

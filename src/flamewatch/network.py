@@ -47,6 +47,9 @@ float32 training state.
 Inference cuts every comment into chunks of at most max_tokens tokens and
 packs the chunks of many comments, in order, into forwards of at most
 PREDICT_ROWS rows; a comment's probability vector is the mean of its chunks'.
+`make_batch` and inference map tokens to ids through one encoder, `_encode`.
+`load` checks every part of a checkpoint, then fills a model that `_allocate`
+made for the stored config and vocabulary, drawing nothing.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic_write
-from .embeddings import EmbeddingMatrix, Vocabulary
+from .embeddings import EmbeddingMatrix
 from .lexicon import SentimentLabel
 from .metrics import ConfusionMatrix, confusion
 
@@ -256,6 +259,14 @@ def _check_size(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None
                          f"{shapes[largest]}, is sized by {field}")
 
 
+def _pad_rows(ids, begin, lengths, t: int) -> np.ndarray:
+    """Rows of width t, row i holding ids[begin[i]:][:lengths[i]] and then PAD_ID."""
+    used = np.arange(t) < lengths[:, None]
+    rows = np.full(used.shape, PAD_ID, dtype=np.int64)
+    rows[used] = ids[(begin[:, None] + np.arange(t))[used]]
+    return rows
+
+
 class SentimentNet:
     """Parameter container plus forward/backward/update for the classifier."""
 
@@ -265,17 +276,8 @@ class SentimentNet:
             raise ValueError(
                 f"embedding dim {embeddings.dim} != config.embed_dim {config.embed_dim}"
             )
-        self.config = config
-        self.token_to_id = {
-            tok: i + 2 for i, tok in enumerate(embeddings.vocab.id_to_token)
-        }
-        self.id_to_token = list(embeddings.vocab.id_to_token)
+        self._allocate(config, embeddings.vocab.id_to_token, dtype)
         rng = np.random.default_rng(config.seed)
-        shapes = param_shapes(config, len(self.id_to_token))
-        _check_size(config, shapes)
-        layout = _layout(shapes)
-        self.flat, views = _flat(layout, dtype)
-        self.params = {name: views[name] for name in shapes}  # in the draw order
         for name, p in self.params.items():
             if name == "embedding":  # rows 0/1 are pad and OOV, kept at zero init
                 p[2:] = embeddings.vectors
@@ -285,6 +287,16 @@ class SentimentNet:
                 bound = 1.0 / np.sqrt(fan_in)
                 p[...] = rng.uniform(-bound, bound, size=p.shape)
 
+    def _allocate(self, config: ModelConfig, id_to_token: list[str], dtype) -> None:
+        """Token ids (token i is id i + 2) and zeroed parameters, gradient and Adam state."""
+        self.config = config
+        self.id_to_token = list(id_to_token)
+        self.token_to_id = {tok: i + 2 for i, tok in enumerate(self.id_to_token)}
+        shapes = param_shapes(config, len(self.id_to_token))
+        _check_size(config, shapes)
+        layout = _layout(shapes)
+        self.flat, views = _flat(layout, dtype)
+        self.params = {name: views[name] for name in shapes}  # in the draw order
         if not config.fine_tune_embeddings:
             del layout["embedding"]
         self.grad, self._grads = _flat(layout, dtype)
@@ -298,24 +310,23 @@ class SentimentNet:
     def num_parameters(self) -> int:
         return self.flat.size
 
-    def encode_tokens(self, tokens: list[str]) -> list[int]:
-        return [self.token_to_id.get(t, OOV_ID) for t in tokens]
+    def _encode(self, token_lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every token's id, comment after comment, and where each comment's
+        ids begin and how many it has. An empty comment is refused."""
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+        if not lengths.all():
+            raise ValueError(f"comment {lengths.argmin()}: empty token list")
+        get = self.token_to_id.get
+        ids = np.fromiter((get(tok, OOV_ID) for tokens in token_lists for tok in tokens),
+                          dtype=np.int64, count=int(lengths.sum()))
+        return ids, np.cumsum(lengths) - lengths, lengths
 
     def make_batch(self, token_lists, labels=None) -> Batch:
+        """The first max_tokens tokens of each comment, one row each."""
         t = self.config.max_tokens
-        ids = np.full((len(token_lists), t), PAD_ID, dtype=np.int64)
-        lengths = np.zeros(len(token_lists), dtype=np.int64)
-        for i, toks in enumerate(token_lists):
-            if not toks:
-                raise ValueError(f"row {i}: empty token list")
-            enc = self.encode_tokens(toks)[:t]
-            ids[i, : len(enc)] = enc
-            lengths[i] = len(enc)
-        one_hot = None
-        if labels is not None:
-            one_hot = np.zeros((len(token_lists), CLASSES))
-            one_hot[np.arange(len(token_lists)), np.asarray(labels, dtype=int)] = 1.0
-        return Batch(ids=ids, lengths=lengths, labels=one_hot)
+        ids, begin, lengths = self._encode([tokens[:t] for tokens in token_lists])
+        one_hot = None if labels is None else np.eye(CLASSES)[np.asarray(labels, dtype=int)]
+        return Batch(ids=_pad_rows(ids, begin, lengths, t), lengths=lengths, labels=one_hot)
 
     # ----- forward ---------------------------------------------------------
 
@@ -660,26 +671,17 @@ class SentimentNet:
         ties go to the lower class code.
         """
         t = self.config.max_tokens
-        lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
-        empty = np.flatnonzero(lengths == 0)
-        if empty.size:
-            raise ValueError(f"comment {empty[0]}: empty token list")
-        get = self.token_to_id.get
-        ids = np.fromiter((get(tok, OOV_ID) for tokens in token_lists for tok in tokens),
-                          dtype=np.int64, count=int(lengths.sum()))
+        ids, begin, lengths = self._encode(token_lists)
         # chunk k of comment i holds ids[begin[i] + k*t:][:t]
         per_comment = -(-lengths // t)
         owner = np.repeat(np.arange(len(token_lists)), per_comment)
         rank = np.arange(owner.size) - (np.cumsum(per_comment) - per_comment)[owner]
-        begin = np.cumsum(lengths) - lengths
         chunk_begin = begin[owner] + rank * t
         chunk_len = np.minimum(t, lengths[owner] - rank * t)
         sums = np.zeros((len(token_lists), CLASSES))
         for start in range(0, owner.size, PREDICT_ROWS):
             rows = slice(start, start + PREDICT_ROWS)
-            used = np.arange(t) < chunk_len[rows, None]
-            batch_ids = np.full(used.shape, PAD_ID, dtype=np.int64)
-            batch_ids[used] = ids[(chunk_begin[rows, None] + np.arange(t))[used]]
+            batch_ids = _pad_rows(ids, chunk_begin[rows], chunk_len[rows], t)
             probs, _ = self.forward(Batch(ids=batch_ids, lengths=chunk_len[rows]), infer=True)
             np.add.at(sums, owner[rows], probs)
         means = sums / np.bincount(owner, minlength=len(token_lists))[:, None]
@@ -761,8 +763,11 @@ class SentimentNet:
                 raise ValueError(f"conv_layers {conv!r} must be {CONV_LAYERS} equal pairs")
             stored_config["filters"], stored_config["kernel"] = conv[0]
             config = ModelConfig(**stored_config)
-            vocab = Vocabulary.from_tokens(meta["id_to_token"])
-            shapes = param_shapes(config, len(vocab))
+            tokens = meta["id_to_token"]
+            if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+                    and len(set(tokens)) == len(tokens)):
+                raise ValueError("id_to_token must be a list of distinct strings")
+            shapes = param_shapes(config, len(tokens))
             stored = meta["tensors"]
         except KeyError as exc:
             raise ValueError(f"metadata: missing {exc}") from None
@@ -783,8 +788,8 @@ class SentimentNet:
         for name, data in tensors.items():
             if not np.isfinite(data).all():
                 raise ValueError(f"tensor {name} holds a value that is not finite")
-        embedding = EmbeddingMatrix(config.embed_dim, vocab, tensors["embedding"][2:])
-        model = cls(config, embedding)
+        model = cls.__new__(cls)
+        model._allocate(config, tokens, np.float32)
         for name, data in tensors.items():
             model.params[name][...] = data
         return model

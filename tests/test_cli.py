@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from flamewatch import (data_path, embeddings, flaming, lexicon, metrics, network,
+from flamewatch import (data_path, embeddings, fixtures, flaming, lexicon, metrics, network,
                         preprocess)
 from flamewatch.cli import build_parser, main
 from flamewatch.embeddings import EmbedConfig, EmbeddingMatrix, SubwordConfig, Vocabulary
@@ -522,6 +522,29 @@ class TestDefaultsAreTheLibrarys:
         assert main(["label", str(clean_corpus), str(tmp_path / "labeled.jsonl")]) == 0
         assert seen == [lexicon.Lexicon.max_n]
         assert inspect.signature(load).parameters["max_n"].default == lexicon.Lexicon.max_n
+
+    def test_detect(self, labeled_corpus, tmp_path, monkeypatch, capsys):
+        detect, passed = flaming.detect, []
+
+        def spy(stats, zs, *thresholds):
+            passed.append(thresholds)
+            return detect(stats, zs, *thresholds)
+
+        monkeypatch.setattr(flaming, "detect", spy)
+        assert main(["detect", str(labeled_corpus), str(tmp_path / "report")]) == 0
+        defaults = inspect.signature(detect).parameters
+        names = ("z_threshold", "share_threshold", "window_hours")
+        assert passed == [tuple(defaults[name].default for name in names)]
+        burst = inspect.signature(flaming.burst_profile).parameters["window_hours"]
+        assert burst.default == defaults["window_hours"].default
+
+    def test_make_fixture(self, tmp_path, monkeypatch, capsys):
+        counts = []
+        monkeypatch.setattr(fixtures, "synthetic_comments",
+                            lambda n_comments, seed: counts.append(n_comments) or [])
+        assert main(["make-fixture", str(tmp_path / "raw.jsonl")]) == 0
+        default = inspect.signature(synthetic_comments).parameters["n_comments"].default
+        assert counts == [default]
 
 
 def test_make_fixture_comments_with_flaming_exit_2(tmp_path, capsys):

@@ -774,16 +774,66 @@ class TestPersistence:
         values[0, :4] = [0.0, -0.0, 1e-14, 9.999999996e29]
         path = tmp_path / "vectors.txt"
         text, words = _save_bytes(values, path)
-        read, modes = embeddings._read_vectors, []
-        monkeypatch.setattr(embeddings, "_read_vectors",
-                            lambda path, bulk: modes.append(bulk) or read(path, bulk))
+        parse, blocks = embeddings._parse_written, []
+        monkeypatch.setattr(embeddings, "_parse_written",
+                            lambda texts, dim: blocks.append(len(texts)) or parse(texts, dim))
         monkeypatch.setattr(embeddings, "SAVE_BLOCK_VALUES", 7 * 9)  # 42 blocks, 6 rows over
         back = load_embeddings(path)
-        assert modes == [True]
+        # every block went to the bulk parser, the last one short
+        assert blocks == [7] * 42 + [6]
         expected = [[float(v) for v in line.split(" ")[1:]]
                     for line in text.decode().splitlines()[1:]]
         assert back.vocab.id_to_token == words
         assert back.vectors.tobytes() == np.array(expected).tobytes()
+
+    @pytest.fixture
+    def written(self, tmp_path, monkeypatch):
+        """A written 10 x 2 file read in blocks of three rows, and its lines."""
+        monkeypatch.setattr(embeddings, "SAVE_BLOCK_VALUES", 3 * 2)
+        values = np.random.default_rng(8).standard_normal((10, 2))
+        text, _ = _save_bytes(values, tmp_path / "vectors.txt")
+        return tmp_path / "vectors.txt", text.decode().splitlines()
+
+    def test_foreign_value_in_last_block_read_by_float(self, written):
+        path, lines = written
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 0.1"  # %.8e would write 1.00000000e-01
+        path.write_text("\n".join(lines) + "\n")
+        expected = [[float(v) for v in line.split(" ")[1:]] for line in lines[1:]]
+        assert load_embeddings(path).vectors.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("lineno", [9, 11])
+    def test_bad_token_in_late_block_named_by_its_line(self, written, lineno):
+        path, lines = written
+        lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + " x1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=f"^.*: line {lineno}: could not convert string to float: 'x1'$"):
+            load_embeddings(path)
+
+    def test_first_bad_line_named_before_a_later_error(self, written):
+        # line 6 is bad inside the block that the end of the file (line 7) cuts short
+        path, lines = written
+        lines[5] = lines[5] + " 1.0"
+        path.write_text("\n".join(lines[:6]) + "\n")
+        with pytest.raises(EmbeddingFormatError, match="line 6: expected 2 components, got 3"):
+            load_embeddings(path)
+
+    def test_truncated_written_file_opened_once(self, written, monkeypatch):
+        path, lines = written
+        path.write_text("\n".join(lines[:8]) + "\n")
+        read, opened = embeddings.read_lines, []
+        monkeypatch.setattr(embeddings, "read_lines",
+                            lambda path: opened.append(path) or read(path))
+        with pytest.raises(EmbeddingFormatError, match="line 9: expected 10 vector lines"):
+            load_embeddings(path)
+        assert opened == [path]
+
+    def test_repeated_word_refused_naming_both_lines(self, written):
+        path, lines = written
+        lines[7] = "w2" + lines[7][2:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EmbeddingFormatError, match="^.*: line 8: word 'w2' repeats line 4$"):
+            load_embeddings(path)
 
 
 def _expected_text(words, values) -> bytes:

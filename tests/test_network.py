@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import re
 import struct
 import tracemalloc
@@ -291,13 +292,35 @@ class TestConstruction:
         assert np.shares_memory(model.params["embedding"], model.flat[model.grad.size:])
 
     def test_make_batch_rejects_empty_row(self):
+        # one message for training batches and for inference
         model = toy_model()
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError, match="^comment 1: empty token list$"):
             model.make_batch([["w0"], []])
+        with pytest.raises(ValueError, match="^comment 1: empty token list$"):
+            model.predict_many([["w0"], []])
 
     def test_unknown_token_maps_to_oov(self):
         model = toy_model()
-        assert model.encode_tokens(["w0", "zzz"]) == [2, OOV_ID]
+        batch = model.make_batch([["w0", "zzz"]])
+        assert batch.ids.tolist() == [[2, OOV_ID] + [PAD_ID] * 10]
+        assert batch.lengths.tolist() == [2]
+
+    def test_make_batch_rows_are_the_first_chunks_predict_sees(self):
+        model = toy_model()
+        rng = np.random.default_rng(3)
+        token_lists = [[TOKENS[int(i)] for i in rng.integers(0, len(TOKENS), size=n)]
+                       + ["zzz"] * int(n % 3 == 0) for n in (1, 5, 11, 12, 13, 30, 2)]
+        seen = []
+        forward = model.forward
+        model.forward = lambda batch, rng=None, infer=False: (
+            seen.append(batch) or forward(batch, rng, infer=infer))
+        model.predict_many(token_lists)
+        batch = model.make_batch(token_lists)
+        t = model.config.max_tokens
+        firsts = np.cumsum([0] + [-(-len(toks) // t) for toks in token_lists])[:-1]
+        assert (seen[0].ids[firsts] == batch.ids).all()
+        assert (seen[0].lengths[firsts] == batch.lengths).all()
+        assert batch.lengths.tolist() == [min(len(toks), t) for toks in token_lists]
 
 
 # ----- forward --------------------------------------------------------------
@@ -987,6 +1010,38 @@ class TestCheckpointReader:
         path.write_bytes(blob[:8] + struct.pack("<i", -1) + blob[12:])
         with pytest.raises(ValueError, match="metadata size -1 is negative"):
             SentimentNet.load(path)
+
+    @pytest.mark.parametrize("tokens", [
+        list(range(10)), ["w0"] * 10, ["w0"] + TOKENS[:9], "w0w1w2w3w4", {"w0": 0}, None,
+    ], ids=["ints", "one-string", "repeat", "string", "object", "null"])
+    def test_vocabulary_of_distinct_strings_required(self, tmp_path, blob, tokens):
+        (size,) = struct.unpack("<i", blob[8:12])
+        meta = json.loads(blob[12:12 + size])
+        meta["id_to_token"] = tokens
+        text = json.dumps(meta).encode("utf-8")
+        path = tmp_path / "vocab.ckpt"
+        path.write_bytes(blob[:8] + struct.pack("<i", len(text)) + text + blob[12 + size:])
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(path))}: metadata: "
+                                             "id_to_token must be a list of distinct strings$"):
+            SentimentNet.load(path)
+
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_load_draws_nothing(self, tmp_path, monkeypatch, fine_tune):
+        model = SentimentNet(toy_config(fine_tune_embeddings=fine_tune), make_embeddings())
+        randomize_params(model, seed=2)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew from a generator")
+
+        monkeypatch.setattr(network.np.random, "default_rng", no_draw)
+        loaded = SentimentNet.load(path)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert loaded.grad.size == model.grad.size
+        assert loaded.token_to_id == model.token_to_id
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_loaded_model_has_fresh_adam_state(self, tmp_path, blob):
         path = tmp_path / "model.ckpt"

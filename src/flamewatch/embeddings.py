@@ -74,7 +74,7 @@ from itertools import islice
 import numpy as np
 
 from . import atomic_write
-from .preprocess import read_lines
+from .preprocess import _bad_line, read_lines
 
 # Centers per SGD step; bounds the step's memory and how stale its reads get
 # on long sentences.
@@ -665,62 +665,53 @@ def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     atomic_write(path, write_text)
 
 
-class EmbeddingFormatError(ValueError):
-    pass
-
-
 def load_embeddings(path) -> EmbeddingMatrix:
     """The vectors of a text file written by `save_embeddings`, with no
     subword table: an out-of-vocabulary word looks up as a zero vector.
-    A malformed file, one that repeats a word, or one holding a value that
-    is not finite (nan, inf) raises EmbeddingFormatError "<path>: line N:
-    ...", and a line that is not UTF-8 a ValueError of the same form. The
-    file is read once, in blocks of about `SAVE_BLOCK_VALUES` values
-    (`_parse_lines`). The first bad line is the one named, save that a line
-    that is not UTF-8 is named as its block is read, before it is parsed."""
+    A malformed file, one that repeats a word, one holding a value that is
+    not finite (nan, inf), or one with a line that is not UTF-8 raises
+    ValueError "<path>: line N: ...". The file is read once, in blocks of
+    about `SAVE_BLOCK_VALUES` values (`_parse_lines`). The first bad line is
+    the one named, save that a line that is not UTF-8 is named as its block
+    is read, before it is parsed."""
     lines = read_lines(path)
-
-    def bad(lineno: int, detail) -> EmbeddingFormatError:
-        return EmbeddingFormatError(f"{path}: line {lineno}: {detail}")
-
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2:
-        raise bad(1, "header must be 'count dim'")
+        _bad_line(path, 1, "header must be 'count dim'")
     try:
         count, dim = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise bad(1, f"header must be 'count dim': {exc}") from exc
+        _bad_line(path, 1, f"header must be 'count dim': {exc}")
     if count < 0 or dim < 1:
-        raise bad(1, f"bad count {count} or dim {dim}")
+        _bad_line(path, 1, f"bad count {count} or dim {dim}")
     # values grow with the lines actually read, never from the header's count
     words, blocks = [], [np.empty((0, dim))]
     body, block_rows = islice(lines, count), max(1, SAVE_BLOCK_VALUES // dim)
     while block := [line.rstrip("\n").partition(" ") for _, line in islice(body, block_rows)]:
-        blocks.append(_parse_lines(block, words, dim, bad))
+        blocks.append(_parse_lines(block, words, dim, path))
     if len(words) < count:
-        raise bad(len(words) + 2, f"expected {count} vector lines, file ended")
+        _bad_line(path, len(words) + 2, f"expected {count} vector lines, file ended")
     for lineno, line in lines:
         if line.strip():
-            raise bad(lineno, "trailing data after body")
+            _bad_line(path, lineno, "trailing data after body")
     vectors = np.concatenate(blocks)
     if not np.isfinite(vectors).all():
         row, col = np.argwhere(~np.isfinite(vectors))[0]
-        raise bad(int(row) + 2, f"component {col + 1} is not finite: {vectors[row, col]}")
+        _bad_line(path, int(row) + 2, f"component {col + 1} is not finite: {vectors[row, col]}")
     vocab = Vocabulary.from_tokens(words)
     if len(vocab.token_to_id) < len(words):
         seen = {}
         for lineno, word in enumerate(words, 2):
             if seen.setdefault(word, lineno) != lineno:
-                raise bad(lineno, f"word {word!r} repeats line {seen[word]}")
+                _bad_line(path, lineno, f"word {word!r} repeats line {seen[word]}")
     return EmbeddingMatrix(dim=dim, vocab=vocab, vectors=vectors)
 
 
-def _parse_lines(lines: list[tuple], words: list[str], dim: int, bad) -> np.ndarray:
-    """The (len(lines), dim) values of the vectors lines that follow those of
-    `words`, each line given as its partition(" "); appends their words to
-    `words`. `_parse_written` parses a block written as `save_embeddings`
-    writes one, and float() any other, line by line; `bad(lineno, detail)`
-    makes the error for a bad line."""
+def _parse_lines(lines: list[tuple], words: list[str], dim: int, path) -> np.ndarray:
+    """The (len(lines), dim) values of the vectors lines of file `path` that
+    follow those of `words`, each line given as its partition(" "); appends
+    their words to `words`. `_parse_written` parses a block written as
+    `save_embeddings` writes one, and float() any other, line by line."""
     first = len(words) + 2  # the first line's number, after the header
     words += [word for word, _, _ in lines]
     try:
@@ -731,11 +722,11 @@ def _parse_lines(lines: list[tuple], words: list[str], dim: int, bad) -> np.ndar
     for lineno, (_, space, text) in enumerate(lines, first):
         parts = text.split(" ") if space else []
         if len(parts) != dim:
-            raise bad(lineno, f"expected {dim} components, got {len(parts)}")
+            _bad_line(path, lineno, f"expected {dim} components, got {len(parts)}")
         try:
             values.extend(map(float, parts))
         except ValueError as exc:
-            raise bad(lineno, exc) from exc
+            _bad_line(path, lineno, exc)
     return np.frombuffer(values, dtype=np.float64).reshape(len(lines), dim)
 
 

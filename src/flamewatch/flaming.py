@@ -22,7 +22,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import atomic_write
-from .lexicon import LabeledComment, SentimentLabel
+from .lexicon import CLASSES, LabeledComment, SentimentLabel
 from .preprocess import format_timestamp
 
 VERY_NEGATIVE = SentimentLabel.VERY_NEGATIVE
@@ -110,7 +110,7 @@ def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBuc
     counts: dict[int, list[int]] = {}
     for lc in labeled:
         index = (lc.comment.created_time - _UNIX_EPOCH) // step
-        counts.setdefault(index, [0] * 5)[lc.label] += 1
+        counts.setdefault(index, [0] * CLASSES)[lc.label] += 1
     if not counts:
         return []
     first, last = min(counts), max(counts)
@@ -120,7 +120,7 @@ def aggregate(labeled: list[LabeledComment], width: str = "day") -> list[TimeBuc
             f"comments from {format_timestamp(min(times))} to {format_timestamp(max(times))} "
             f"span {last - first + 1} {width} buckets, above MAX_BUCKETS {MAX_BUCKETS}")
     return [
-        TimeBucket(_UNIX_EPOCH + index * step, counts.get(index, [0] * 5))
+        TimeBucket(_UNIX_EPOCH + index * step, counts.get(index, [0] * CLASSES))
         for index in range(first, last + 1)
     ]
 
@@ -132,7 +132,7 @@ def post_stats(labeled: list[LabeledComment]) -> list[PostStats]:
         comment = lc.comment
         s = by_post.get(comment.post_id)
         if s is None:
-            s = by_post[comment.post_id] = PostStats(comment.post_id, 0, [0] * 5, [])
+            s = by_post[comment.post_id] = PostStats(comment.post_id, 0, [0] * CLASSES, [])
         s.total += 1
         s.label_counts[lc.label] += 1
         if lc.label == VERY_NEGATIVE:
@@ -251,7 +251,7 @@ def write_report(
     report = json.dumps({"events": [event_to_dict(e) for e in events]}, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bucket_start", "label0", "label1", "label2", "label3", "label4"])
+    writer.writerow(["bucket_start"] + [f"label{label:d}" for label in SentimentLabel])
     for b in buckets:
         writer.writerow([format_timestamp(b.start)] + list(b.counts))
     table = buf.getvalue()

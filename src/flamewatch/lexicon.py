@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .preprocess import (
-    CleanComment, normalize_text, read_jsonl, read_lines, stem, tokenize, write_jsonl,
+    CleanComment, LineError, _bad_line, normalize_text, read_jsonl, read_lines, stem, tokenize,
+    write_jsonl,
 )
 
 
@@ -29,6 +30,9 @@ class SentimentLabel(IntEnum):
     NEUTRAL = 2
     POSITIVE = 3
     VERY_POSITIVE = 4
+
+
+CLASSES = len(SentimentLabel)
 
 
 @dataclass(frozen=True)
@@ -88,35 +92,36 @@ def preprocess_phrase(raw_phrase: str) -> tuple[str, ...]:
     return tuple(stem(tok) for tok, _, _ in tokenize(normalize_text(raw_phrase)))
 
 
-def load_lexicon(path, max_n: int = Lexicon.max_n) -> tuple[Lexicon, list[tuple[int, str]]]:
-    """Load "phrase<TAB>score" lines; invalid entries are rejected with line numbers."""
+def load_lexicon(path, max_n: int = Lexicon.max_n) -> tuple[Lexicon, list[LineError]]:
+    """Load "phrase<TAB>score" lines; an invalid entry is skipped and recorded
+    as a LineError, and a line that is not UTF-8 raises as `read_lines`."""
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     entries: list[LexiconEntry] = []
     seen: dict[tuple[str, ...], int] = {}
-    rejects: list[tuple[int, str]] = []
+    rejects: list[LineError] = []
     for lineno, line in read_lines(path):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            rejects.append((lineno, "expected phrase<TAB>score"))
+            _bad_line(path, lineno, "expected phrase<TAB>score", rejects)
             continue
         try:
             score = float(parts[1])
         except ValueError:
-            rejects.append((lineno, f"bad score {parts[1]!r}"))
+            _bad_line(path, lineno, f"bad score {parts[1]!r}", rejects)
             continue
         if not -1.0 <= score <= 1.0:
-            rejects.append((lineno, f"score {score} outside [-1, 1]"))
+            _bad_line(path, lineno, f"score {score} outside [-1, 1]", rejects)
             continue
         phrase = preprocess_phrase(parts[0])
         if not 1 <= len(phrase) <= max_n:
-            rejects.append((lineno, f"phrase has {len(phrase)} tokens (limit {max_n})"))
+            _bad_line(path, lineno, f"phrase has {len(phrase)} tokens (limit {max_n})", rejects)
             continue
         if phrase in seen:
-            rejects.append((lineno, f"duplicate of line {seen[phrase]}"))
+            _bad_line(path, lineno, f"duplicate of line {seen[phrase]}", rejects)
             continue
         seen[phrase] = lineno
         entries.append(LexiconEntry(phrase, score))
@@ -134,13 +139,9 @@ def load_emoji_table(path) -> dict[str, int]:
             emoji, polarity = line.split("\t")
             table[emoji] = int(polarity)
         except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: expected emoji<TAB>+1|-1, got {line!r}"
-            ) from None
+            _bad_line(path, lineno, f"expected emoji<TAB>+1|-1, got {line!r}")
         if table[emoji] not in (1, -1):
-            raise ValueError(
-                f"{path}: line {lineno}: emoji polarity must be +1 or -1, got {polarity}"
-            )
+            _bad_line(path, lineno, f"emoji polarity must be +1 or -1, got {polarity}")
     return table
 
 
@@ -250,13 +251,13 @@ class LabeledComment:
     @classmethod
     def from_dict(cls, obj: dict) -> LabeledComment:
         """Inverse of to_dict: the clean record, "score" a finite JSON number and
-        "label" a JSON integer 0-4 (a bool is neither)."""
+        "label" a JSON integer, a SentimentLabel code (a bool is neither)."""
         comment = CleanComment.from_dict(obj)
         score, label = obj["score"], obj["label"]
         if type(score) not in (int, float) or not math.isfinite(score):
             raise ValueError(f"score must be a finite number, got {score!r}")
-        if type(label) is not int or not 0 <= label <= 4:
-            raise ValueError(f"label must be an integer 0-4, got {label!r}")
+        if type(label) is not int or not 0 <= label < CLASSES:
+            raise ValueError(f"label must be an integer 0-{CLASSES - 1}, got {label!r}")
         return cls(comment, float(score), SentimentLabel(label))
 
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import atomic_write
 from .embeddings import EmbeddingMatrix
-from .lexicon import SentimentLabel
+from .lexicon import CLASSES, SentimentLabel
 from .metrics import ConfusionMatrix, confusion
 
 PAD_ID = 0
@@ -83,7 +83,6 @@ PREDICT_ROWS = 64
 # 1024 tokens, 64 filters and kernel 3 that is 16 and 48 MiB per convolution, where
 # an unchecked value from a checkpoint could ask for TiB.
 MAX_TOKENS = 1024
-CLASSES = len(SentimentLabel)
 CONV_LAYERS = 3
 POOL = 2
 # Most parameters besides the embedding that a model may have. Training holds six
@@ -292,6 +291,10 @@ class SentimentNet:
         self.config = config
         self.id_to_token = list(id_to_token)
         self.token_to_id = {tok: i + 2 for i, tok in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self.id_to_token):
+            repeated = next(tok for i, tok in enumerate(self.id_to_token)
+                            if self.token_to_id[tok] != i + 2)
+            raise ValueError(f"vocabulary repeats token {repeated!r}")
         shapes = param_shapes(config, len(self.id_to_token))
         _check_size(config, shapes)
         layout = _layout(shapes)

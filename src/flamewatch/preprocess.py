@@ -18,8 +18,9 @@ one call, so it is bounded by the distinct tokens of the corpus it builds.
 lexicon, the emoji table, JSON and embedding files): it checks each line is
 UTF-8. `read_jsonl` parses its lines with the record kind's `from_dict`
 (`RawComment`, `CleanComment`, `lexicon.LabeledComment`). `load_jsonl`
-skips and reports bad raw lines; every other loader raises on the first bad
-line, naming the file and the line.
+skips bad raw lines and `lexicon.load_lexicon` bad entries, recording each
+as a `LineError`; any other bad line raises ValueError. `_bad_line` builds
+every `LineError` and every "<path>: line N: <detail>" message.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from . import atomic_write
 from .porter import stem
@@ -194,8 +196,7 @@ class Corpus:
         return len(self.comments)
 
 
-@dataclass
-class LineError:
+class LineError(NamedTuple):
     lineno: int
     message: str
 
@@ -344,9 +345,12 @@ def read_json(path):
         _bad_line(path, exc.lineno, exc)
 
 
-def _bad_line(path, lineno: int, exc: Exception, errors: list[LineError] | None = None):
+def _bad_line(path, lineno: int, exc: Exception | str, errors: list[LineError] | None = None):
     """Append the line's LineError "<ExcType>: <message>" to `errors`, or with
-    no `errors` raise ValueError "<path>: line N: <detail>"."""
+    no `errors` raise ValueError "<path>: line N: <detail>". A str `exc` is
+    the message of a ValueError. This is the one place that formats either."""
+    if isinstance(exc, str):
+        exc = ValueError(exc)
     if errors is not None:
         errors.append(LineError(lineno, f"{type(exc).__name__}: {exc}"))
         return

@@ -4,11 +4,17 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flamewatch.lexicon import Lexicon, LexiconEntry
 from flamewatch.preprocess import CleanComment
 
 EPOCH = datetime(2018, 2, 1, tzinfo=timezone.utc)
+
+# Property tests draw the same examples on every run (seeded from each test
+# function; a test's own @seed still wins) and keep no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def make_clean(

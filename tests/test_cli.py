@@ -789,6 +789,44 @@ class TestRecordLineErrors:
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader", ["clean", "labeled", "emoji", "matrix", "vectors"])
+def test_each_text_reader_names_its_bad_line(clean_corpus, labeled_corpus, tmp_path, capsys,
+                                             reader):
+    """One bad line in any text input that a command reads exits 2 with
+    "error: <path>: line N: "."""
+    bad, out = tmp_path / "bad", str(tmp_path / "out")
+    if reader in ("clean", "labeled"):
+        lineno = 4  # cut short, so that it is not JSON
+        corpus = clean_corpus if reader == "clean" else labeled_corpus
+        _rewrite_line(corpus, bad, lineno, lambda line: line[:-1])
+    else:
+        lineno, text = {
+            "emoji": (3, "😀\t1\n😡\t-1\n🙂 1\n"),
+            "matrix": (2, '{"a": {"counts": [[1]],\n  "class_names" ["x"]}}\n'),
+            "vectors": (3, "2 3\nword 0.1 0.2 0.3\nother 0.1 0.2\n"),
+        }[reader]
+        bad.write_text(text, encoding="utf-8")
+    argv = {
+        "clean": ["label", str(bad), out],
+        "labeled": ["detect", str(bad), out],
+        "emoji": ["label", str(clean_corpus), out, "--emoji-table", str(bad)],
+        "matrix": ["evaluate", "--matrix-json", str(bad)],
+        "vectors": ["train-clf", str(labeled_corpus), out, "--embeddings", str(bad)],
+    }[reader]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line {lineno}: ")
+
+
+def test_bad_lexicon_line_skipped_and_counted(clean_corpus, tmp_path, capsys):
+    lex = tmp_path / "lex.tsv"
+    lex.write_text("good\t0.5\nbad\tnot-a-number\nawful\t-0.8\n", encoding="utf-8")
+    _, rejects = lexicon.load_lexicon(lex)
+    assert rejects == [preprocess.LineError(2, "ValueError: bad score 'not-a-number'")]
+    out = tmp_path / "labeled.jsonl"
+    assert main(["label", str(clean_corpus), str(out), "--lexicon", str(lex)]) == 0
+    assert json.loads(capsys.readouterr().out)["lexicon_rejects"] == 1
+
+
 class TestEvaluateMatrixErrors:
     def test_unknown_key_exit_2_lists_keys(self, capsys):
         path = data_path("published_eval_matrices.json")

@@ -16,7 +16,6 @@ from flamewatch.embeddings import (
     MAX_DIM,
     MAX_TABLE_VALUES,
     EmbedConfig,
-    EmbeddingFormatError,
     EmbeddingMatrix,
     SubwordConfig,
     Vocabulary,
@@ -666,20 +665,20 @@ class TestPersistence:
     def test_bad_header_line_numbered(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("garbage header line\n")
-        with pytest.raises(EmbeddingFormatError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             load_embeddings(path)
 
     @pytest.mark.parametrize("header", ["x 3", "2 3.5", "-1 3", "1 0"])
     def test_header_values_checked_line_numbered(self, tmp_path, header):
         path = tmp_path / "vectors.txt"
         path.write_text(header + "\n")
-        with pytest.raises(EmbeddingFormatError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             load_embeddings(path)
 
     def test_non_numeric_component_line_numbered(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("2 2\nword 0.1 0.2\nother 0.3 abc\n")
-        with pytest.raises(EmbeddingFormatError, match="line 3: .*'abc'"):
+        with pytest.raises(ValueError, match="line 3: .*'abc'"):
             load_embeddings(path)
 
     def test_save_bytes_match_per_value_formatter(self, tmp_path):
@@ -701,23 +700,23 @@ class TestPersistence:
     def test_wrong_component_count_line_numbered(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("1 3\nword 0.1 0.2\n")
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_embeddings(path)
 
     def test_truncated_body_reported(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("2 2\nword 0.1 0.2\n")
-        with pytest.raises(EmbeddingFormatError, match="file ended"):
+        with pytest.raises(ValueError, match="file ended"):
             load_embeddings(path)
 
     def test_trailing_data_reported(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("1 2\nword 0.1 0.2\nextra stuff\n")
-        with pytest.raises(EmbeddingFormatError, match="trailing"):
+        with pytest.raises(ValueError, match="trailing"):
             load_embeddings(path)
         # a row after blank lines is refused too, named by its own line
         path.write_text("1 2\nword 0.1 0.2\n\nextra 9 9\n")
-        with pytest.raises(EmbeddingFormatError, match="line 4: trailing data"):
+        with pytest.raises(ValueError, match="line 4: trailing data"):
             load_embeddings(path)
 
     def test_header_count_is_not_preallocated(self, tmp_path):
@@ -725,14 +724,14 @@ class TestPersistence:
         path = tmp_path / "vectors.txt"
         row = " ".join(["0.5"] * 100)
         path.write_text(f"1000000000000 100\nword {row}\n")
-        with pytest.raises(EmbeddingFormatError, match="line 3: expected 1000000000000"):
+        with pytest.raises(ValueError, match="line 3: expected 1000000000000"):
             load_embeddings(path)
 
     def test_non_finite_component_line_numbered(self, tmp_path):
         path = tmp_path / "vectors.txt"
         for bad in ("nan", "inf", "-inf", "-NaN", "Infinity"):
             path.write_text(f"3 2\nword 0.1 0.2\nother 0.3 {bad}\nlast 0.5 0.6\n")
-            with pytest.raises(EmbeddingFormatError,
+            with pytest.raises(ValueError,
                                match=f"^{path}: line 3: component 2 is not finite: "):
                 load_embeddings(path)
 
@@ -750,17 +749,17 @@ class TestPersistence:
         path.write_text(f"2 2\n" + "\n".join(lines) + "\n", encoding="utf-8")
         parts = lines[1].split(" ")
         if len(parts) != 3:
-            with pytest.raises(EmbeddingFormatError, match="^.*: line 3: expected 2 components"):
+            with pytest.raises(ValueError, match="^.*: line 3: expected 2 components"):
                 load_embeddings(path)
             return
         try:
             value = float(token)
         except ValueError:
-            with pytest.raises(EmbeddingFormatError, match="^.*: line 3: could not convert"):
+            with pytest.raises(ValueError, match="^.*: line 3: could not convert"):
                 load_embeddings(path)
             return
         if not math.isfinite(value):
-            with pytest.raises(EmbeddingFormatError,
+            with pytest.raises(ValueError,
                                match="^.*: line 3: component 2 is not finite"):
                 load_embeddings(path)
             return
@@ -806,7 +805,7 @@ class TestPersistence:
         path, lines = written
         lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0] + " x1"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(EmbeddingFormatError,
+        with pytest.raises(ValueError,
                            match=f"^.*: line {lineno}: could not convert string to float: 'x1'$"):
             load_embeddings(path)
 
@@ -815,7 +814,7 @@ class TestPersistence:
         path, lines = written
         lines[5] = lines[5] + " 1.0"
         path.write_text("\n".join(lines[:6]) + "\n")
-        with pytest.raises(EmbeddingFormatError, match="line 6: expected 2 components, got 3"):
+        with pytest.raises(ValueError, match="line 6: expected 2 components, got 3"):
             load_embeddings(path)
 
     def test_truncated_written_file_opened_once(self, written, monkeypatch):
@@ -824,7 +823,7 @@ class TestPersistence:
         read, opened = embeddings.read_lines, []
         monkeypatch.setattr(embeddings, "read_lines",
                             lambda path: opened.append(path) or read(path))
-        with pytest.raises(EmbeddingFormatError, match="line 9: expected 10 vector lines"):
+        with pytest.raises(ValueError, match="line 9: expected 10 vector lines"):
             load_embeddings(path)
         assert opened == [path]
 
@@ -832,7 +831,7 @@ class TestPersistence:
         path, lines = written
         lines[7] = "w2" + lines[7][2:]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(EmbeddingFormatError, match="^.*: line 8: word 'w2' repeats line 4$"):
+        with pytest.raises(ValueError, match="^.*: line 8: word 'w2' repeats line 4$"):
             load_embeddings(path)
 
 

@@ -196,6 +196,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SentimentNet(toy_config(embed_dim=4), make_embeddings(dim=8))
 
+    def test_repeated_token_refused(self):
+        # a checkpoint of such a vocabulary would be written, then refused by load
+        config = ModelConfig(embed_dim=2, filters=2, lstm_hidden=2, dense_sizes=(2, 2))
+        vocab = Vocabulary.from_tokens(["b", "a", "c", "a"])
+        with pytest.raises(ValueError, match="^vocabulary repeats token 'a'$"):
+            SentimentNet(config, EmbeddingMatrix(2, vocab, np.zeros((4, 2))))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             toy_config(dense_sizes=(16,))

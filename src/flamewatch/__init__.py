@@ -11,6 +11,7 @@ Submodules:
     cli         command-line pipeline
 """
 
+import math
 import os
 import tempfile
 from importlib import resources
@@ -50,5 +51,24 @@ def atomic_write(path, write) -> None:
         raise
 
 
-__all__ = ["atomic_write", "data_path"]
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse a setting that is not an int (a bool is not) in [low, high], or
+    >= low if high is None, naming it: "<name> <value> must be an integer >=
+    <low>", or "<name> <value> outside [<low>, <high>]"."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        need = f"must be an integer >= {low}" if high is None else f"outside [{low}, {high}]"
+        raise ValueError(f"{name} {value!r} {need}")
+
+
+def check_number(name: str, value, low: float, high: float, *, open_low: bool = False) -> None:
+    """Refuse a setting that is not a finite int or float (a bool is not) in
+    [low, high), or in (low, high) if open_low, naming it: "<name> <value> must
+    be a number in [<low>, <high>)"."""
+    if type(value) not in (int, float) or not (
+            -math.inf < value < high and (low < value if open_low else low <= value)):
+        raise ValueError(f"{name} {value!r} must be a number in "
+                         f"{'(' if open_low else '['}{low:g}, {high:g})")
+
+
+__all__ = ["atomic_write", "check_int", "check_number", "data_path"]
 __version__ = "0.1.0"

@@ -73,7 +73,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import atomic_write
+from . import atomic_write, check_int, check_number
 from .preprocess import _bad_line, read_lines
 
 # Centers per SGD step; bounds the step's memory and how stale its reads get
@@ -102,16 +102,11 @@ class SubwordConfig:
     buckets: int = 2 ** 21
 
     def __post_init__(self):
-        if self.min_n < 1:
-            raise ValueError(f"min_n must be >= 1, got {self.min_n}")
         for name in ("min_n", "max_n", "buckets"):
-            value = getattr(self, name)
-            if value > 2 ** 31 - 1:  # a 32-bit signed int, as in fastText's own options
-                raise ValueError(f"{name} must be <= 2147483647, got {value}")
+            # a 32-bit signed int, as in fastText's own options
+            check_int(name, getattr(self, name), 1, 2 ** 31 - 1)
         if self.min_n > self.max_n:
             raise ValueError(f"min_n {self.min_n} > max_n {self.max_n}")
-        if self.buckets < 1:
-            raise ValueError("buckets must be positive")
 
 
 @dataclass
@@ -125,16 +120,14 @@ class EmbedConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= self.negatives <= MAX_NEGATIVES:
-            raise ValueError(f"negatives must be in [0, {MAX_NEGATIVES}], got {self.negatives}")
-        if not 0 < self.initial_lr < math.inf:
-            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
+        check_int("dim", self.dim, 1, MAX_DIM)
+        check_int("window", self.window, 1)
+        check_int("negatives", self.negatives, 0, MAX_NEGATIVES)
+        check_int("epochs", self.epochs, 1)
+        check_number("initial_lr", self.initial_lr, 0, math.inf, open_low=True)
+        # a min_count below 1 would keep every word, as 1 does
+        check_int("min_count", self.min_count, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass

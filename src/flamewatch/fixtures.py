@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
+from . import check_int
 from .preprocess import RawComment, write_jsonl
 
 VERY_NEGATIVE_POOL = [
@@ -77,6 +78,8 @@ def synthetic_comments(
     n_comments: int = SYNTHETIC_COMMENTS, n_posts: int = 20, seed: int = 7
 ) -> list[dict]:
     """Mixed-class corpus: one JSONL-ready dict per comment."""
+    check_int("n_comments", n_comments, 0)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_comments):
@@ -108,6 +111,7 @@ def flaming_comments(
     margin); background posts get a handful of mixed comments with at
     most 2 very-negative ones. Returns (records, planted_post_ids).
     """
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     planted_ids = [f"p{int(i):03d}" for i in
                    sorted(rng.choice(n_posts, size=planted, replace=False))]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from . import atomic_write
+from . import atomic_write, check_number
 from .lexicon import CLASSES, LabeledComment, SentimentLabel
 from .preprocess import format_timestamp
 
@@ -212,11 +212,9 @@ def detect(
 ) -> list[FlamingEvent]:
     """Posts whose z-score in `zs` exceeds the threshold, z-descending, each
     with the densest burst of its Very-Negative times."""
-    if not (math.isfinite(window_hours) and window_hours > 0):
-        raise ValueError(f"window_hours must be finite and above 0, got {window_hours!r}")
-    for name, value in (("z_threshold", z_threshold), ("share_threshold", share_threshold)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    check_number("window_hours", window_hours, 0, math.inf, open_low=True)
+    check_number("z_threshold", z_threshold, -math.inf, math.inf, open_low=True)
+    check_number("share_threshold", share_threshold, -math.inf, math.inf, open_low=True)
     events = []
     for s in stats:
         z = zs.z[s.post_id]

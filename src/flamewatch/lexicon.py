@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from . import check_int
 from .preprocess import (
     CleanComment, LineError, _bad_line, normalize_text, read_jsonl, read_lines, stem, tokenize,
     write_jsonl,
@@ -95,8 +96,7 @@ def preprocess_phrase(raw_phrase: str) -> tuple[str, ...]:
 def load_lexicon(path, max_n: int = Lexicon.max_n) -> tuple[Lexicon, list[LineError]]:
     """Load "phrase<TAB>score" lines; an invalid entry is skipped and recorded
     as a LineError, and a line that is not UTF-8 raises as `read_lines`."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    check_int("max_n", max_n, 1)
     entries: list[LexiconEntry] = []
     seen: dict[tuple[str, ...], int] = {}
     rejects: list[LineError] = []
@@ -129,19 +129,25 @@ def load_lexicon(path, max_n: int = Lexicon.max_n) -> tuple[Lexicon, list[LineEr
 
 
 def load_emoji_table(path) -> dict[str, int]:
-    """Load "emoji<TAB>+1|-1" lines; a bad line raises ValueError naming the file and line."""
+    """Load "emoji<TAB>+1|-1" lines; a bad line, or one that repeats an earlier
+    line's emoji, raises ValueError naming the file and line."""
     table: dict[str, int] = {}
+    seen: dict[str, int] = {}
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             emoji, polarity = line.split("\t")
-            table[emoji] = int(polarity)
+            value = int(polarity)
         except ValueError:
             _bad_line(path, lineno, f"expected emoji<TAB>+1|-1, got {line!r}")
-        if table[emoji] not in (1, -1):
+        if value not in (1, -1):
             _bad_line(path, lineno, f"emoji polarity must be +1 or -1, got {polarity}")
+        if emoji in seen:
+            _bad_line(path, lineno, f"emoji {emoji!r} repeats line {seen[emoji]}")
+        seen[emoji] = lineno
+        table[emoji] = value
     return table
 
 

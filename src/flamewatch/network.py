@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import atomic_write
+from . import atomic_write, check_int, check_number
 from .embeddings import EmbeddingMatrix
 from .lexicon import CLASSES, SentimentLabel
 from .metrics import ConfusionMatrix, confusion
@@ -90,16 +90,11 @@ POOL = 2
 # bytes a parameter: 2**24 is about 0.4 GB. The default config has about 135k.
 MAX_PARAMETERS = 2 ** 24
 # What `SentimentNet.train` runs by default: epochs, and the share of the data held
-# out for validation loss and early stopping
+# out to pick the epoch whose parameters are kept (every epoch runs)
 TRAIN_EPOCHS = 40
 VAL_SPLIT = 0.1
 # Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON true would otherwise count as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -126,26 +121,17 @@ class ModelConfig:
                  **{f"dense_sizes[{i}]": d for i, d in enumerate(self.dense_sizes)},
                  "batch_size": self.batch_size}
         for name, size in sizes.items():
-            if not (_is_int(size) and size >= 1):
-                raise ValueError(f"{name} {size!r} must be an integer >= 1")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed {self.seed!r} must be an integer >= 0")
-        if not (_is_int(self.max_tokens) and 1 <= self.max_tokens <= MAX_TOKENS):
-            raise ValueError(f"max_tokens {self.max_tokens!r} outside [1, {MAX_TOKENS}]")
+            check_int(name, size, 1)
+        check_int("seed", self.seed, 0)
+        check_int("max_tokens", self.max_tokens, 1, MAX_TOKENS)
         if not isinstance(self.fine_tune_embeddings, bool):
             raise ValueError(
                 f"fine_tune_embeddings {self.fine_tune_embeddings!r} must be true or false"
             )
-        if self.kernel > self.max_tokens:
-            raise ValueError(f"kernel width {self.kernel} outside [1, {self.max_tokens}]")
-        # a bool is an int, so JSON true would otherwise count as 1.0
+        check_int("kernel width", self.kernel, 1, self.max_tokens)
         for name in ("dropout_lstm", "dropout_dense"):
-            p = getattr(self, name)
-            if isinstance(p, bool) or not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} {p!r} must be a number in [0, 1)")
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not (lr > 0 and math.isfinite(lr)):
-            raise ValueError(f"learning_rate {lr!r} must be finite and > 0")
+            check_number(name, getattr(self, name), 0, 1)
+        check_number("learning_rate", self.learning_rate, 0, math.inf, open_low=True)
 
 
 @dataclass
@@ -162,6 +148,11 @@ class Batch:
 
 @dataclass
 class TrainReport:
+    """What `SentimentNet.train` saw in each epoch; every epoch runs. The kept
+    parameters are those of `best_epoch`, the epoch of least validation loss
+    (the last epoch if nothing is held out), and `early_stopped` means that
+    epoch came before the last."""
+
     train_loss: list[float] = field(default_factory=list)
     train_accuracy: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
@@ -195,31 +186,40 @@ def read_exact(fh, size: int, section: str) -> bytes:
     return data
 
 
+def _param_axes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[tuple[str, int], ...]]:
+    """Every parameter's axes, each as (what sets its length, the length), in the
+    order the constructor draws them."""
+    embed, filters = ("embed_dim", config.embed_dim), ("filters", config.filters)
+    h = {m: ("lstm_hidden", m * config.lstm_hidden) for m in (1, 2, 4)}
+    d1, d2 = ((f"dense_sizes[{i}]", d) for i, d in enumerate(config.dense_sizes))
+    classes = ("classes", CLASSES)
+    axes = {"embedding": (("vocabulary", vocab_size + 2), embed)}
+    cin = embed
+    for li in range(CONV_LAYERS):
+        axes[f"conv{li}_w"] = (filters, ("kernel width", config.kernel), cin)
+        axes[f"conv{li}_b"] = (filters,)
+        cin = filters
+    for d in ("fwd", "bwd"):
+        axes[f"lstm_{d}_wx"] = (cin, h[4])
+        axes[f"lstm_{d}_wh"] = (h[1], h[4])
+        axes[f"lstm_{d}_b"] = (h[4],)
+    axes["dense1_w"] = (h[2], d1)
+    axes["dense1_b"] = (d1,)
+    axes["dense2_w"] = (d1, d2)
+    axes["dense2_b"] = (d2,)
+    axes["out_w"] = (d2, classes)
+    axes["out_b"] = (classes,)
+    return axes
+
+
 def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter, in the order the constructor draws them.
 
     Allocates nothing, so a checkpoint's config can be checked before a model
     is built. A size that is not an integer raises TypeError.
     """
-    shapes = {"embedding": (vocab_size + 2, config.embed_dim)}
-    cin = config.embed_dim
-    for li in range(CONV_LAYERS):
-        shapes[f"conv{li}_w"] = (config.filters, config.kernel, cin)
-        shapes[f"conv{li}_b"] = (config.filters,)
-        cin = config.filters
-    h = config.lstm_hidden
-    for d in ("fwd", "bwd"):
-        shapes[f"lstm_{d}_wx"] = (cin, 4 * h)
-        shapes[f"lstm_{d}_wh"] = (h, 4 * h)
-        shapes[f"lstm_{d}_b"] = (4 * h,)
-    d1, d2 = config.dense_sizes
-    shapes["dense1_w"] = (2 * h, d1)
-    shapes["dense1_b"] = (d1,)
-    shapes["dense2_w"] = (d1, d2)
-    shapes["dense2_b"] = (d2,)
-    shapes["out_w"] = (d2, CLASSES)
-    shapes["out_b"] = (CLASSES,)
-    return {name: tuple(map(operator.index, shape)) for name, shape in shapes.items()}
+    return {name: tuple(operator.index(length) for _, length in axes)
+            for name, axes in _param_axes(config, vocab_size).items()}
 
 
 def _layout(shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
@@ -244,15 +244,12 @@ def _flat(shapes: dict[str, tuple[int, ...]], dtype) -> tuple[np.ndarray, dict[s
 
 def _check_size(config: ModelConfig, shapes: dict[str, tuple[int, ...]]) -> None:
     """Refuse more than MAX_PARAMETERS parameters besides the embedding, naming
-    the largest tensor and the field that gives its longest axis."""
+    the largest tensor and the field that gives its longest axis (the first, if
+    two are as long)."""
     counts = {name: math.prod(shape) for name, shape in shapes.items() if name != "embedding"}
     if sum(counts.values()) > MAX_PARAMETERS:
         largest = max(counts, key=counts.get)
-        h, (d1, d2) = config.lstm_hidden, config.dense_sizes
-        # every axis length but CLASSES, which no tensor that large has as its longest
-        field = {config.kernel: "kernel width", config.embed_dim: "embed_dim",
-                 config.filters: "filters", **dict.fromkeys((h, 2 * h, 4 * h), "lstm_hidden"),
-                 d1: "dense_sizes[0]", d2: "dense_sizes[1]"}[max(shapes[largest])]
+        field = max(_param_axes(config, 0)[largest], key=lambda axis: axis[1])[0]
         raise ValueError(f"{sum(counts.values())} parameters besides the embedding exceed "
                          f"MAX_PARAMETERS {MAX_PARAMETERS}; the largest tensor, {largest} "
                          f"{shapes[largest]}, is sized by {field}")
@@ -600,10 +597,8 @@ class SentimentNet:
         val_split: float = VAL_SPLIT,
     ) -> TrainReport:
         """Mini-batch Adam; keeps the parameters of the min-validation-loss epoch."""
-        if not (isinstance(epochs, int) and epochs >= 1):
-            raise ValueError(f"epochs {epochs!r} must be an integer >= 1")
-        if not 0.0 <= val_split < 1.0:
-            raise ValueError(f"val_split {val_split!r} must be in [0, 1)")
+        check_int("epochs", epochs, 1)
+        check_number("val_split", val_split, 0, 1)
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         encoded = self.make_batch([toks for toks, _ in data], [lab for _, lab in data])
@@ -757,7 +752,7 @@ class SentimentNet:
             if stored_config.pop("classes", CLASSES) != CLASSES:
                 raise ValueError(f"model is fixed to {CLASSES} classes")
             pool, conv = stored_config.pop("pool"), stored_config.pop("conv_layers")
-            if not (_is_int(pool) and pool == POOL):
+            if not (type(pool) is int and pool == POOL):
                 raise ValueError(f"pool {pool!r} must be {POOL}")
             # repr tells 2.0 and true apart from 2 and 1, which == does not
             if not (isinstance(conv, list) and len(conv) == CONV_LAYERS

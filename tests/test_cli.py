@@ -149,7 +149,7 @@ class TestLabelCommand:
     def test_max_n_below_one_exit_2(self, clean_corpus, tmp_path, capsys, max_n):
         out = tmp_path / "labeled.jsonl"
         assert main(["label", str(clean_corpus), str(out), "--max-n", str(max_n)]) == 2
-        assert f"error: max_n must be at least 1, got {max_n}" in capsys.readouterr().err
+        assert f"error: max_n {max_n} must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -235,7 +235,8 @@ class TestDetectCommand:
         code = main(["detect", str(flaming_labeled), str(tmp_path / "report"),
                      "--window-hours", value])
         assert code == 2
-        assert "error: window_hours must be finite and above 0" in capsys.readouterr().err
+        assert (f"error: window_hours {float(value)!r} must be a number in (0, inf)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("flag", ["--z-threshold", "--share-threshold"])
@@ -246,7 +247,8 @@ class TestDetectCommand:
                      f"{flag}={value}"])
         assert code == 2
         name = flag[2:].replace("-", "_")
-        assert f"error: {name} must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert (f"error: {name} {float(value)!r} must be a number in (-inf, inf)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "report").exists()
 
     def test_huge_window_hours_holds_every_vn_comment(self, flaming_labeled, tmp_path,
@@ -348,7 +350,7 @@ class TestHostileSizes:
     def test_train_embed_dim_bound(self, clean_corpus, tmp_path):
         result = run_capped("train-embed", clean_corpus, tmp_path / "v.txt", "--dim", "100000000")
         assert result.returncode == 2
-        assert result.stderr == "error: dim must be in [1, 4096], got 100000000\n"
+        assert result.stderr == "error: dim 100000000 outside [1, 4096]\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_train_embed_bucket_table_bound(self, tmp_path):
@@ -465,6 +467,49 @@ def test_flags_and_types_are_pinned():
     top, commands = _arguments(build_parser())
     found = {None: top, **{name: _arguments(p)[0] for name, p in commands.items()}}
     assert found == ARGUMENTS
+
+
+# the commands that read the global --seed
+SEEDED_COMMANDS = ("train-embed", "train-clf", "make-fixture")
+
+
+def _numeric_options():
+    """(command, option) for every int or float option of every command, and for
+    the global --seed under each command that reads it."""
+    parser = build_parser()
+
+    def numeric(p):
+        return [a for a in p._actions if a.option_strings and a.type in (int, float)]
+
+    _, commands = _arguments(parser)
+    return ([(command, a) for command in SEEDED_COMMANDS for a in numeric(parser)]
+            + [(command, a) for command, p in commands.items() for a in numeric(p)])
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{command}{option.option_strings[0]}")
+    for command, option in _numeric_options()
+])
+def test_bad_numeric_option_exit_2_names_the_field(clean_corpus, labeled_corpus, tmp_path,
+                                                   capsys, command, option):
+    # an int option gets -5 and a float option nan; each is refused with one
+    # line that names the option's field and repeats the value
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 2\ngood 0.5 -0.5\n")
+    out = tmp_path / "out"
+    inputs = {"label": [clean_corpus, out],
+              "train-embed": [clean_corpus, out, "--method", "fasttext"],
+              "train-clf": [labeled_corpus, out, "--embeddings", vectors],
+              "detect": [labeled_corpus, out], "make-fixture": [out]}[command]
+    value = "-5" if option.type is int else "nan"
+    flags = [option.option_strings[0], *[value] * (option.nargs or 1)]
+    argv = ([*flags, command, *inputs] if option.dest == "seed"
+            else [command, *inputs, *flags])
+    assert main(list(map(str, argv))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option.dest in err and f" {value} " in err
+    assert list(tmp_path.iterdir()) == [vectors]
 
 
 class TestDefaultsAreTheLibrarys:
@@ -625,11 +670,11 @@ class TestTrainingCommands:
         code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"),
                      flag, str(value)])
         assert code == 2
-        assert f"error: {field} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
 
     @pytest.mark.parametrize("method", ["word2vec", "fasttext"])
     @pytest.mark.parametrize("lr, message", [
-        ("inf", "initial_lr must be finite and > 0, got inf"),
+        ("inf", "initial_lr inf must be a number in (0, inf)"),
         ("1e308", "training diverged at initial_lr 1e+308: "
                   "the vectors or epoch losses are not finite"),
     ], ids=["inf", "diverges"])
@@ -665,15 +710,15 @@ class TestTrainingCommands:
         assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--lr", "nan", "learning_rate nan must be finite and > 0"),
-        ("--lr", "inf", "learning_rate inf must be finite and > 0"),
-        ("--lr", "-1", "learning_rate -1.0 must be finite and > 0"),
-        ("--lr", "0", "learning_rate 0.0 must be finite and > 0"),
+        ("--lr", "nan", "learning_rate nan must be a number in (0, inf)"),
+        ("--lr", "inf", "learning_rate inf must be a number in (0, inf)"),
+        ("--lr", "-1", "learning_rate -1.0 must be a number in (0, inf)"),
+        ("--lr", "0", "learning_rate 0.0 must be a number in (0, inf)"),
         ("--batch-size", "0", "batch_size 0 must be an integer >= 1"),
         ("--epochs", "0", "epochs 0 must be an integer >= 1"),
-        ("--val-split", "nan", "val_split nan must be in [0, 1)"),
-        ("--val-split", "1", "val_split 1.0 must be in [0, 1)"),
-        ("--val-split", "-0.1", "val_split -0.1 must be in [0, 1)"),
+        ("--val-split", "nan", "val_split nan must be a number in [0, 1)"),
+        ("--val-split", "1", "val_split 1.0 must be a number in [0, 1)"),
+        ("--val-split", "-0.1", "val_split -0.1 must be a number in [0, 1)"),
         ("--lstm-hidden", "0", "lstm_hidden 0 must be an integer >= 1"),
         ("--lstm-hidden", "-1", "lstm_hidden -1 must be an integer >= 1"),
         ("--dense", "0 4", "dense_sizes[0] 0 must be an integer >= 1"),
@@ -1442,7 +1487,7 @@ class TestSubwordLengths:
         code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"), *self.ARGS,
                      "--subword-min-n", str(min_n)])
         assert code == 2
-        assert f"error: min_n must be >= 1, got {min_n}" in capsys.readouterr().err
+        assert f"error: min_n {min_n} outside [1, 2147483647]" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
 
     @pytest.mark.parametrize("flags, field", [
@@ -1456,7 +1501,8 @@ class TestSubwordLengths:
         code = main(["train-embed", str(clean_corpus), str(tmp_path / "v.txt"), *self.ARGS,
                      *flags])
         assert code == 2
-        assert f"error: {field} must be <= 2147483647, got" in capsys.readouterr().err
+        assert (f"error: {field} {flags[-1]} outside [1, 2147483647]"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_huge_max_n_equals_longest_word(self, clean_corpus, tmp_path, capsys):
@@ -1488,7 +1534,8 @@ class TestSubwordLengths:
     ("# table\n🙂\tone\n", "line 2: expected emoji<TAB>+1|-1"),
     ("🙂\t1\n\n😡\t2\n", "line 3: emoji polarity must be +1 or -1, got 2"),
     ("🙂\t1\n\udcff\t-1\n", "line 2: 'utf-8' codec can't decode byte 0xff in position 0"),
-], ids=["field-count", "not-integer", "out-of-range", "non-utf8"])
+    ("🙂\t1\n😡\t-1\n🙂\t-1\n", "line 3: emoji '🙂' repeats line 1"),
+], ids=["field-count", "not-integer", "out-of-range", "non-utf8", "repeat"])
 def test_bad_emoji_table_exit_2(clean_corpus, tmp_path, capsys, text, message):
     table = tmp_path / "emoji.tsv"
     table.write_text(text, encoding="utf-8", errors="surrogateescape")

@@ -1,6 +1,7 @@
 """Skip-gram and subword embedding training, lookup and persistence."""
 
 import math
+import re
 import resource
 import struct
 import tracemalloc
@@ -332,7 +333,8 @@ class TestSubwordPieces:
         fields[field] = 2 ** 31
         if field == "min_n":
             fields["max_n"] = 2 ** 31
-        with pytest.raises(ValueError, match=f"{field} must be <= 2147483647, got 2147483648"):
+        message = f"{field} 2147483648 outside [1, 2147483647]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             SubwordConfig(**fields)
 
 
@@ -388,7 +390,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("dim", [0, MAX_DIM + 1, 10 ** 8])
     def test_dim_bounded(self, dim):
-        with pytest.raises(ValueError, match=rf"^dim must be in \[1, {MAX_DIM}\], got {dim}$"):
+        with pytest.raises(ValueError, match=rf"^dim {dim} outside \[1, {MAX_DIM}\]$"):
             EmbedConfig(dim=dim)
         assert EmbedConfig(dim=MAX_DIM).dim == MAX_DIM
 

@@ -95,13 +95,20 @@ class TestLoadLexicon:
 
     @pytest.mark.parametrize("max_n", [0, -3])
     def test_max_n_below_one_refused_before_reading(self, tmp_path, max_n):
-        with pytest.raises(ValueError, match=f"max_n must be at least 1, got {max_n}"):
+        with pytest.raises(ValueError, match=f"max_n {max_n} must be an integer >= 1"):
             load_lexicon(tmp_path / "missing.tsv", max_n=max_n)
 
     def test_emoji_table_rejects_other_polarity(self, tmp_path):
         path = tmp_path / "emoji.tsv"
         path.write_text("🙂\t2\n")
         with pytest.raises(ValueError):
+            load_emoji_table(path)
+
+    def test_emoji_table_refuses_a_repeat(self, tmp_path):
+        # the last line would otherwise win silently
+        path = tmp_path / "emoji.tsv"
+        path.write_text("😀\t1\n# same emoji\n😀\t-1\n")
+        with pytest.raises(ValueError, match=f"{path}: line 3: emoji '😀' repeats line 1$"):
             load_emoji_table(path)
 
     def test_bundled_emoji_table(self):

@@ -1,6 +1,7 @@
 """Forward/backward correctness, optimization and persistence of the classifier."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from flamewatch import data_path, network
-from flamewatch.embeddings import EmbedConfig, EmbeddingMatrix, Vocabulary, train_word2vec
+from flamewatch.embeddings import (EmbedConfig, EmbeddingMatrix, SubwordConfig, Vocabulary,
+                                   train_word2vec)
 from flamewatch.fixtures import flaming_comments, synthetic_comments
 from flamewatch.lexicon import SentimentLabel, label_corpus, load_emoji_table, load_lexicon
 from flamewatch.network import (
@@ -242,7 +244,7 @@ class TestConstruction:
         (dict(fine_tune_embeddings=1), "fine_tune_embeddings 1 must be true or false"),
         (dict(fine_tune_embeddings=None),
          "fine_tune_embeddings None must be true or false"),
-        (dict(learning_rate=True), "learning_rate True must be finite and > 0"),
+        (dict(learning_rate=True), "learning_rate True must be a number in (0, inf)"),
         (dict(dropout_lstm=False), "dropout_lstm False must be a number in [0, 1)"),
         (dict(dropout_dense=False), "dropout_dense False must be a number in [0, 1)"),
     ], ids=["embed-dim", "filters", "kernel", "lstm-hidden", "dense", "batch-size",
@@ -252,6 +254,18 @@ class TestConstruction:
     def test_config_refuses_bools_as_integers(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             toy_config(**overrides)
+
+    @pytest.mark.parametrize("cls, name", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in (EmbedConfig, SubwordConfig, ModelConfig)
+        for f in dataclasses.fields(cls) if f.type == "int"
+    ])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_int_field_refuses_bool_and_float(self, cls, name, value):
+        required = {"embed_dim": 8} if cls is ModelConfig else {}
+        # ModelConfig names its kernel "kernel width"
+        with pytest.raises(ValueError, match=rf"^{name}( width)? {value!r} "):
+            cls(**{**required, name: value})
 
     @pytest.mark.parametrize("max_tokens", [0, MAX_TOKENS + 1, 2 ** 40, 12.0, "12"])
     def test_max_tokens_bounded(self, max_tokens):
@@ -264,7 +278,9 @@ class TestConstruction:
         (dict(lstm_hidden=10 ** 8), "lstm_hidden", "lstm_fwd_wh (100000000, 400000000)"),
         (dict(dense_sizes=(10 ** 9, 4)), "dense_sizes[0]", "dense1_w (16, 1000000000)"),
         (dict(dense_sizes=(16, 10 ** 9)), "dense_sizes[1]", "dense2_w (16, 1000000000)"),
-    ], ids=["filters", "lstm-hidden", "dense-0", "dense-1"])
+        # 4 * lstm_hidden is as long as filters, and conv1_w has no lstm_hidden axis
+        (dict(filters=4096, lstm_hidden=1024), "filters", "conv1_w (4096, 3, 4096)"),
+    ], ids=["filters", "lstm-hidden", "dense-0", "dense-1", "filters-as-long-as-4-lstm-hidden"])
     def test_size_budget_names_the_field(self, overrides, field, largest):
         config = toy_config(**overrides)
         tracemalloc.start()
@@ -654,6 +670,15 @@ class TestTraining:
         data = [(["w0"], 0), (["w1"], 1)]
         with pytest.raises(ValueError, match="missing"):
             model.train(data, epochs=1, val_split=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epochs=True), "epochs True must be an integer >= 1"),
+        (dict(epochs=2.0), "epochs 2.0 must be an integer >= 1"),
+        (dict(val_split=False), "val_split False must be a number in [0, 1)"),
+    ], ids=["epochs-bool", "epochs-float", "val-split-bool"])
+    def test_train_refuses_a_bad_setting(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            toy_model().train(separable_dataset(), **kwargs)
 
     def test_validation_keeps_best_epoch(self):
         model = toy_model()

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import data_path
+from . import check_int, data_path
 from . import embeddings, fixtures, flaming, lexicon, metrics, network, preprocess
 
 
@@ -309,6 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked for every command, whether or not it draws anything
+        check_int("seed", args.seed, 0)
         return args.func(args)
     except Exception as exc:
         named = isinstance(exc, OSError) and exc.filename is not None

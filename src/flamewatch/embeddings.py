@@ -6,6 +6,11 @@ which also gives out-of-vocabulary words a usable vector. The trainer that
 runs is the choice of method: `EmbedConfig` holds the settings both share,
 and only `train_fasttext` takes n-gram settings (`SubwordConfig`).
 
+Training runs in float32, as word2vec.c and fastText do, unless the
+trainer's `dtype` says otherwise: the input and output vectors, the bucket
+rows, the per-center learning rates and every temporary of a step. Epoch
+losses are summed in float64. A float64 run is the same code.
+
 Training is mini-batch SGD over the corpus as one sequence: the sentences'
 in-vocabulary ids back to back, each position knowing its sentence's
 bounds. One step takes a block of up to `BLOCK_CENTERS` consecutive
@@ -30,8 +35,18 @@ Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 |V| x dim); for the subword variant, the bucket vectors (same law, buckets x
 dim); then per epoch and block of n centers, the window radii
 `integers(1, window + 1, size=n)` and, if the block has any pair, the
-negatives `random((pairs, negatives))` mapped through the noise CDF with
-`searchsorted`. Pairs are ordered by center, then by context position.
+negatives `random((pairs, negatives))` mapped through the noise CDF as
+`searchsorted` maps them (`NoiseSampler`, a guide table that finds the same
+index in a step or two). Pairs are ordered by center, then by context
+position. Each initial value is drawn as a double and rounded once to the
+training dtype.
+
+The subword variant keeps the words' input vectors and the bucket rows it
+stores in one table, the words' rows first. A word's input rows are its own
+row, then those of its n-grams by length and start (`_runs`), so none is
+empty; a step composes each center once, as the mean of its rows summed by
+`np.add.reduceat`, and adds each center's share of its gradient to every
+one of them.
 
 The bucket table is never drawn whole. Each of its values is one double of
 the stream, so row r is values r*dim .. r*dim + dim - 1 after the saved
@@ -68,8 +83,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -84,14 +100,14 @@ BLOCK_CENTERS = 64
 MAX_NEGATIVES = 100
 # Upper bound on the vector width: published word2vec and fastText vectors are
 # 100-300 wide. A step at the default window and negatives updates up to 3840
-# target rows, 126 MB of float64 at 4096 dims, and each table row is 32 KiB.
+# target rows, 63 MB of float32 at 4096 dims, and each table row is 16 KiB.
 MAX_DIM = 4096
 # Most values the stored fastText bucket rows (the distinct n-gram ids of the
-# vocabulary x dim) may hold: 2**28 float64 values are 2 GiB. A 4096-dim table
+# vocabulary x dim) may hold: 2**28 float32 values are 1 GiB. A 4096-dim table
 # reaches it at 65,537 distinct ids, about 2k words of ten letters.
 MAX_TABLE_VALUES = 2 ** 28
-# Values per block that `_draw_rows` draws at once; bounds its scratch memory
-# (8 bytes a value) whatever the bucket count is.
+# Values per block that `_draw_rows` draws at once; bounds its float64 scratch
+# memory (8 bytes a value, 512 KiB) whatever the bucket count is.
 DRAW_BLOCK_VALUES = 2 ** 16
 
 
@@ -146,18 +162,20 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-def _draw_rows(state: dict, bound: float, dim: int, rows: np.ndarray) -> np.ndarray:
+def _draw_rows(state: dict, bound: float, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows `rows` (sorted, distinct) of `uniform(-bound, bound, (buckets, dim))`
-    drawn in one call by a PCG64 generator in `state`, bit for bit.
+    drawn in one call by a PCG64 generator in `state`, bit for bit, written
+    into `out` (len(rows) x dim, of any float dtype) and returned.
 
     Each value is one double of the stream, so row r begins r * dim values
     after `state`. The table is cut into blocks of DRAW_BLOCK_VALUES values: a
     block that holds no requested row is jumped over with `advance`, and one
-    that does is drawn from its first to its last requested row.
+    that does is drawn from its first to its last requested row and written
+    into `out` at once, so a float32 `out` never has a float64 copy.
     """
     gen = np.random.Generator(np.random.PCG64())
     gen.bit_generator.state = state
-    out = np.empty((rows.size, dim))
+    dim = out.shape[1]
     block = rows // max(1, DRAW_BLOCK_VALUES // dim)
     # for consecutive cuts i and j, rows[i:j] are the rows in one block
     cuts = np.flatnonzero(np.diff(block, prepend=-1, append=-1)).tolist()
@@ -186,16 +204,18 @@ class SubwordTable:
     word_raw_vectors: np.ndarray  # |V| x dim, pre-composition input vectors
 
     def bucket_rows(self, ids) -> np.ndarray:
-        """The rows of hashed ids `ids`, in order: trained for a seen id, the
-        initial draw for any other."""
+        """The rows of hashed ids `ids`, in order and in the table's dtype:
+        trained for a seen id, the initial draw for any other."""
         ids = np.asarray(ids, dtype=np.int64)
         at = np.searchsorted(self.seen, ids)
         hit = at < self.seen.size
         hit[hit] = self.seen[at[hit]] == ids[hit]
-        out = np.empty((ids.size, self.rows.shape[1]))
+        dim = self.rows.shape[1]
+        out = np.empty((ids.size, dim), self.rows.dtype)
         out[hit] = self.rows[at[hit]]
         unseen, back = np.unique(ids[~hit], return_inverse=True)
-        out[~hit] = _draw_rows(self.state, self.bound, self.rows.shape[1], unseen)[back]
+        drawn = np.empty((unseen.size, dim), out.dtype)
+        out[~hit] = _draw_rows(self.state, self.bound, unseen, drawn)[back]
         return out
 
 
@@ -210,23 +230,19 @@ class EmbeddingMatrix:
 
 def build_vocab(sentences: list[list[str]], min_count: int = 2) -> Vocabulary:
     """Count tokens and keep those at or above min_count, ids by (count desc, token asc)."""
-    counts: dict[str, int] = {}
-    for sent in sentences:
-        for tok in sent:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(chain.from_iterable(sentences))
     if not counts:
         raise ValueError("empty corpus")
-    kept = sorted(
-        ((tok, c) for tok, c in counts.items() if c >= min_count),
-        key=lambda tc: (-tc[1], tc[0]),
-    )
-    if not kept:
+    # by token, then stably by count: equal counts keep the token order
+    id_to_token = sorted(tok for tok, c in counts.items() if c >= min_count)
+    if not id_to_token:
         raise ValueError(f"no token reaches min_count={min_count}")
-    id_to_token = [tok for tok, _ in kept]
+    id_to_token.sort(key=counts.__getitem__, reverse=True)
     return Vocabulary(
         token_to_id={tok: i for i, tok in enumerate(id_to_token)},
         id_to_token=id_to_token,
-        counts=np.array([c for _, c in kept], dtype=np.int64),
+        counts=np.fromiter(map(counts.__getitem__, id_to_token), dtype=np.int64,
+                           count=len(id_to_token)),
     )
 
 
@@ -331,11 +347,6 @@ def _corpus_ids(
             np.repeat(end - lengths, lengths), np.repeat(end, lengths))
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable log(sigmoid(x))
-    return np.where(x >= 0, -np.log1p(np.exp(-x)), x - np.log1p(np.exp(x)))
-
-
 def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """table[rows] += values, where repeated rows accumulate.
 
@@ -347,23 +358,67 @@ def _scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(table.reshape(-1), flat, values.ravel())
 
 
-def _gather(ids, starts, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From the vocabulary's n-gram ids in CSR layout (`_hash_ngrams`), the
-    n-gram ids of `words` back to back, the position in `words` that each
-    belongs to, and 1 + each word's n-gram count (the number of rows its
-    composition averages)."""
-    counts = starts[words + 1] - starts[words]
-    owner = np.repeat(np.arange(len(words)), counts)
-    first = np.cumsum(counts) - counts
-    flat = ids[starts[words][owner] + np.arange(owner.size) - first[owner]]
-    return flat, owner, 1 + counts
+def _runs(ids, starts, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's input rows in CSR layout (run_ids, run_starts), from its
+    n-gram rows in CSR layout (ids, starts): word w's own row w, then row
+    offset + i for each of its n-grams' ids i, in their order. No run is
+    empty, even for a word with no n-gram."""
+    words = np.arange(starts.size - 1)
+    return np.insert(ids + offset, starts[:-1], words), starts + np.arange(starts.size)
 
 
-def _compose(w_in, buckets, words, flat, owner, size) -> np.ndarray:
-    """Mean of each word's raw vector and its n-gram bucket vectors."""
-    total = w_in[words]
-    _scatter_add(total, owner, buckets[flat])
-    return total / size[:, None]
+def _gather(run_ids, run_starts, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From each vocabulary word's input rows in CSR layout (word w owns
+    run_ids[run_starts[w]:run_starts[w + 1]]), the rows of `words` back to
+    back, where each word's run begins in them, and each run's length."""
+    size = run_starts[words + 1] - run_starts[words]
+    first = np.cumsum(size) - size
+    at = np.repeat(run_starts[words] - first, size) + np.arange(first[-1] + size[-1])
+    return run_ids[at], first, size
+
+
+def _compose(w_in, flat, first, size) -> np.ndarray:
+    """Mean of each word's run of input rows (`_gather`): its raw vector and
+    its n-gram bucket rows."""
+    total = np.add.reduceat(w_in[flat], first, axis=0)
+    total /= size[:, None]
+    return total
+
+
+@dataclass(frozen=True)
+class NoiseSampler:
+    """Inverse-CDF draws from the noise distribution: `draw(u)` equals
+    `np.searchsorted(cdf, u)` bit for bit for every u in [0, 1).
+
+    This is Chen and Asau's indexed search. With `cells` a power of two of
+    at least 4|V|, `guide[k]` is the first index whose CDF reaches k / cells.
+    A draw u lies in cell k = floor(u * cells), exactly so as cells is a
+    power of two, and its index in [guide[k], guide[k + 1]]. A bisection of
+    `rounds` halving steps then finds it for every draw at once: the bit
+    length of the widest cell's span, at most ceil(log2 |V|). It is 1 on
+    Zipf vocabularies of 6k and 50k words, and 8 for one word of count
+    10**9 beside 6000 singletons. A step may probe past guide[k + 1], where
+    the CDF already reaches u; `cdf` holds 2**(rounds - 1) infinities after
+    the vocabulary's values, so that a probe past the last word does too."""
+    cdf: np.ndarray
+    guide: np.ndarray
+    rounds: int
+
+    @classmethod
+    def from_cdf(cls, cdf: np.ndarray) -> NoiseSampler:
+        cells = 1 << (4 * cdf.size - 1).bit_length()
+        guide = np.searchsorted(cdf, np.arange(cells + 1) / cells)
+        rounds = int(np.diff(guide).max()).bit_length()
+        return cls(np.concatenate((cdf, np.full(1 << rounds >> 1, np.inf))), guide, rounds)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        at = self.guide[(u * (self.guide.size - 1)).astype(np.intp)]
+        step = 1 << self.rounds
+        for _ in range(self.rounds):
+            step >>= 1
+            # the answer lies in at .. at + 2 * step - 1
+            np.add(at, step, out=at, where=self.cdf[at + (step - 1)] < u)
+        return at
 
 
 # A diverging run overflows in exp and adds inf to -inf; the non-finite check
@@ -373,6 +428,7 @@ def _train(
     sentences: list[list[str]],
     config: EmbedConfig,
     sub: SubwordConfig | None,
+    dtype,
 ) -> EmbeddingMatrix:
     """Skip-gram training, with each word also its n-grams when `sub` is given."""
     vocab = build_vocab(sentences, config.min_count)
@@ -385,29 +441,36 @@ def _train(
         raise ValueError("corpus too small: no (center, context) pair")
     dim = config.dim
     vocab_size = len(vocab)
+    table_rows = vocab_size
     if sub is not None:
-        # the table keeps one row per distinct n-gram id, and the CSR ids
-        # index those rows
+        # the table keeps one row per distinct n-gram id, after the words' rows
         hashed, starts = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
         seen, compact = np.unique(hashed, return_inverse=True)
-        grams = compact, starts
         if seen.size * dim > MAX_TABLE_VALUES:
             raise ValueError(f"{seen.size} seen n-gram buckets x {dim} dims exceed "
                              f"MAX_TABLE_VALUES {MAX_TABLE_VALUES}; lower --dim or --buckets")
+        runs = _runs(compact, starts, vocab_size)
+        table_rows += seen.size
     rng = np.random.default_rng(config.seed)
 
     bound = 0.5 / dim
-    w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
-    w_out = np.zeros((vocab_size, dim))
+    # the input vectors, then for the subword variant the seen bucket rows
+    w_in = np.empty((table_rows, dim), dtype)
+    _draw_rows(rng.bit_generator.state, bound, np.arange(vocab_size), w_in[:vocab_size])
+    rng.bit_generator.advance(vocab_size * dim)
+    w_out = np.zeros((vocab_size, dim), dtype)
     if sub is not None:
         # only doubles came before, so no half-used 32-bit output is dropped
         state = rng.bit_generator.state
         rng.bit_generator.advance(sub.buckets * dim)
-        buckets = _draw_rows(state, bound, dim, seen)
+        _draw_rows(state, bound, seen, w_in[vocab_size:])
 
-    noise = negative_sampling_distribution(vocab)
-    noise_cdf = np.cumsum(noise)
+    noise_cdf = np.cumsum(negative_sampling_distribution(vocab))
     noise_cdf[-1] = 1.0
+    noise = NoiseSampler.from_cdf(noise_cdf)
+    # a pair's loss is log(1 + exp(flip * score)) at each target: the context
+    # first, then the negatives
+    flip = np.array([-1] + [1] * config.negatives, dtype)
 
     total_centers = ids.size * config.epochs
     # context offsets -widest..-1, 1..widest; a center keeps those within its
@@ -416,18 +479,19 @@ def _train(
     widest = min(config.window, longest - 1)
     offsets = np.concatenate((np.arange(-widest, 0), np.arange(1, widest + 1)))
     reach = np.abs(offsets)
-    processed = 0
     losses = []
 
-    for _epoch in range(config.epochs):
+    for epoch in range(config.epochs):
+        # each center's linearly decaying learning rate, negated, so that
+        # every update below is added
+        rate = np.arange(epoch * ids.size, (epoch + 1) * ids.size) / (total_centers + 1)
+        np.subtract(1.0, rate, out=rate)
+        np.maximum(1e-4, rate, out=rate)
+        rate = np.multiply(-config.initial_lr, rate, out=rate).astype(dtype, copy=False)
         epoch_loss = 0.0
         epoch_pairs = 0
         for first in range(0, ids.size, BLOCK_CENTERS):
             last = min(first + BLOCK_CENTERS, ids.size)
-            lr = config.initial_lr * np.maximum(
-                1e-4, 1.0 - np.arange(processed, processed + last - first) / (total_centers + 1)
-            )
-            processed += last - first
             radius = rng.integers(1, config.window + 1, size=last - first)
             ctx = np.arange(first, last)[:, None] + offsets
             keep = (
@@ -439,54 +503,45 @@ def _train(
             pair_center, pair_slot = np.nonzero(keep)
             if not pair_center.size:
                 continue
-            negs = np.searchsorted(
-                noise_cdf, rng.random((pair_center.size, config.negatives))
-            )
-            targets = np.concatenate(
-                (ids[ctx[pair_center, pair_slot]][:, None], negs), axis=1
-            )
-            # each distinct center word is read (and composed) once
-            words, word_of_center = np.unique(ids[first:last], return_inverse=True)
-            pair_word = word_of_center[pair_center]
+            targets = np.empty((pair_center.size, 1 + config.negatives), np.intp)
+            targets[:, 0] = ids[ctx[pair_center, pair_slot]]
+            targets[:, 1:] = noise.draw(rng.random((pair_center.size, config.negatives)))
+            centers = ids[first:last]
             if sub is None:
-                v_words = w_in[words]
+                pair_word = centers[pair_center]
+                v = w_in[pair_word]
             else:
-                flat, owner, size = _gather(*grams, words)
-                v_words = _compose(w_in, buckets, words, flat, owner, size)
-            v = v_words[pair_word]
+                # each center is composed once
+                flat, start, size = _gather(*runs, centers)
+                v = _compose(w_in, flat, start, size)[pair_center]
             u = w_out[targets]
             scores = np.einsum("pkd,pd->pk", u, v)
-            epoch_loss += float(
-                -_log_sigmoid(scores[:, 0]).sum() - _log_sigmoid(-scores[:, 1:]).sum()
-            )
+            epoch_loss += float(np.logaddexp(0, flip * scores).sum(dtype=np.float64))
             epoch_pairs += pair_center.size
             g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
             g[:, 0] -= 1.0
-            g *= lr[pair_center][:, None]
+            g *= rate[first:last][pair_center][:, None]
+            _scatter_add(w_out, targets.ravel(), (g[:, :, None] * v[:, None, :]).reshape(-1, dim))
             grad_v = np.einsum("pk,pkd->pd", g, u)
-            _scatter_add(
-                w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
-            )
-            grad_words = np.zeros_like(v_words)
-            _scatter_add(grad_words, pair_word, grad_v)
             if sub is None:
-                w_in[words] -= grad_words
+                _scatter_add(w_in, pair_word, grad_v)
             else:
-                share = grad_words / size[:, None]
-                w_in[words] -= share
-                _scatter_add(buckets, flat, -share[owner])
+                grad = np.zeros((last - first, dim), dtype)
+                _scatter_add(grad, pair_center, grad_v)
+                grad /= size[:, None]
+                _scatter_add(w_in, flat, np.repeat(grad, size, axis=0))
         losses.append(epoch_loss / epoch_pairs)
 
     if sub is None:
         vectors, table = w_in, None
     else:
-        # composed in chunks, so the gathered bucket rows stay small
-        vectors = np.empty_like(w_in)
+        # composed in chunks, so the gathered rows stay small
+        vectors = np.empty((vocab_size, dim), dtype)
         for first in range(0, vocab_size, BLOCK_CENTERS):
             words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
-            vectors[words] = _compose(w_in, buckets, words, *_gather(*grams, words))
-        table = SubwordTable(config=sub, seen=seen, rows=buckets, state=state, bound=bound,
-                             word_raw_vectors=w_in)
+            vectors[words] = _compose(w_in, *_gather(*runs, words))
+        table = SubwordTable(config=sub, seen=seen, rows=w_in[vocab_size:], state=state,
+                             bound=bound, word_raw_vectors=w_in[:vocab_size])
     if not (np.isfinite(vectors).all() and np.isfinite(losses).all()):
         raise ValueError(f"training diverged at initial_lr {config.initial_lr}: "
                          "the vectors or epoch losses are not finite")
@@ -495,19 +550,23 @@ def _train(
     )
 
 
-def train_word2vec(sentences: list[list[str]], config: EmbedConfig) -> EmbeddingMatrix:
-    """Skip-gram with negative sampling (Mikolov et al., arXiv:1310.4546)."""
-    return _train(sentences, config, None)
+def train_word2vec(sentences: list[list[str]], config: EmbedConfig, *,
+                   dtype=np.float32) -> EmbeddingMatrix:
+    """Skip-gram with negative sampling (Mikolov et al., arXiv:1310.4546),
+    trained in `dtype`."""
+    return _train(sentences, config, None, dtype)
 
 
 def train_fasttext(
-    sentences: list[list[str]], config: EmbedConfig, subword: SubwordConfig | None = None
+    sentences: list[list[str]], config: EmbedConfig, subword: SubwordConfig | None = None, *,
+    dtype=np.float32,
 ) -> EmbeddingMatrix:
     """Skip-gram in which a word is also its hashed character n-grams
-    (Bojanowski et al., arXiv:1607.04606); None means SubwordConfig(). Only
-    the bucket rows that the vocabulary's n-grams hash to are stored; more
-    than MAX_TABLE_VALUES of their values are refused before anything is drawn."""
-    return _train(sentences, config, SubwordConfig() if subword is None else subword)
+    (Bojanowski et al., arXiv:1607.04606), trained in `dtype`; None means
+    SubwordConfig(). Only the bucket rows that the vocabulary's n-grams hash
+    to are stored; more than MAX_TABLE_VALUES of their values are refused
+    before anything is drawn."""
+    return _train(sentences, config, SubwordConfig() if subword is None else subword, dtype)
 
 
 def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
@@ -520,7 +579,7 @@ def compose_word(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
     if wid is not None:
         rows = np.vstack((sub.word_raw_vectors[wid], rows))
     if not len(rows):
-        return np.zeros(matrix.dim)
+        return np.zeros(matrix.dim, rows.dtype)
     return rows.mean(axis=0)
 
 
@@ -531,7 +590,7 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
         return matrix.vectors[wid]
     if matrix.subword is not None:
         return compose_word(matrix, word)
-    return np.zeros(matrix.dim)
+    return np.zeros(matrix.dim, matrix.vectors.dtype)
 
 
 # Values per block that `save_embeddings` formats, and `load_embeddings` parses,

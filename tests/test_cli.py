@@ -512,6 +512,27 @@ def test_bad_numeric_option_exit_2_names_the_field(clean_corpus, labeled_corpus,
     assert list(tmp_path.iterdir()) == [vectors]
 
 
+@pytest.mark.parametrize("command", sorted(_arguments(build_parser())[1]))
+def test_negative_seed_refused_by_every_command(raw_corpus, clean_corpus, labeled_corpus,
+                                                tmp_path, capsys, command):
+    # the global --seed is checked before any command runs, so a command that
+    # draws nothing refuses it as train-embed does, and writes nothing
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"class_names": ["a", "b"], "counts": [[1, 0], [0, 1]]}')
+    out = tmp_path / "out"
+    inputs = {"preprocess": [raw_corpus, out], "label": [clean_corpus, out],
+              "train-embed": [clean_corpus, out],
+              "train-clf": [labeled_corpus, out, "--embeddings", matrix],
+              "predict": [clean_corpus, out, "--model", matrix],
+              "evaluate": ["--matrix-json", matrix], "detect": [labeled_corpus, out],
+              "make-fixture": [out]}[command]
+    assert main(list(map(str, ["--seed", "-5", command, *inputs]))) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed -5 must be an integer >= 0\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [matrix]
+
+
 class TestDefaultsAreTheLibrarys:
     """With no options, each command builds the library's default config (and
     the default global --seed, 0). Configs are captured where they are used."""

@@ -192,9 +192,9 @@ class TestBlockStep:
         config = EmbedConfig(dim=6, window=3, negatives=3, epochs=2, initial_lr=0.2,
                              min_count=2, seed=3)
         if subword is None:
-            matrix = train_word2vec(sentences, config)
+            matrix = train_word2vec(sentences, config, dtype=np.float64)
         else:
-            matrix = train_fasttext(sentences, config, subword)
+            matrix = train_fasttext(sentences, config, subword, dtype=np.float64)
         w_in, buckets, stored, losses = reference_train(sentences, config, subword)
         assert "rare" not in matrix.vocab.token_to_id
         assert np.abs(matrix.vectors - stored).max() < 1e-12
@@ -227,7 +227,7 @@ class TestBlockStep:
                            (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
         tracemalloc.start()
         try:
-            matrix = train_word2vec(block_corpus(), config)
+            matrix = train_word2vec(block_corpus(), config, dtype=np.float64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,6 +280,42 @@ class TestNoiseDistribution:
         dist = negative_sampling_distribution(vocab)
         assert abs(dist.sum() - 1.0) < 1e-12
         assert (dist > 0).all()
+
+
+def noise_cdf(counts):
+    """The noise CDF that training draws negatives from, for word counts `counts`."""
+    words = [f"w{i}" for i in range(len(counts))]
+    vocab = Vocabulary({w: i for i, w in enumerate(words)}, words,
+                       np.asarray(counts, dtype=np.int64))
+    cdf = np.cumsum(negative_sampling_distribution(vocab))
+    cdf[-1] = 1.0
+    return cdf
+
+
+class TestNoiseSampler:
+    @pytest.mark.parametrize("counts", [
+        [10 ** 9] + [1] * 6000,  # one word holds nearly all the mass
+        [3] * 1000,
+        [7],
+        (10 ** 7 // np.arange(1, 50_001)) + 1,  # Zipf over 50k words
+        2 ** np.arange(40, -1, -1),  # each word half the one before
+    ], ids=["dominant", "flat", "single", "zipf-50k", "geometric"])
+    def test_draws_equal_searchsorted(self, counts):
+        cdf = noise_cdf(counts)
+        sampler = embeddings.NoiseSampler.from_cdf(cdf)
+        cells = sampler.guide.size - 1
+        assert cells >= 4 * cdf.size and cells & (cells - 1) == 0
+        assert sampler.rounds <= math.ceil(math.log2(cdf.size)) + 1
+        # random draws, the ends of [0, 1), every CDF value and cell edge, and
+        # the doubles on either side of each
+        edges = np.concatenate(([0.0, 1.0], cdf, np.arange(cells + 1) / cells))
+        u = np.concatenate((np.random.default_rng(len(counts)).random(200_000), edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert u.min() == 0.0 and u.max() == np.nextafter(1.0, 0.0)
+        assert sampler.draw(u).tolist() == np.searchsorted(cdf, u).tolist()
+        block = u[:300].reshape(100, 3)
+        assert sampler.draw(block).tolist() == np.searchsorted(cdf, block).tolist()
 
 
 class TestSubwordPieces:
@@ -481,8 +517,8 @@ class TestFasttext:
 
 
 # The subword trainer as it was when it drew the whole (buckets, dim) table in
-# one call and indexed it by hashed id, kept to pin that drawing only the seen
-# rows changes no bit.
+# one call and indexed it by hashed id, with the float32 step of `_train`, kept
+# to pin that drawing only the seen rows changes no bit.
 @np.errstate(over="ignore", invalid="ignore")
 def full_table_train(sentences, config, sub):
     """Vectors, epoch losses, raw input vectors and the whole bucket table."""
@@ -493,12 +529,16 @@ def full_table_train(sentences, config, sub):
     dim = config.dim
     vocab_size = len(vocab)
     bound = 0.5 / dim
-    w_in = rng.uniform(-bound, bound, size=(vocab_size, dim))
-    w_out = np.zeros((vocab_size, dim))
-    buckets = rng.uniform(-bound, bound, size=(sub.buckets, dim))
-    grams = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+    # the input vectors, then every bucket row, as one float32 table
+    w_in = np.concatenate((rng.uniform(-bound, bound, size=(vocab_size, dim)),
+                           rng.uniform(-bound, bound, size=(sub.buckets, dim))))
+    w_in = w_in.astype(np.float32)
+    w_out = np.zeros((vocab_size, dim), np.float32)
+    hashed, starts = _hash_ngrams(vocab.id_to_token, sub.min_n, sub.max_n, sub.buckets)
+    runs = embeddings._runs(hashed, starts, vocab_size)
     noise_cdf = np.cumsum(negative_sampling_distribution(vocab))
     noise_cdf[-1] = 1.0
+    flip = np.array([-1] + [1] * config.negatives, np.float32)
     total_centers = ids.size * config.epochs
     widest = min(config.window, longest - 1)
     offsets = np.concatenate((np.arange(-widest, 0), np.arange(1, widest + 1)))
@@ -526,35 +566,28 @@ def full_table_train(sentences, config, sub):
                 continue
             negs = np.searchsorted(noise_cdf, rng.random((pair_center.size, config.negatives)))
             targets = np.concatenate((ids[ctx[pair_center, pair_slot]][:, None], negs), axis=1)
-            words, word_of_center = np.unique(ids[first:last], return_inverse=True)
-            pair_word = word_of_center[pair_center]
-            flat, owner, size = embeddings._gather(*grams, words)
-            v_words = embeddings._compose(w_in, buckets, words, flat, owner, size)
-            v = v_words[pair_word]
+            flat, start, size = embeddings._gather(*runs, ids[first:last])
+            v = embeddings._compose(w_in, flat, start, size)[pair_center]
             u = w_out[targets]
             scores = np.einsum("pkd,pd->pk", u, v)
-            epoch_loss += float(-embeddings._log_sigmoid(scores[:, 0]).sum()
-                                - embeddings._log_sigmoid(-scores[:, 1:]).sum())
+            epoch_loss += float(np.logaddexp(0, flip * scores).sum(dtype=np.float64))
             epoch_pairs += pair_center.size
             g = 1.0 / (1.0 + np.exp(-np.clip(scores, -30, 30)))
             g[:, 0] -= 1.0
-            g *= lr[pair_center][:, None]
-            grad_v = np.einsum("pk,pkd->pd", g, u)
+            g *= (-lr).astype(np.float32)[pair_center][:, None]
             embeddings._scatter_add(
-                w_out, targets.ravel(), -(g[:, :, None] * v[:, None, :]).reshape(-1, dim)
+                w_out, targets.ravel(), (g[:, :, None] * v[:, None, :]).reshape(-1, dim)
             )
-            grad_words = np.zeros_like(v_words)
-            embeddings._scatter_add(grad_words, pair_word, grad_v)
-            share = grad_words / size[:, None]
-            w_in[words] -= share
-            embeddings._scatter_add(buckets, flat, -share[owner])
+            grad = np.zeros((last - first, dim), np.float32)
+            embeddings._scatter_add(grad, pair_center, np.einsum("pk,pkd->pd", g, u))
+            grad /= size[:, None]
+            embeddings._scatter_add(w_in, flat, np.repeat(grad, size, axis=0))
         losses.append(epoch_loss / epoch_pairs)
-    vectors = np.empty_like(w_in)
+    vectors = np.empty((vocab_size, dim), np.float32)
     for first in range(0, vocab_size, BLOCK_CENTERS):
         words = np.arange(first, min(first + BLOCK_CENTERS, vocab_size))
-        vectors[words] = embeddings._compose(w_in, buckets, words,
-                                             *embeddings._gather(*grams, words))
-    return vectors, losses, w_in, buckets
+        vectors[words] = embeddings._compose(w_in, *embeddings._gather(*runs, words))
+    return vectors, losses, w_in[:vocab_size], w_in[vocab_size:]
 
 
 def full_table_compose(vocab, w_in, buckets, sub, word):
@@ -564,7 +597,7 @@ def full_table_compose(vocab, w_in, buckets, sub, word):
     if wid is not None:
         rows.insert(0, w_in[wid])
     if not rows:
-        return np.zeros(w_in.shape[1])
+        return np.zeros(w_in.shape[1], w_in.dtype)
     return np.vstack(rows).mean(axis=0)
 
 
@@ -612,9 +645,14 @@ class TestSeenRows:
         for size in (1, 2, 50, 3000):
             picks = rng.integers(0, buckets, size=size)
             rows = np.unique(np.concatenate((picks, [0, buckets - 1])))
-            drawn = embeddings._draw_rows(state, 0.125, dim, rows)
+            drawn = embeddings._draw_rows(state, 0.125, rows, np.empty((rows.size, dim)))
             assert drawn.tobytes() == table[rows].tobytes()
-        empty = embeddings._draw_rows(state, 0.125, dim, np.array([], dtype=np.int64))
+            # a float32 table gets each double rounded once
+            drawn = embeddings._draw_rows(state, 0.125, rows,
+                                          np.empty((rows.size, dim), np.float32))
+            assert drawn.tobytes() == table[rows].astype(np.float32).tobytes()
+        empty = embeddings._draw_rows(state, 0.125, np.array([], dtype=np.int64),
+                                      np.empty((0, dim)))
         assert empty.shape == (0, dim)
         # the training generator jumps over the table and then draws as before
         jumped = np.random.default_rng(buckets + dim)
@@ -635,6 +673,66 @@ class TestSeenRows:
         assert matrix.subword.config.buckets == 2 ** 21
         assert matrix.subword.rows.nbytes < 2 ** 20
         assert peak < 4 * 2 ** 20
+
+
+class TestStepPieces:
+    def test_compose_words_without_ngrams(self):
+        # at min_n 5, "<ab>" and "<xy>" have no n-gram: such words open, sit
+        # inside and close the block, and "<abcd>" has three
+        words = ["ab", "abcd", "xy", "abcdef", "ab", "abcd", "xy"]
+        vocab = sorted(set(words))
+        hashed, starts = _hash_ngrams(vocab, 5, 6, 64)
+        seen, compact = np.unique(hashed, return_inverse=True)
+        runs = embeddings._runs(compact, starts, len(vocab))
+        # whole numbers, so that every sum is exact whatever its order
+        w_in = np.random.default_rng(2).integers(-999, 1000, size=(len(vocab) + seen.size, 5))
+        w_in = w_in.astype(np.float32)
+        block = np.array([vocab.index(w) for w in words])
+        assert [starts[w + 1] - starts[w] for w in block] == [0, 3, 0, 7, 0, 3, 0]
+        # the add.at sum: the word's own row, then its n-gram rows in order
+        total = w_in[block]
+        for i, w in enumerate(block):
+            grams = compact[starts[w]:starts[w + 1]] + len(vocab)
+            np.add.at(total, np.full(grams.size, i), w_in[grams])
+        size = 1 + np.diff(starts)[block]
+        expected = total / size[:, None].astype(np.float32)
+        composed = embeddings._compose(w_in, *embeddings._gather(*runs, block))
+        assert composed.dtype == np.float32
+        assert composed.tobytes() == expected.tobytes()
+
+    def test_state_is_float32(self):
+        config = EmbedConfig(dim=8, window=2, negatives=2, epochs=1, min_count=1, seed=1)
+        sentences = toy_corpus(sentences=30)
+        w2v = train_word2vec(sentences, config)
+        matrix = train_fasttext(sentences, config, SMALL_SUB)
+        table = matrix.subword
+        unseen = np.setdiff1d(np.arange(SMALL_SUB.buckets), table.seen)[::50]
+        assert unseen.size
+        for array in (w2v.vectors, matrix.vectors, table.word_raw_vectors, table.rows,
+                      table.bucket_rows(unseen), lookup(w2v, "zzzqqq"),
+                      lookup(matrix, "zzzqqq")):
+            assert array.dtype == np.float32
+        # an unseen row is its initial draw, rounded once to float32
+        double = train_fasttext(sentences, config, SMALL_SUB, dtype=np.float64).subword
+        assert double.rows.dtype == np.float64
+        assert (table.bucket_rows(unseen).tobytes()
+                == double.bucket_rows(unseen).astype(np.float32).tobytes())
+
+    def test_fasttext_holds_no_float64_copy_of_the_seen_rows(self):
+        # 1000 ten-letter words hash to about 31k distinct ids; the float32
+        # table and its bounded draw blocks stay below the bytes of one
+        # float64 copy of those rows
+        sentences = ten_letter_sentences(words=1000)
+        config = EmbedConfig(dim=64, window=2, negatives=2, epochs=1, min_count=2, seed=1)
+        tracemalloc.start()
+        try:
+            matrix = train_fasttext(sentences, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen_bytes = matrix.subword.seen.size * config.dim
+        assert matrix.subword.rows.nbytes == 4 * seen_bytes
+        assert peak < 8 * seen_bytes, f"peak {peak} >= float64 rows {8 * seen_bytes}"
 
 
 class TestPersistence:

@@ -28,7 +28,7 @@ longest sentence less one, so a window wider than every sentence costs
 nothing more. Within that, a step's pairs still grow with the window times
 the lengths of its sentences: three 3000-token comments at window 2000 ask
 for a (758592, dim) array in one step. Bounding a step's pairs is ROADMAP
-item 6.
+item 4(a).
 
 Runs are reproducible for a seed. One `numpy.random.default_rng(seed)`
 (PCG64) draws, in this order: the input vectors (uniform in +-0.5/dim,
@@ -75,8 +75,11 @@ blocks of rows: it scales each value to nine digits by one exact power of
 ten and looks the digits up in tables. It vouches only for zero and for
 finite values with 1e-14 <= |v| < 1e30 whose scaled value is not within
 1e-6 of a rounding tie; a row holding any other value is formatted by
-Python's "%.8e" instead. Reading a file back refuses a value that is not
-finite and a repeated word.
+Python's "%.8e" instead. Reading a file back, numpy's C parser
+(`np.loadtxt`) reads each block of lines, and float() reads a block line by
+line only where numpy refuses it, naming the first bad line; both read a
+value alike (`_parse_lines`). The reader refuses a value that is not finite
+and a repeated word.
 """
 
 from __future__ import annotations
@@ -594,7 +597,9 @@ def lookup(matrix: EmbeddingMatrix, word: str) -> np.ndarray:
 
 
 # Values per block that `save_embeddings` formats, and `load_embeddings` parses,
-# at once; bounds their scratch memory (about 100 bytes a value) whatever |V| is.
+# at once; bounds their scratch memory whatever |V| is. At dims 32-300,
+# tracemalloc peaks at about 105 bytes a value for the writer and 45 for the
+# reader (one block read whole by np.loadtxt).
 SAVE_BLOCK_VALUES = 2 ** 15
 
 # The kernel's domain besides zero. Scaling a value in it to nine digits
@@ -722,10 +727,13 @@ def load_embeddings(path) -> EmbeddingMatrix:
     subword table: an out-of-vocabulary word looks up as a zero vector.
     A malformed file, one that repeats a word, one holding a value that is
     not finite (nan, inf), or one with a line that is not UTF-8 raises
-    ValueError "<path>: line N: ...". The file is read once, in blocks of
-    about `SAVE_BLOCK_VALUES` values (`_parse_lines`). The first bad line is
-    the one named, save that a line that is not UTF-8 is named as its block
-    is read, before it is parsed."""
+    ValueError "<path>: line N: ...", as does a header whose count is below 0
+    or whose dim is outside [1, MAX_DIM], the widths `train-embed` makes.
+    The file is read once, in blocks of about `SAVE_BLOCK_VALUES` values,
+    each parsed by numpy's C parser or, if it refuses the block, by float()
+    line by line (`_parse_lines`). The first bad line is the one named, save
+    that a line that is not UTF-8 is named as its block is read, before it
+    is parsed."""
     lines = read_lines(path)
     header = next(lines, (1, ""))[1].split()
     if len(header) != 2:
@@ -734,8 +742,11 @@ def load_embeddings(path) -> EmbeddingMatrix:
         count, dim = int(header[0]), int(header[1])
     except ValueError as exc:
         _bad_line(path, 1, f"header must be 'count dim': {exc}")
-    if count < 0 or dim < 1:
-        _bad_line(path, 1, f"bad count {count} or dim {dim}")
+    try:
+        check_int("count", count, 0)
+        check_int("dim", dim, 1, MAX_DIM)
+    except ValueError as exc:
+        _bad_line(path, 1, exc)
     # values grow with the lines actually read, never from the header's count
     words, blocks = [], [np.empty((0, dim))]
     body, block_rows = islice(lines, count), max(1, SAVE_BLOCK_VALUES // dim)
@@ -762,14 +773,26 @@ def load_embeddings(path) -> EmbeddingMatrix:
 def _parse_lines(lines: list[tuple], words: list[str], dim: int, path) -> np.ndarray:
     """The (len(lines), dim) values of the vectors lines of file `path` that
     follow those of `words`, each line given as its partition(" "); appends
-    their words to `words`. `_parse_written` parses a block written as
-    `save_embeddings` writes one, and float() any other, line by line."""
+    their words to `words`.
+
+    numpy's C parser (`np.loadtxt`) reads the block first. It accepts only
+    values that float() accepts and reads them as float() does, except that
+    it strips the separators \\x1c-\\x1f off a value, which float() refuses,
+    and skips an empty line, so a block holding either is not given to it.
+    Any block it refuses, or reads to another shape, is read by float() line
+    by line, which names the first bad line."""
     first = len(words) + 2  # the first line's number, after the header
     words += [word for word, _, _ in lines]
-    try:
-        return _parse_written([text for _, _, text in lines], dim)
-    except ValueError:
-        pass
+    texts = [text for _, _, text in lines]
+    joined = "".join(texts)
+    if all(texts) and not any(c in joined for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            values = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), dim):
+                return values
     values = array("d")
     for lineno, (_, space, text) in enumerate(lines, first):
         parts = text.split(" ") if space else []
@@ -780,47 +803,3 @@ def _parse_lines(lines: list[tuple], words: list[str], dim: int, path) -> np.nda
         except ValueError as exc:
             _bad_line(path, lineno, exc)
     return np.frombuffer(values, dtype=np.float64).reshape(len(lines), dim)
-
-
-def _parse_written(texts: list[str], dim: int) -> np.ndarray:
-    """The (len(texts), dim) values of vectors lines, each text the part after
-    the word, when every value is written as `save_embeddings` writes one in
-    its kernel's domain: " " ["-"] digit "." 8 digits "e" sign 2 digits, with
-    an exponent e in [-14, 30]. Its nine digits n then give the value as
-    n * 10**(e - 8): one product or quotient of exact doubles, rounded once,
-    as float() reads the text. Any other text raises ValueError."""
-    raw = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
-    seps = np.flatnonzero((raw == ord(" ")) | (raw == ord("\n")))
-    width = np.diff(seps)  # each value's length plus one
-    negative = width == 16
-    # every row holds dim values: its newline is every dim-th separator
-    ok = (seps.size == len(texts) * dim + 1 and (raw[seps[::dim]] == ord("\n")).all()
-          and np.count_nonzero(raw == ord("\n")) == len(texts) + 1
-          and ((width == 15) | negative).all())
-    if not ok:
-        raise ValueError("a line is not written as save_embeddings writes one")
-    ends = seps[1:]
-
-    def number(backs):
-        """The decimal number of each value's characters `backs` places from
-        its end, and whether they are all digits."""
-        total, digits = np.zeros(ends.size, dtype=np.int64), True
-        for back in backs:
-            digit = raw.take(ends - back) - ord("0")  # uint8: a non-digit wraps past 9
-            digits = digits & (digit < 10)
-            total = 10 * total + digit
-        return total, digits
-
-    mantissa, ok = number((14, *range(12, 4, -1)))
-    exponent, ok_exponent = number((2, 1))
-    exponent_sign = raw.take(ends - 3)
-    ok &= ok_exponent & (raw.take(ends - 13) == ord(".")) & (raw.take(ends - 4) == ord("e"))
-    ok &= (exponent_sign == ord("+")) | (exponent_sign == ord("-"))
-    ok &= ~negative | (raw.take(ends - 15) == ord("-"))
-    k = np.where(exponent_sign == ord("-"), -exponent, exponent) - 8
-    if not (ok & (k >= -22) & (k <= 22)).all():
-        raise ValueError("a value is not written as save_embeddings writes one")
-    values = np.where(k >= 0, mantissa * _POW10[np.maximum(k, 0)],
-                      mantissa / _POW10[np.maximum(-k, 0)])
-    np.negative(values, out=values, where=negative)
-    return values.reshape(len(texts), dim)

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic_write, check_int, check_number
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, _scatter_add
 from .lexicon import CLASSES, SentimentLabel
 from .metrics import ConfusionMatrix, confusion
 
@@ -555,7 +555,7 @@ class SentimentNet:
         if cfg.fine_tune_embeddings:
             demb = g["embedding"]
             demb.fill(0.0)
-            np.add.at(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
+            _scatter_add(demb, cache["ids"].ravel(), dx.reshape(-1, dx.shape[2]))
             demb[PAD_ID] = 0.0
 
         if not np.isfinite(self.grad).all():
@@ -681,7 +681,7 @@ class SentimentNet:
             rows = slice(start, start + PREDICT_ROWS)
             batch_ids = _pad_rows(ids, chunk_begin[rows], chunk_len[rows], t)
             probs, _ = self.forward(Batch(ids=batch_ids, lengths=chunk_len[rows]), infer=True)
-            np.add.at(sums, owner[rows], probs)
+            _scatter_add(sums, owner[rows], probs)
         means = sums / np.bincount(owner, minlength=len(token_lists))[:, None]
         return means.argmax(axis=1), means
 

@@ -670,6 +670,20 @@ class TestTrainingCommands:
         assert f"error: {bad}: line 3: expected 3 components, got 2" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("header, message", [
+        ("0 99999999999999999999", "dim 99999999999999999999 outside [1, 4096]"),
+        ("0 5000", "dim 5000 outside [1, 4096]"),  # train-embed --dim 5000 is refused too
+    ])
+    def test_embeddings_header_out_of_range_exit_2(self, labeled_corpus, tmp_path, capsys,
+                                                   header, message):
+        bad = tmp_path / "wide.vec"
+        bad.write_text(header + "\n")
+        code = main(["train-clf", str(labeled_corpus), str(tmp_path / "m.ckpt"),
+                     "--embeddings", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 1: {message}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_non_finite_embedding_exit_2_names_the_line(self, labeled_corpus, tmp_path,
                                                          capsys):
         bad = tmp_path / "nan.vec"

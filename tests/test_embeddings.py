@@ -873,17 +873,62 @@ class TestPersistence:
         values[0, :4] = [0.0, -0.0, 1e-14, 9.999999996e29]
         path = tmp_path / "vectors.txt"
         text, words = _save_bytes(values, path)
-        parse, blocks = embeddings._parse_written, []
-        monkeypatch.setattr(embeddings, "_parse_written",
-                            lambda texts, dim: blocks.append(len(texts)) or parse(texts, dim))
+        loadtxt, blocks = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *args, **kwargs: blocks.append(loadtxt(*args, **kwargs))
+                            or blocks[-1])
         monkeypatch.setattr(embeddings, "SAVE_BLOCK_VALUES", 7 * 9)  # 42 blocks, 6 rows over
         back = load_embeddings(path)
-        # every block went to the bulk parser, the last one short
-        assert blocks == [7] * 42 + [6]
+        # numpy's parser read every block whole, the last one short, so the
+        # float() line loop, which runs only after it refuses one, never ran
+        assert [block.shape for block in blocks] == [(7, 9)] * 42 + [(6, 9)]
         expected = [[float(v) for v in line.split(" ")[1:]]
                     for line in text.decode().splitlines()[1:]]
         assert back.vocab.id_to_token == words
         assert back.vectors.tobytes() == np.array(expected).tobytes()
+
+    @seed(31)
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 19), st.one_of(st.floats().map(lambda v: f"{v:.8e}"), st.sampled_from([
+        "0.1", "1_0", "\u0661\u0662", "\uff11", "", " ", "nan", "-inf", "1e500", " 1.0",
+        "1.0\t", "\u00a01.0", "1.0\x1c", "\x1f1.0"]), st.text(
+        "0123456789.eE+-_ \t\x0b\x1c\x1f\x85\xa0\u3000\u0661nafiINF", max_size=8)))
+    # numpy's parser strips \x1c-\x1f off a value, where float() refuses it
+    @example(19, "1.0\x1f")
+    def test_loader_equals_float_line_loop(self, written, monkeypatch, at, text):
+        # one value of the written file replaced by `text` (" 1.0" makes a
+        # doubled space): the loader gives the bytes or the error message
+        # that the float() line loop alone gives
+        path, lines = written
+        row, col = divmod(at, 2)
+        parts = lines[1 + row].split(" ")
+        parts[1 + col] = text
+        path.write_text("\n".join(lines[:1 + row] + [" ".join(parts)] + lines[2 + row:]) + "\n",
+                        encoding="utf-8")
+
+        def outcome():
+            try:
+                return load_embeddings(path).vectors.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        loaded = outcome()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", refuse)
+            assert loaded == outcome()
+
+    def test_block_of_empty_values_named_without_a_warning(self, tmp_path):
+        # numpy's parser would skip every line of this block and warn that it
+        # holds no data; float() names the first
+        path = tmp_path / "vectors.txt"
+        path.write_text("3 1\na \nb \nc \n")
+        with pytest.raises(ValueError,
+                           match="^.*: line 2: could not convert string to float: ''$"):
+            load_embeddings(path)
 
     @pytest.fixture
     def written(self, tmp_path, monkeypatch):

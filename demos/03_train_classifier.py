@@ -10,7 +10,7 @@ Run:  python3 demos/03_train_classifier.py   (a few seconds)
 
 from flamewatch import data_path
 from flamewatch.embeddings import EmbedConfig, train_word2vec
-from flamewatch.lexicon import label_corpus, load_emoji_table, load_lexicon
+from flamewatch.lexicon import SentimentLabel, label_corpus, load_emoji_table, load_lexicon
 from flamewatch.network import ModelConfig, SentimentNet
 from flamewatch.preprocess import build_corpus, load_jsonl
 
@@ -49,6 +49,6 @@ for epoch, (loss, acc, vacc) in enumerate(
 # comments longer than max_tokens are split into chunks and the chunk
 # softmax outputs averaged; prediction still returns a single distribution
 long_tokens = [t for item in labeled[:6] for t in item.comment.tokens][:30]
-label, probs = model.predict_tokens(long_tokens)
-print(f"\n{len(long_tokens)}-token comment -> predicted {label.name}, "
-      f"probabilities {[round(float(p), 3) for p in probs]}")
+labels, probs = model.predict_many([long_tokens])
+print(f"\n{len(long_tokens)}-token comment -> predicted {SentimentLabel(int(labels[0])).name}, "
+      f"probabilities {[round(float(p), 3) for p in probs[0]]}")

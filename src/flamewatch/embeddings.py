@@ -323,8 +323,7 @@ def _hash_ngrams(
             hashes[base[word[:k]] + offset[:k]] = hk
             base += np.maximum(size - n + 1, 0)
     ids = hashes.astype(np.int64)
-    if buckets < 2 ** 32:
-        ids %= buckets
+    ids %= buckets
     return ids, starts
 
 

@@ -38,9 +38,12 @@ class TimeBucket:
 @dataclass
 class PostStats:
     post_id: str
-    total: int
     label_counts: list[int]  # indexed by label code 0..4
     vn_times: list[datetime]  # in input order
+
+    @property
+    def total(self) -> int:
+        return sum(self.label_counts)
 
     @property
     def vn_count(self) -> int:
@@ -132,8 +135,7 @@ def post_stats(labeled: list[LabeledComment]) -> list[PostStats]:
         comment = lc.comment
         s = by_post.get(comment.post_id)
         if s is None:
-            s = by_post[comment.post_id] = PostStats(comment.post_id, 0, [0] * CLASSES, [])
-        s.total += 1
+            s = by_post[comment.post_id] = PostStats(comment.post_id, [0] * CLASSES, [])
         s.label_counts[lc.label] += 1
         if lc.label == VERY_NEGATIVE:
             s.vn_times.append(comment.created_time)

@@ -1159,7 +1159,7 @@ class TestAtomicOutputs:
 
 # SHA-256 of the checkpoint below, trained in float32 through the forward that
 # inference runs (numpy on x86-64 with OpenBLAS).
-FROZEN_CHECKPOINT_SHA256 = "a027b4d79fecf361b1389a4738c6fa9f703ebce80e6b1343ec815aaea9d3d27f"
+FROZEN_CHECKPOINT_SHA256 = "312941dc1207dac709e4d9e1100beafeb2ffd782f71831cfdd3f87ff90c0e881"
 
 
 def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
@@ -1182,7 +1182,7 @@ def test_frozen_embedding_checkpoint_unchanged(labeled_corpus, tmp_path):
 
 # SHA-256 of the --fine-tune checkpoint below, with the same arithmetic caveat
 # as FROZEN_CHECKPOINT_SHA256 (numpy on x86-64 with OpenBLAS).
-FINE_TUNE_CHECKPOINT_SHA256 = "46a2309d9914385a79ee060fcc3d804e433fe320564eab1fcf36d6bcc4cb95a5"
+FINE_TUNE_CHECKPOINT_SHA256 = "7d5b9822ea131ed936b59074fbadfdd38e0501ca69388c744ab5f86a40f8e0b1"
 
 
 def test_fine_tune_checkpoint_unchanged(labeled_corpus, tmp_path):
@@ -1218,9 +1218,7 @@ def _set_config_and_tensors(**fields):
     so only the config check can refuse the checkpoint."""
     def change(meta):
         meta["config"].update(fields)
-        filters, kernel = meta["config"]["conv_layers"][0]
-        config = SimpleNamespace(**meta["config"], filters=filters, kernel=kernel)
-        shapes = param_shapes(config, len(meta["id_to_token"]))
+        shapes = param_shapes(SimpleNamespace(**meta["config"]), len(meta["id_to_token"]))
         meta["tensors"] = [[n, list(shapes[n])] for n in sorted(shapes)]
     return change
 
@@ -1263,13 +1261,11 @@ class TestBadCheckpoint:
         (lambda m: m.pop("tensors"), "missing 'tensors'"),
         (lambda m: m["config"].update(colour="red"), "'colour'"),
         (lambda m: m["tensors"][0][1].append(1), "do not match the config's"),
-        (lambda m: m["config"].update(classes=4), "model is fixed to 5 classes"),
         (_set_config_and_tensors(lstm_hidden=0), "lstm_hidden 0 must be an integer >= 1"),
-        (lambda m: m["config"].update(pool=3), "pool 3 must be 2"),
-        (lambda m: m["config"]["conv_layers"].pop(),
-         "conv_layers [[2, 3], [2, 3]] must be 3 equal pairs"),
-    ], ids=["no-tensors", "unknown-config-key", "shape-mismatch", "classes-4",
-            "lstm-hidden-0", "pool-3", "two-conv-pairs"])
+        # a version-1 file stored pool; a version-2 file that does is refused
+        (lambda m: m["config"].update(pool=2), "'pool'"),
+    ], ids=["no-tensors", "unknown-config-key", "shape-mismatch", "lstm-hidden-0",
+            "stored-pool"])
     def test_bad_metadata_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys, change,
                                  detail):
         bad = tmp_path / "bad.ckpt"
@@ -1277,6 +1273,36 @@ class TestBadCheckpoint:
         code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
         assert code == 2
         assert f"error: checkpoint {bad}: metadata: " in err and detail in err
+
+    def test_config_is_the_model_config_as_it_is(self, tmp_path):
+        vocab = Vocabulary.from_tokens(["good", "bad"])
+        matrix = EmbeddingMatrix(dim=2, vocab=vocab, vectors=np.zeros((2, 2)))
+        config = ModelConfig(embed_dim=2, max_tokens=5, filters=3, kernel=2, lstm_hidden=2,
+                             dense_sizes=(4, 3), dropout_lstm=0.25, dropout_dense=0.0,
+                             seed=7, batch_size=5, learning_rate=0.5,
+                             fine_tune_embeddings=True)
+        path = tmp_path / "model.ckpt"
+        SentimentNet(config, matrix).save(path)
+        blob = path.read_bytes()
+        version, size = struct.unpack("<ii", blob[4:12])
+        stored = json.loads(blob[12:12 + size])["config"]
+        assert version == network.CHECKPOINT_VERSION == 2
+        assert stored == json.loads(json.dumps(dataclasses.asdict(config)))
+        assert ModelConfig(**stored) == config
+        assert SentimentNet.load(path).config == config
+
+    def test_version_1_checkpoint_exit_2(self, clean_corpus, checkpoint, tmp_path, capsys):
+        # a version-1 file stored the fixed classes, pool and conv_layers keys
+        def old_config(meta):
+            cfg = meta["config"]
+            cfg.update(classes=5, pool=2, conv_layers=[[cfg.pop("filters"), cfg.pop("kernel")]] * 3)
+        bad = tmp_path / "v1.ckpt"
+        _rewrite_metadata(checkpoint, bad, old_config)
+        blob = bad.read_bytes()
+        bad.write_bytes(blob[:4] + struct.pack("<i", 1) + blob[8:])
+        code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
+        assert code == 2
+        assert f"error: checkpoint {bad}: unsupported checkpoint version 1\n" in err
 
     def _run(self, command, clean_corpus, labeled_corpus, model, tmp_path, capsys):
         if command == "predict":
@@ -1329,16 +1355,10 @@ class TestBadCheckpoint:
         (lambda m: m["config"].update(seed=-1), "seed -1 must be an integer >= 0"),
         (lambda m: m["config"].update(embed_dim=2.0),
          "embed_dim 2.0 must be an integer >= 1"),
-        (lambda m: m["config"]["conv_layers"][1].__setitem__(0, 2.0),
-         "conv_layers [[2, 3], [2.0, 3], [2, 3]] must be 3 equal pairs"),
-        (lambda m: m["config"]["conv_layers"][0].__setitem__(1, 3.0),
-         "conv_layers [[2, 3.0], [2, 3], [2, 3]] must be 3 equal pairs"),
-        (lambda m: m["config"].update(conv_layers=[[2.0, 3]] * 3),
-         "filters 2.0 must be an integer >= 1"),
-        (lambda m: m["config"].update(conv_layers=[[2, 3.0]] * 3),
-         "kernel width 3.0 must be an integer >= 1"),
+        (lambda m: m["config"].update(filters=2.0), "filters 2.0 must be an integer >= 1"),
+        (lambda m: m["config"].update(kernel=3.0), "kernel width 3.0 must be an integer >= 1"),
     ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float",
-            "kernel-float", "filters-float-in-every-pair", "kernel-float-in-every-pair"])
+            "kernel-float"])
     def test_bad_integer_in_config_names_the_field(self, clean_corpus, checkpoint,
                                                     tmp_path, capsys, change, detail):
         # each float equals the stored integer, so the tensor list still matches
@@ -1349,7 +1369,6 @@ class TestBadCheckpoint:
         assert f"error: checkpoint {bad}: metadata: {detail}\n" in err
 
     @pytest.mark.parametrize("field, value, detail", [
-        ("pool", True, "pool True must be 2"),
         ("batch_size", True, "batch_size True must be an integer >= 1"),
         ("seed", False, "seed False must be an integer >= 0"),
         ("fine_tune_embeddings", "no", "fine_tune_embeddings 'no' must be true or false"),

@@ -1355,13 +1355,17 @@ class TestBadCheckpoint:
         (lambda m: m["config"].update(seed=-1), "seed -1 must be an integer >= 0"),
         (lambda m: m["config"].update(embed_dim=2.0),
          "embed_dim 2.0 must be an integer >= 1"),
+        (lambda m: m["config"].update(filters=2.5), "filters 2.5 must be an integer >= 1"),
+        (lambda m: m["config"].update(kernel=3.5), "kernel width 3.5 must be an integer >= 1"),
         (lambda m: m["config"].update(filters=2.0), "filters 2.0 must be an integer >= 1"),
         (lambda m: m["config"].update(kernel=3.0), "kernel width 3.0 must be an integer >= 1"),
     ], ids=["seed-float", "seed-negative", "embed-dim-float", "filters-float",
-            "kernel-float"])
+            "kernel-float", "filters-float-in-every-pair", "kernel-float-in-every-pair"])
     def test_bad_integer_in_config_names_the_field(self, clean_corpus, checkpoint,
                                                     tmp_path, capsys, change, detail):
-        # each float equals the stored integer, so the tensor list still matches
+        # a fraction is refused before the tensor list is compared; every other
+        # float equals the stored integer, so the tensor list still matches. The
+        # one filters, kernel pair is the one that every conv layer uses.
         bad = tmp_path / "bad.ckpt"
         _rewrite_metadata(checkpoint, bad, change)
         code, err = self._predict(clean_corpus, bad, tmp_path, capsys)
